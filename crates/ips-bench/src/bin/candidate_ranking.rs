@@ -83,7 +83,7 @@ fn main() {
                 .map(|i| query_for((offset + i) % PROFILES))
                 .collect();
 
-            // Batched: one fan-out, frames grouped by owner, concurrent.
+            // Batched: one fan-out, one frame per owner.
             let outcome = tb.client.query_batch(caller, &queries).unwrap();
             assert!(outcome.all_ok(), "batched sub-query failed");
             batched_total += outcome.latency.total_us() as f64;

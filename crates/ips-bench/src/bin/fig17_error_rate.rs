@@ -80,7 +80,6 @@ fn run_point(inject: f64, degraded: bool) -> Point {
     tb.client.set_breaker_config(CircuitBreakerConfig {
         failure_threshold: 1_000_000,
         cooldown: DurationMs::from_secs(60),
-        ewma_alpha: 0.2,
     });
     // Preload every profile, flush, and evict: the measured workload is
     // all misses, the path a KV brownout actually hits.

@@ -7,7 +7,7 @@
 //! harness traces every measured query (per-caller sampling override: the
 //! measurement caller is always sampled, the preload caller never), drains
 //! the collected spans, and derives the decomposition — client dispatch,
-//! serialization, network, server queue, cache, KV fetch, compute — from
+//! serialization, network, cache, KV fetch, compute — from
 //! the span tree instead of hand-threaded breakdown fields. It prints the
 //! same 2×2 table, writes `BENCH_table2_trace.json` with the per-stage
 //! percentiles (hit/miss/batch splits) and `BENCH_table2_chrome_trace.json`
@@ -151,8 +151,8 @@ fn main() {
         }
     }
 
-    // A short batched pass so the server-queue stage (batch workers waiting
-    // for their first sub-query) appears in the decomposition.
+    // A short batched pass so the batch split (client dispatch, one
+    // `server` span per frame) appears in the decomposition.
     println!("measuring batched path ({batch_calls} batches of {batch_size}) ...");
     for i in 0..batch_calls {
         let queries: Vec<ProfileQuery> = (0..batch_size)
@@ -281,11 +281,7 @@ fn main() {
             &miss_b,
             &["network", "cache", "store_load", "kv_fetch"][..],
         ),
-        (
-            "batch",
-            &batch_b,
-            &["client_dispatch", "server_queue", "server"][..],
-        ),
+        ("batch", &batch_b, &["client_dispatch", "server"][..]),
     ] {
         for stage in stages {
             assert!(

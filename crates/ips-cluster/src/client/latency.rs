@@ -26,16 +26,15 @@ impl LatencyBreakdown {
         self.network_us + self.server_us + self.storage_us
     }
 
-    /// Decompose a wall-clock measurement that spans the whole call. The
-    /// sampled network time is part of `elapsed_us`, so it is subtracted
-    /// out of the server component — otherwise `total_us()` counts it
-    /// twice. Saturating: jitter can make the sample exceed the
-    /// measurement.
+    /// Combine the wall-clock measurement of a call with its modeled
+    /// components. Modeled time is sampled, never slept, so `elapsed_us`
+    /// contains none of it: the measurement *is* the server component and
+    /// `total_us()` is the plain sum.
     #[must_use]
     pub fn from_call(elapsed_us: u64, network_us: u64, storage_us: u64) -> Self {
         Self {
             network_us,
-            server_us: elapsed_us.saturating_sub(network_us),
+            server_us: elapsed_us,
             storage_us,
         }
     }
@@ -48,8 +47,8 @@ pub struct BatchQueryOutcome {
     /// One entry per input query, in input order. Sub-queries that
     /// exhausted failover carry their last error; siblings are unaffected.
     pub results: Vec<Result<QueryResult>>,
-    /// Batch-level latency: concurrent frames within a failover round cost
-    /// the slowest frame, rounds are sequential and sum.
+    /// Batch-level latency: frames within a failover round are modeled as
+    /// overlapping (the round costs its slowest frame), rounds sum.
     pub latency: LatencyBreakdown,
 }
 
@@ -68,10 +67,6 @@ pub struct ClientStats {
     pub successes: u64,
     pub failures: u64,
     pub retries: u64,
-    /// Hedged second reads fired (tail-latency trimming). Hedges are
-    /// accounted separately: they never inflate `attempts` or `failures`,
-    /// so the Fig 17 error rate is per logical request.
-    pub hedges: u64,
     /// Results served degraded (stale) instead of failing.
     pub degraded: u64,
 }
@@ -108,7 +103,6 @@ impl IpsClusterClient {
             successes: self.successes.get(),
             failures: self.failures.get(),
             retries: self.retries.get(),
-            hedges: self.hedges.get(),
             degraded: self.degraded.get(),
         }
     }

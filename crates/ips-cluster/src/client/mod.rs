@@ -22,8 +22,7 @@
 //! * [`read`] — the query and batched-query orchestrations;
 //! * [`write`] — the all-region write fan-outs;
 //! * [`pipeline`] — the client-side interceptor chain the read/write paths
-//!   compose: deadline charge → breaker routing → hedge → retry/failover →
-//!   trace.
+//!   compose: deadline charge → breaker routing → retry/failover → trace.
 
 mod latency;
 pub(crate) mod pipeline;
@@ -34,7 +33,7 @@ mod write;
 
 pub use latency::{BatchQueryOutcome, ClientStats, LatencyBreakdown};
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -68,14 +67,16 @@ pub struct IpsClusterClient {
     discovery: Arc<Discovery>,
     /// Transport address book: name → endpoint.
     endpoints: RwLock<HashMap<String, Arc<RpcEndpoint>>>,
-    /// Per-region routing state, rebuilt on refresh.
-    rings: RwLock<HashMap<String, RegionRoute>>,
+    /// Per-region routing state, rebuilt on refresh. Keyed in name order:
+    /// region fan-outs run one after another, so their order must not
+    /// depend on hash iteration.
+    rings: RwLock<BTreeMap<String, RegionRoute>>,
     home_region: String,
     storage_model: KvLatencyModel,
     storage_rng: parking_lot::Mutex<SmallRng>,
     /// Failover candidates tried per region before giving up on it.
     max_candidates: usize,
-    /// Retry/hedge policy: attempt budget, modeled backoff, hedge quantile.
+    /// Retry policy: attempt budget and modeled backoff.
     policy: RwLock<RetryPolicy>,
     /// Default deadline budget stamped on every request (None = unbounded).
     request_deadline: RwLock<Option<DurationMs>>,
@@ -85,7 +86,7 @@ pub struct IpsClusterClient {
     /// Degraded-serving opt-in: the staleness bound stamped on read
     /// requests (None = fail hard on storage errors).
     degraded_reads: RwLock<Option<DurationMs>>,
-    /// Per-endpoint breaker + latency health, keyed by endpoint name.
+    /// Per-endpoint breaker health, keyed by endpoint name.
     health: HealthRegistry,
     /// Optional tracer: when set, every request opens a root span and the
     /// span context rides the wire to the servers (§Table II decomposition).
@@ -94,7 +95,6 @@ pub struct IpsClusterClient {
     pub successes: Counter,
     pub failures: Counter,
     pub retries: Counter,
-    pub hedges: Counter,
     pub degraded: Counter,
 }
 
@@ -111,7 +111,7 @@ impl IpsClusterClient {
         Self {
             discovery,
             endpoints: RwLock::new(HashMap::new()),
-            rings: RwLock::new(HashMap::new()),
+            rings: RwLock::new(BTreeMap::new()),
             home_region: home_region.into(),
             storage_model,
             storage_rng: parking_lot::Mutex::new(SmallRng::seed_from_u64(0xC11E47)),
@@ -126,7 +126,6 @@ impl IpsClusterClient {
             successes: Counter::new(),
             failures: Counter::new(),
             retries: Counter::new(),
-            hedges: Counter::new(),
             degraded: Counter::new(),
         }
     }
@@ -139,12 +138,12 @@ impl IpsClusterClient {
         self.policy.write().attempts = n.max(1);
     }
 
-    /// Replace the whole retry/hedge policy.
+    /// Replace the whole retry policy.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         *self.policy.write() = policy;
     }
 
-    /// The current retry/hedge policy.
+    /// The current retry policy.
     #[must_use]
     pub fn retry_policy(&self) -> RetryPolicy {
         *self.policy.read()
@@ -183,7 +182,7 @@ impl IpsClusterClient {
         self.health.set_config(config);
     }
 
-    /// Per-endpoint health registry (breaker state, EWMA, hedge history).
+    /// Per-endpoint health registry (breaker state, failure streak).
     #[must_use]
     pub fn health(&self) -> &HealthRegistry {
         &self.health
@@ -229,7 +228,7 @@ impl IpsClusterClient {
     /// the pre-handoff behaviour.
     pub fn refresh(&self) {
         let healthy = self.discovery.healthy();
-        let mut routes: HashMap<String, RegionRoute> = HashMap::new();
+        let mut routes: BTreeMap<String, RegionRoute> = BTreeMap::new();
         let mut names: HashSet<String> = HashSet::new();
         for reg in healthy {
             names.insert(reg.name.clone());
@@ -266,7 +265,7 @@ impl IpsClusterClient {
         &self.home_region
     }
 
-    /// Known regions (post-refresh).
+    /// Known regions (post-refresh), in name order.
     #[must_use]
     pub fn regions(&self) -> Vec<String> {
         self.rings.read().keys().cloned().collect()

@@ -10,11 +10,9 @@
 //!    *demoted* to the end of the failover walk, never excluded (routing
 //!    fails open — a breaker may slow recovery but never cause an outage
 //!    by itself);
-//! 3. [`hedge`] — the modeled duplicate read fired when the primary beats
-//!    its historical latency quantile (single-profile reads only);
-//! 4. [`failover`] — the owner-then-siblings-then-regions retry walk with
+//! 3. [`failover`] — the owner-then-siblings-then-regions retry walk with
 //!    modeled exponential backoff;
-//! 5. [`trace`] — the per-attempt span plus endpoint-health bookkeeping
+//! 4. [`trace`] — the per-attempt span plus endpoint-health bookkeeping
 //!    wrapping the transport call itself.
 //!
 //! The matching server-side chain lives in `ips_core::server::pipeline`;
@@ -24,5 +22,4 @@
 pub(crate) mod breaker;
 pub(crate) mod deadline;
 pub(crate) mod failover;
-pub(crate) mod hedge;
 pub(crate) mod trace;

@@ -1,6 +1,5 @@
 //! The innermost interceptor: one `attempt` span per transport call, plus
-//! the endpoint-health bookkeeping that feeds the breaker and the hedge
-//! threshold.
+//! the endpoint-health bookkeeping that feeds the breaker.
 
 use std::sync::Arc;
 
@@ -12,8 +11,8 @@ use crate::rpc::{CallOptions, RpcEndpoint, RpcRequest, RpcResponse, WireCost};
 
 impl IpsClusterClient {
     /// One attempt against one endpoint, with trace span and health
-    /// bookkeeping: success feeds the endpoint's EWMA/histogram and closes
-    /// its breaker, a retryable failure feeds the failure streak. Terminal
+    /// bookkeeping: success resets the endpoint's failure streak and closes
+    /// its breaker, a retryable failure feeds the streak. Terminal
     /// errors (quota, invalid request, deadline) say nothing about endpoint
     /// health and leave the breaker alone.
     pub(in crate::client) fn attempt_once(
@@ -23,18 +22,13 @@ impl IpsClusterClient {
         opts: &CallOptions,
     ) -> (Result<RpcResponse>, WireCost) {
         let health = self.health.for_endpoint(ep.name());
-        let started_us = monotonic_micros();
         let mut attempt = ips_trace::child("attempt");
         attempt.set_attr("endpoint", ep.name());
         attempt.set_attr("region", ep.region());
         let ctx = attempt.context();
         let (result, cost) = ep.call_with_options(request, ctx.as_ref(), opts);
         match &result {
-            Ok(_) => {
-                // Observed latency = real in-process time + modeled wire.
-                let elapsed = monotonic_micros().saturating_sub(started_us);
-                health.on_success(elapsed + cost.total_us());
-            }
+            Ok(_) => health.on_success(),
             Err(e) => {
                 attempt.set_error(e.to_string());
                 if e.is_retryable() {

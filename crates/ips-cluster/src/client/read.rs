@@ -1,9 +1,8 @@
 //! Read orchestration: the single-profile query and the batched
 //! candidate-ranking fan-out. Both compose the pipeline interceptors —
-//! deadline charge, breaker demotion, failover, per-attempt tracing — and
-//! the single-profile path additionally hedges.
+//! deadline charge, breaker demotion, failover, per-attempt tracing.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ips_core::query::{ProfileQuery, QueryResult};
@@ -60,31 +59,22 @@ impl IpsClusterClient {
             let mut rng = self.storage_rng.lock();
             self.modeled_storage_us(&result, &mut rng)
         };
-        let breakdown = LatencyBreakdown::from_call(elapsed_us, network_us, storage_us);
-        // Hedged second read: if this (single-profile) query came back
-        // slower than the primary target's historical quantile, model the
-        // duplicate request a production client would have fired at that
-        // threshold and keep whichever completion wins. Hedges never fire
-        // for writes or batches, and never count into attempts/failures.
-        if let Some((hedge_result, hedge_breakdown)) =
-            self.maybe_hedge(query, &request, &regions, &breakdown, &mut root)
-        {
-            return Ok((hedge_result, hedge_breakdown));
-        }
-        Ok((result, breakdown))
+        Ok((
+            result,
+            LatencyBreakdown::from_call(elapsed_us, network_us, storage_us),
+        ))
     }
 
     /// Query many profiles in one fan-out (the candidate-ranking path).
     ///
     /// Sub-queries are grouped by their owning instance on the home
     /// region's consistent-hash ring, one [`RpcRequest::QueryBatch`] frame
-    /// per owner, and the frames are dispatched **concurrently** — the
-    /// whole batch pays one (slowest-frame) network round-trip instead of
-    /// one per profile. Failover is per sub-query: after each round, the
-    /// retryable subset is re-grouped against each profile's next failover
-    /// candidate (then the next region) and re-dispatched; terminal errors
-    /// and exhausted sub-queries stay errors without poisoning siblings.
-    /// Results come back in input order.
+    /// per owner — the whole batch pays one (modeled: slowest-frame) network
+    /// round-trip instead of one per profile. Failover is per sub-query:
+    /// after each round, the retryable subset is re-grouped against each
+    /// profile's next failover candidate (then the next region) and
+    /// re-dispatched; terminal errors and exhausted sub-queries stay errors
+    /// without poisoning siblings. Results come back in input order.
     pub fn query_batch(
         &self,
         caller: CallerId,
@@ -153,7 +143,7 @@ impl IpsClusterClient {
             // blocked candidate moves to the end of the sub-query's walk
             // (once — demoted copies are attempted regardless), so a
             // breaker may reorder the walk but never shrink it to nothing.
-            let mut groups: HashMap<String, (Arc<RpcEndpoint>, Vec<usize>)> = HashMap::new();
+            let mut groups: BTreeMap<String, (Arc<RpcEndpoint>, Vec<usize>)> = BTreeMap::new();
             let mut deferred: Vec<usize> = Vec::new();
             for &i in &pending {
                 if let Some(ep) = candidates[i].get(round).cloned() {
@@ -180,36 +170,24 @@ impl IpsClusterClient {
                 degraded: degraded_opt,
                 priority,
             };
-            // One frame per endpoint, dispatched concurrently: within a
-            // round the batch pays for the slowest frame only.
-            let ambient = ips_trace::current();
+            // One frame per endpoint, sent in endpoint-name order; within a
+            // round the batch's *modeled* network time is the slowest frame.
             type FrameOutcome = (Vec<usize>, Result<RpcResponse>, WireCost);
-            let outcomes: Vec<FrameOutcome> = std::thread::scope(|s| {
-                let handles: Vec<_> = groups
-                    .into_values()
-                    .map(|(ep, idxs)| {
-                        let ambient = ambient.clone();
-                        s.spawn(move || {
-                            let _trace = ambient.map(|(tracer, ctx)| tracer.attach(ctx));
-                            self.attempts.inc();
-                            if round > 0 {
-                                self.retries.inc();
-                            }
-                            let request = RpcRequest::QueryBatch {
-                                caller,
-                                queries: idxs.iter().map(|&i| queries[i].clone()).collect(),
-                            };
-                            let (result, cost) = self.attempt_once(&ep, &request, &opts);
-                            (idxs, result, cost)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: allow(unwrap, reason = "scoped-thread join fails only if the child panicked; re-raising preserves the bug")
-                    .map(|h| h.join().expect("batch frame dispatcher panicked"))
-                    .collect()
-            });
+            let outcomes: Vec<FrameOutcome> = groups
+                .into_values()
+                .map(|(ep, idxs)| {
+                    self.attempts.inc();
+                    if round > 0 {
+                        self.retries.inc();
+                    }
+                    let request = RpcRequest::QueryBatch {
+                        caller,
+                        queries: idxs.iter().map(|&i| queries[i].clone()).collect(),
+                    };
+                    let (result, cost) = self.attempt_once(&ep, &request, &opts);
+                    (idxs, result, cost)
+                })
+                .collect();
 
             let mut round_net = 0u64;
             let mut next_pending: Vec<usize> = pending
@@ -219,9 +197,9 @@ impl IpsClusterClient {
                 .collect();
             next_pending.extend(deferred);
             for (idxs, out, cost) in outcomes {
-                // Failed frames paid wire time too: within the concurrent
-                // round the batch still waits on the slowest frame, lost or
-                // not, so the failed attempt's cost competes in the max.
+                // Failed frames paid wire time too: the modeled round still
+                // waits on the slowest frame, lost or not, so the failed
+                // attempt's cost competes in the max.
                 round_net = round_net.max(cost.total_us());
                 match out {
                     Ok(RpcResponse::QueryBatch(subs)) if subs.len() == idxs.len() => {
@@ -279,8 +257,8 @@ impl IpsClusterClient {
                 self.degraded.inc();
             }
         }
-        // Misses fetch from the persistent store server-side, concurrently
-        // within the batch: model the slowest fetch.
+        // Misses fetch from the persistent store server-side; the modeled
+        // storage time of the batch is the slowest fetch.
         let mut storage_us = 0u64;
         {
             let mut rng = self.storage_rng.lock();

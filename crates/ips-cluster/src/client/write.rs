@@ -1,9 +1,9 @@
 //! Write orchestration: the all-region fan-outs (Fig 15: "upstream
 //! applications write data to all IPS instances regardless of region"),
 //! single-profile and batched. Writes carry the deadline and priority but
-//! never the degraded opt-in, and never hedge.
+//! never the degraded opt-in.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ips_types::clock::monotonic_micros;
@@ -47,41 +47,33 @@ impl IpsClusterClient {
         }
         let mut root = self.root_span("add_profiles", caller);
         root.set_attr("regions", regions.len().to_string());
-        let ambient = root.context().map(|ctx| (self.tracer(), ctx));
-        // All regions are written concurrently: the client-observed write
-        // latency is the slowest region, not the sum over regions.
-        let outcomes: Vec<Result<LatencyBreakdown>> = std::thread::scope(|s| {
-            let handles: Vec<_> = regions
-                .iter()
-                .map(|region| {
-                    let request = &request;
-                    let ambient = ambient.clone();
-                    s.spawn(move || {
-                        let _trace =
-                            ambient.and_then(|(tracer, ctx)| tracer.map(|t| t.attach(ctx)));
-                        let started_us = monotonic_micros();
-                        self.call_with_failover(pid, request, std::slice::from_ref(region))
-                            .map(|(_, network_us)| {
-                                LatencyBreakdown::from_call(
-                                    monotonic_micros().saturating_sub(started_us),
-                                    network_us,
-                                    0,
-                                )
-                            })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(unwrap, reason = "scoped-thread join fails only if the child panicked; re-raising preserves the bug")
-                .map(|h| h.join().expect("region writer panicked"))
-                .collect()
-        });
+        self.write_each_region(&mut root, &regions, |region| {
+            let started_us = monotonic_micros();
+            let (_, network_us) =
+                self.call_with_failover(pid, &request, std::slice::from_ref(region))?;
+            Ok(LatencyBreakdown::from_call(
+                monotonic_micros().saturating_sub(started_us),
+                network_us,
+                0,
+            ))
+        })
+    }
+
+    /// Write to every region in turn on the calling thread. The *modeled*
+    /// write latency is the slowest region, not the sum — no region ever
+    /// waits on another's wire time. Succeeds if at least one region
+    /// accepted.
+    fn write_each_region(
+        &self,
+        root: &mut ips_trace::Span,
+        regions: &[String],
+        mut write: impl FnMut(&String) -> Result<LatencyBreakdown>,
+    ) -> Result<LatencyBreakdown> {
         let mut any_ok = false;
         let mut worst = LatencyBreakdown::default();
         let mut last_err = IpsError::Unavailable("no healthy instance".into());
-        for outcome in outcomes {
-            match outcome {
+        for region in regions {
+            match write(region) {
                 Ok(breakdown) => {
                     any_ok = true;
                     if breakdown.total_us() > worst.total_us() {
@@ -101,8 +93,8 @@ impl IpsClusterClient {
 
     /// Write many profiles in one shot: writes are grouped by owning
     /// instance (per region, via the consistent-hash ring) into
-    /// [`RpcRequest::AddBatch`] frames and dispatched concurrently, so a
-    /// multi-profile ingest pays one frame per owner instead of one call
+    /// [`RpcRequest::AddBatch`] frames, so a multi-profile ingest pays one
+    /// frame per owner (modeled: the slowest frame) instead of one call
     /// per profile. A frame that fails falls back to per-profile writes
     /// with the usual in-region failover. Succeeds if every region
     /// accepted every write through one path or the other.
@@ -118,45 +110,9 @@ impl IpsClusterClient {
         }
         let mut root = self.root_span("add_profiles", caller);
         root.set_attr("writes", writes.len().to_string());
-        let ambient = root.context().map(|ctx| (self.tracer(), ctx));
-        let region_outcomes: Vec<Result<LatencyBreakdown>> = std::thread::scope(|s| {
-            let handles: Vec<_> = regions
-                .iter()
-                .map(|region| {
-                    let ambient = ambient.clone();
-                    s.spawn(move || {
-                        let _trace =
-                            ambient.and_then(|(tracer, ctx)| tracer.map(|t| t.attach(ctx)));
-                        self.add_batch_in_region(caller, writes, region)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(unwrap, reason = "scoped-thread join fails only if the child panicked; re-raising preserves the bug")
-                .map(|h| h.join().expect("region writer panicked"))
-                .collect()
-        });
-        let mut worst = LatencyBreakdown::default();
-        let mut any_ok = false;
-        let mut last_err = IpsError::Unavailable("no healthy instance".into());
-        for outcome in region_outcomes {
-            match outcome {
-                Ok(b) => {
-                    any_ok = true;
-                    if b.total_us() > worst.total_us() {
-                        worst = b;
-                    }
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        if any_ok {
-            Ok(worst)
-        } else {
-            root.set_error(last_err.to_string());
-            Err(last_err)
-        }
+        self.write_each_region(&mut root, &regions, |region| {
+            self.add_batch_in_region(caller, writes, region)
+        })
     }
 
     fn add_batch_in_region(
@@ -169,7 +125,7 @@ impl IpsClusterClient {
         // Group writes by the profile's owner in this region.
         let mut dispatch = ips_trace::child("client_dispatch");
         dispatch.set_attr("region", region);
-        let mut groups: HashMap<String, (Arc<RpcEndpoint>, Vec<ProfileWrite>)> = HashMap::new();
+        let mut groups: BTreeMap<String, (Arc<RpcEndpoint>, Vec<ProfileWrite>)> = BTreeMap::new();
         let mut unroutable = false;
         for w in writes {
             match self
@@ -191,41 +147,32 @@ impl IpsClusterClient {
                 "no healthy instance in {region}"
             )));
         }
-        let ambient = ips_trace::current();
         // Writes carry the deadline and priority too (an expired write is
-        // not applied), but never the degraded opt-in and never hedges.
+        // not applied), but never the degraded opt-in.
         let opts = CallOptions {
             deadline: self.request_deadline.read().map(Deadline::from_budget),
             degraded: None,
             priority: self.request_priority(),
         };
-        let outcomes: Vec<(Vec<ProfileWrite>, Result<u64>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_values()
-                .map(|(ep, group)| {
-                    let ambient = ambient.clone();
-                    s.spawn(move || {
-                        let _trace = ambient.map(|(tracer, ctx)| tracer.attach(ctx));
-                        self.attempts.inc();
-                        let request = RpcRequest::AddBatch {
-                            caller,
-                            writes: group.clone(),
-                        };
-                        let (result, cost) = self.attempt_once(&ep, &request, &opts);
-                        let out = result.map(|_| cost.total_us());
-                        if out.is_ok() {
-                            self.successes.inc();
-                        }
-                        (group, out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(unwrap, reason = "scoped-thread join fails only if the child panicked; re-raising preserves the bug")
-                .map(|h| h.join().expect("owner writer panicked"))
-                .collect()
-        });
+        // One frame per owner, sent in endpoint-name order before any
+        // outcome is acted on; the region's modeled network time is the
+        // slowest frame.
+        let outcomes: Vec<(Vec<ProfileWrite>, Result<u64>)> = groups
+            .into_values()
+            .map(|(ep, group)| {
+                self.attempts.inc();
+                let request = RpcRequest::AddBatch {
+                    caller,
+                    writes: group.clone(),
+                };
+                let (result, cost) = self.attempt_once(&ep, &request, &opts);
+                let out = result.map(|_| cost.total_us());
+                if out.is_ok() {
+                    self.successes.inc();
+                }
+                (group, out)
+            })
+            .collect();
         let mut network_us = 0u64;
         for (group, out) in outcomes {
             match out {

@@ -1,5 +1,4 @@
-//! Per-endpoint health: EWMA latency, a latency histogram (the hedge
-//! threshold source), and a consecutive-failure circuit breaker with
+//! Per-endpoint health: a consecutive-failure circuit breaker with
 //! half-open probing.
 //!
 //! The seed client's only routing signal was the binary `is_down` flag an
@@ -19,7 +18,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use ips_metrics::Histogram;
 use ips_types::CircuitBreakerConfig;
 
 /// Observable breaker state.
@@ -44,11 +42,6 @@ pub struct EndpointHealth {
     consecutive_failures: AtomicU32,
     /// Monotonic µs at which the breaker last opened.
     opened_at_us: AtomicU64,
-    /// EWMA of observed per-attempt latency, stored as `f64` bits.
-    ewma_bits: AtomicU64,
-    /// Per-attempt latency distribution; hedge thresholds are percentiles
-    /// of this.
-    pub latency: Histogram,
 }
 
 impl EndpointHealth {
@@ -59,8 +52,6 @@ impl EndpointHealth {
             state: AtomicU8::new(STATE_CLOSED),
             consecutive_failures: AtomicU32::new(0),
             opened_at_us: AtomicU64::new(0),
-            ewma_bits: AtomicU64::new(0f64.to_bits()),
-            latency: Histogram::new(),
         }
     }
 
@@ -101,22 +92,9 @@ impl EndpointHealth {
         }
     }
 
-    /// Record a successful attempt: latency feeds the EWMA and histogram,
-    /// the failure streak resets, and any open/half-open breaker closes.
-    pub fn on_success(&self, latency_us: u64) {
-        self.latency.record(latency_us);
-        let alpha = self.config.ewma_alpha.clamp(0.0, 1.0);
-        self.ewma_bits
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |bits| {
-                let prev = f64::from_bits(bits);
-                let next = if prev == 0.0 {
-                    latency_us as f64
-                } else {
-                    alpha * latency_us as f64 + (1.0 - alpha) * prev
-                };
-                Some(next.to_bits())
-            })
-            .unwrap(); // lint: allow(unwrap, reason = "fetch_update closure always returns Some")
+    /// Record a successful attempt: the failure streak resets, and any
+    /// open/half-open breaker closes.
+    pub fn on_success(&self) {
         self.consecutive_failures.store(0, Ordering::Release);
         self.state.store(STATE_CLOSED, Ordering::Release);
     }
@@ -135,23 +113,6 @@ impl EndpointHealth {
             self.opened_at_us.store(now_us, Ordering::Release);
             self.state.store(STATE_OPEN, Ordering::Release);
         }
-    }
-
-    /// Smoothed latency estimate, µs (zero until the first success).
-    #[must_use]
-    pub fn ewma_us(&self) -> f64 {
-        f64::from_bits(self.ewma_bits.load(Ordering::Acquire))
-    }
-
-    /// The hedge trigger: the `quantile` latency of past attempts, or
-    /// `None` until enough history exists to make hedging meaningful.
-    #[must_use]
-    pub fn hedge_threshold_us(&self, quantile: f64) -> Option<u64> {
-        if self.latency.count() < 8 {
-            return None;
-        }
-        // `quantile` is a fraction (0.95 = p95); the histogram speaks 0-100.
-        Some(self.latency.percentile(quantile.clamp(0.0, 1.0) * 100.0))
     }
 
     /// Consecutive failures observed since the last success.
@@ -224,7 +185,6 @@ mod tests {
         CircuitBreakerConfig {
             failure_threshold: threshold,
             cooldown: DurationMs::from_millis(cooldown_ms),
-            ewma_alpha: 0.5,
         }
     }
 
@@ -246,7 +206,7 @@ mod tests {
         let h = EndpointHealth::new(config(3, 100));
         h.on_failure(1);
         h.on_failure(2);
-        h.on_success(500);
+        h.on_success();
         h.on_failure(3);
         h.on_failure(4);
         assert_eq!(
@@ -267,7 +227,7 @@ mod tests {
         assert!(h.try_admit(100_000));
         assert_eq!(h.state(), BreakerState::HalfOpen);
         assert!(!h.try_admit(100_001), "only one probe at a time");
-        h.on_success(800);
+        h.on_success();
         assert_eq!(h.state(), BreakerState::Closed);
         assert!(h.try_admit(100_002));
     }
@@ -282,23 +242,6 @@ mod tests {
         // New cooldown counts from the probe failure.
         assert!(!h.try_admit(200_000));
         assert!(h.try_admit(250_000));
-    }
-
-    #[test]
-    fn ewma_and_hedge_threshold_track_latency() {
-        let h = EndpointHealth::new(config(5, 100));
-        assert_eq!(h.ewma_us(), 0.0);
-        assert_eq!(h.hedge_threshold_us(0.95), None, "no history yet");
-        h.on_success(1_000);
-        assert!((h.ewma_us() - 1_000.0).abs() < f64::EPSILON);
-        h.on_success(2_000);
-        // alpha = 0.5: 0.5 * 2000 + 0.5 * 1000.
-        assert!((h.ewma_us() - 1_500.0).abs() < 1.0);
-        for _ in 0..10 {
-            h.on_success(1_000);
-        }
-        let p95 = h.hedge_threshold_us(0.95).unwrap();
-        assert!(p95 >= 1_000, "p95 = {p95}");
     }
 
     #[test]

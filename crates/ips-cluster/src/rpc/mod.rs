@@ -74,7 +74,7 @@ pub enum RpcRequest {
     },
     /// Many reads in one frame: the candidate-ranking fan-out. The whole
     /// batch pays the fixed network round-trip once; the server executes
-    /// the sub-queries on its worker pool and replies with per-sub-query
+    /// the sub-queries in input order and replies with per-sub-query
     /// results so one bad profile cannot fail its siblings.
     QueryBatch {
         caller: CallerId,

@@ -7,7 +7,6 @@
 //! surface (`query_ctx(&RequestContext, ..)`) with a default context.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ips_types::clock::monotonic_micros;
@@ -21,9 +20,6 @@ use crate::query::{engine, ProfileQuery, QueryResult};
 
 use super::pipeline::{self, PipelineRequest, RequestContext, RequestKind};
 use super::IpsInstance;
-
-/// Upper bound on concurrent sub-query workers per batch call.
-const MAX_BATCH_WORKERS: usize = 8;
 
 impl IpsInstance {
     // ---- write API (§II-B) -------------------------------------------------
@@ -217,9 +213,8 @@ impl IpsInstance {
     /// where a recommender scores hundreds of candidates against per-user /
     /// per-item profiles at once. The pipeline runs once for the whole
     /// batch (one quota charge of `queries.len()`, one fair-admission
-    /// reservation), then sub-queries execute on a bounded set of workers
-    /// so large batches parallelize server-side without unbounded thread
-    /// fan-out. Results are per-sub-query and in input order — one failing
+    /// reservation), then sub-queries execute in input order on the calling
+    /// thread. Results are per-sub-query and in input order — one failing
     /// profile does not poison its siblings.
     pub fn query_batch(
         self: &Arc<Self>,
@@ -231,11 +226,11 @@ impl IpsInstance {
 
     /// [`IpsInstance::query_batch`] with an explicit request context.
     /// The pipeline sheds expired work first, then reserves the caller's
-    /// fair share of the worker pool (an overloaded replica sheds with
-    /// [`IpsError::Overloaded`], retryable elsewhere, without consuming
-    /// the caller's quota tokens), then charges quota (a terminal
-    /// per-caller decision). Each sub-query re-checks the deadline after
-    /// its queue wait, so work that expired while queued is shed, not
+    /// fair share of the in-flight sub-query budget (an overloaded replica
+    /// sheds with [`IpsError::Overloaded`], retryable elsewhere, without
+    /// consuming the caller's quota tokens), then charges quota (a terminal
+    /// per-caller decision). Each sub-query re-checks the deadline before
+    /// it runs, so work that expired behind its siblings is shed, not
     /// computed.
     pub fn query_batch_ctx(
         self: &Arc<Self>,
@@ -255,52 +250,10 @@ impl IpsInstance {
             return Ok(Vec::new());
         }
 
-        let workers = queries.len().min(MAX_BATCH_WORKERS);
-        let mut out: Vec<Result<QueryResult>> = Vec::with_capacity(queries.len());
-        if workers <= 1 {
-            out.extend(queries.iter().map(|q| pipeline::run_subquery(self, ctx, q)));
-        } else {
-            out.resize_with(queries.len(), || {
-                Err(IpsError::Unavailable("batch slot unfilled".into()))
-            });
-            let next = AtomicUsize::new(0);
-            // Thread-locals do not cross `thread::scope`: capture the
-            // ambient trace context here and re-attach it in each worker so
-            // sub-query spans stay inside the request's trace.
-            let ambient = ips_trace::current();
-            let next = &next;
-            let indexed: Vec<(usize, Result<QueryResult>)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let ambient = ambient.clone();
-                        s.spawn(move || {
-                            let _trace_guard = ambient.map(|(tracer, ctx)| tracer.attach(ctx));
-                            // One span per worker covering spawn → first
-                            // dequeue: the batch's real server-side
-                            // scheduling/queueing delay.
-                            let mut queue_span = Some(ips_trace::child("server_queue"));
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(query) = queries.get(i) else { break };
-                                queue_span.take();
-                                local.push((i, pipeline::run_subquery(self, ctx, query)));
-                            }
-                            drop(queue_span);
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: allow(unwrap, reason = "scoped-thread join fails only if the worker panicked; re-raising preserves the bug")
-                    .flat_map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            });
-            for (i, r) in indexed {
-                out[i] = r;
-            }
-        }
+        let out: Vec<Result<QueryResult>> = queries
+            .iter()
+            .map(|q| pipeline::run_subquery(self, ctx, q))
+            .collect();
 
         // Batch-shape metrics, per table touched (a batch normally targets
         // one table, but nothing requires it to).

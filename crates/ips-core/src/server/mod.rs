@@ -62,7 +62,7 @@ pub struct IpsInstanceOptions {
     pub default_quota: QuotaConfig,
     /// Instance name (diagnostics).
     pub name: String,
-    /// Batch worker-pool admission control (zero = unbounded).
+    /// In-flight batch sub-query budget (zero = unbounded).
     pub admission: AdmissionConfig,
     /// Degraded (stale) serving policy during KV brownouts.
     pub degraded: DegradedServingConfig,

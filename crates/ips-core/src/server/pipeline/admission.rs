@@ -1,4 +1,5 @@
-//! Per-caller weighted fair admission for the batch worker pool.
+//! Per-caller weighted fair admission over the in-flight batch sub-query
+//! budget ("the pool" below: `max_inflight_subqueries` units, not threads).
 //!
 //! Where quota answers "is this *caller* within its contract" (terminal for
 //! the caller), admission answers "does this *replica* have capacity right
@@ -139,7 +140,7 @@ impl FairState {
     }
 }
 
-/// Weighted fair admission control over the batch worker pool.
+/// Weighted fair admission control over the in-flight sub-query budget.
 pub struct FairAdmission {
     /// Pool size in sub-query units; zero means unbounded.
     limit: usize,
@@ -305,7 +306,7 @@ impl FairAdmission {
     }
 }
 
-/// A reservation of batch worker-pool capacity; releases on drop.
+/// A reservation of in-flight sub-query budget; releases on drop.
 pub struct FairPermit<'a> {
     ctrl: &'a FairAdmission,
     caller: CallerId,
@@ -322,7 +323,7 @@ impl Drop for FairPermit<'_> {
 /// The pipeline stage wiring fair admission into batched reads. Weights
 /// come from the caller's configured quota (`qps_limit`): the tenant a
 /// cluster operator granted the larger contract also gets the larger share
-/// of a contended worker pool.
+/// of a contended budget.
 pub(crate) struct AdmissionStage;
 
 impl ServerStage for AdmissionStage {

@@ -2,7 +2,7 @@
 //!
 //! Computing a result nobody is waiting for only steals capacity from live
 //! work, so the pipeline sheds on the way in, and every sub-query re-checks
-//! after its queue wait (via [`shed_if_expired`] inside
+//! before it runs (via [`shed_if_expired`] inside
 //! [`super::run_subquery`]). This module is the only place a deadline shed
 //! is decided and recorded; everything else observes it through
 //! [`crate::server::IpsInstance::shed_deadline`] and the `shed` trace span.

@@ -5,19 +5,20 @@
 //! deadline shedding, fair admission, per-caller quota, tracing, degraded
 //! fallback — is now a [`ServerStage`] living in exactly one submodule.
 //! Handlers run the chain once per request via [`ServerPipeline::admit`],
-//! then execute compute; per-sub-query policies (deadline re-check after a
-//! queue wait, degraded fallback around the engine) are applied through
-//! [`run_subquery`] so batch workers go through the same single code path.
+//! then execute compute; per-sub-query policies (deadline re-check before
+//! each unit, degraded fallback around the engine) are applied through
+//! [`run_subquery`] so batch sub-queries go through the same single code
+//! path.
 //!
 //! Stage ordering contract (see DESIGN.md §13):
 //!
 //! 1. [`deadline`] — shed already-expired work before charging anything.
-//! 2. [`admission`] — per-caller weighted fair admission on the batch
-//!    worker pool; sheds with a retryable `Overloaded` only when the
-//!    caller's own share is exhausted.
+//! 2. [`admission`] — per-caller weighted fair admission on the in-flight
+//!    batch sub-query budget; sheds with a retryable `Overloaded` only when
+//!    the caller's own share is exhausted.
 //! 3. [`quota`] — per-caller token-bucket QPS contract (terminal).
 //! 4. [`trace`] — open the request's server-side pipeline span; later
-//!    spans (queueing, compute, shed markers) nest under it.
+//!    spans (compute, shed markers) nest under it.
 //!
 //! Deadline runs first because an expired request must not consume quota
 //! tokens or admission slots; admission runs before quota so a replica-level
@@ -99,14 +100,14 @@ impl RequestContext {
 }
 
 /// What kind of work a request is; stages use this to decide whether they
-/// apply (e.g. admission guards only the batch worker pool).
+/// apply (e.g. admission guards only batched reads).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestKind {
     /// `add_profile(s)`: the write API.
     Write,
     /// A single profile query (including UDAFs).
     Read,
-    /// A batched query fanning out over the worker pool.
+    /// A batched query: many sub-queries under one admission reservation.
     ReadBatch,
     /// A shard-handoff snapshot chunk (internal traffic: no quota).
     Snapshot,
@@ -127,7 +128,7 @@ pub struct PipelineRequest<'a> {
 /// acquisition order is not required — each guard is independent) when the
 /// request finishes, including on panic.
 pub enum StageGuard<'a> {
-    /// A fair-admission reservation of batch worker-pool capacity.
+    /// A fair-admission reservation of in-flight sub-query budget.
     Admission(FairPermit<'a>),
     /// The request's open pipeline span.
     Trace(ips_trace::Span),
@@ -198,10 +199,10 @@ impl ServerPipeline {
 }
 
 /// The shared per-sub-query path: re-check the deadline (work that expired
-/// while queued is shed, not computed), then run the engine with the
-/// degraded-serving fallback wrapped around it. Both the single-query
-/// handler and every batch worker funnel through here, so the per-unit
-/// policies exist exactly once.
+/// behind earlier sub-queries is shed, not computed), then run the engine
+/// with the degraded-serving fallback wrapped around it. Both the
+/// single-query handler and every batch sub-query funnel through here, so
+/// the per-unit policies exist exactly once.
 pub(crate) fn run_subquery(
     inst: &Arc<IpsInstance>,
     ctx: &RequestContext,

@@ -2,7 +2,7 @@
 //!
 //! The span opens after the rejecting stages (a shed request gets its
 //! dedicated `shed` span instead) and stays the ambient parent for the
-//! whole request, so queueing, compute, degraded and shed markers from the
+//! whole request, so compute, degraded and shed markers from the
 //! sub-query path all nest under it. It carries the request's caller,
 //! priority, and (when present) remaining deadline budget and degraded
 //! staleness bound, so every server-side trace can be attributed to a

@@ -546,11 +546,6 @@ impl Wal {
         Ok((records, report))
     }
 
-    /// [`Wal::recover`] without the report (legacy call sites).
-    pub fn replay(&self) -> Result<Vec<WalRecord>> {
-        self.recover().map(|(records, _)| records)
-    }
-
     /// Scan the directory, rebuild the append cursor, and (optionally)
     /// collect the surviving records.
     fn recover_locked(
@@ -989,7 +984,7 @@ mod tests {
         drop(wal);
 
         let wal = Wal::open(&dir, false).unwrap();
-        let recs = wal.replay().unwrap();
+        let recs = wal.recover().unwrap().0;
         assert_eq!(recs.len(), 2);
         assert!(matches!(recs[0], WalRecord::Set { ref key, .. } if key == "k1"));
         assert!(matches!(recs[1], WalRecord::Delete { ref key } if key == "k1"));
@@ -1000,7 +995,7 @@ mod tests {
     fn replay_empty_log() {
         let storage = MemStorage::new();
         let wal = mem_wal(&storage, WalConfig::default());
-        assert!(wal.replay().unwrap().is_empty());
+        assert!(wal.recover().unwrap().0.is_empty());
     }
 
     #[test]
@@ -1048,7 +1043,7 @@ mod tests {
             generation: 99,
         })
         .unwrap();
-        let recs = wal.replay().unwrap();
+        let recs = wal.recover().unwrap().0;
         assert_eq!(recs.len(), 10);
         assert!(matches!(recs[9], WalRecord::Set { generation: 99, .. }));
     }
@@ -1318,7 +1313,7 @@ mod tests {
         );
         // And the log still accepts writes.
         wal.append(&set(1000)).unwrap();
-        assert_eq!(wal.replay().unwrap().len(), recs.len() + 1);
+        assert_eq!(wal.recover().unwrap().0.len(), recs.len() + 1);
     }
 
     #[test]
@@ -1398,7 +1393,7 @@ mod tests {
         assert!(matches!(err, IpsError::Storage(_)));
         // The unacked record must not resurface later.
         wal.append(&set(2)).unwrap();
-        let recs = wal.replay().unwrap();
+        let recs = wal.recover().unwrap().0;
         let gens: Vec<u64> = recs
             .iter()
             .map(|r| match r {
@@ -1420,7 +1415,7 @@ mod tests {
             },
         );
         wal.append(&WalRecord::Delete { key: b("k") }).unwrap();
-        assert_eq!(wal.replay().unwrap().len(), 1);
+        assert_eq!(wal.recover().unwrap().0.len(), 1);
     }
 
     #[test]

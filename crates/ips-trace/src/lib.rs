@@ -5,10 +5,10 @@
 //! *decomposition* — network overhead vs. cache-hit compute vs. cache-miss
 //! HBase fetch. This crate measures that decomposition instead of asserting
 //! it: every client request opens a root [`Span`], each stage it passes
-//! through (dispatch, serialization, network, server queue, cache, KV
-//! fetch, compute) opens a child span, and the [`SpanContext`] rides the
-//! RPC wire so the server-side spans land in the *same* trace as the client
-//! that issued the call — across endpoints, retries, and region failover.
+//! through (dispatch, serialization, network, cache, KV fetch, compute)
+//! opens a child span, and the [`SpanContext`] rides the RPC wire so the
+//! server-side spans land in the *same* trace as the client that issued
+//! the call — across endpoints, retries, and region failover.
 //!
 //! Design points:
 //!
@@ -18,11 +18,11 @@
 //! * **RAII spans, ambient parenting.** A live span installs itself in a
 //!   thread-local scope stack; [`child`] reads the top of that stack, so
 //!   instrumented leaf code (cache, engine, persister) needs no tracer
-//!   handle threaded through its signatures. Fan-out workers re-attach an
-//!   explicitly captured context ([`Tracer::attach`]), and the RPC boundary
-//!   masks the client's ambient scope ([`mask`]) so server spans can *only*
-//!   parent through the wire-propagated context — exactly what a real
-//!   multi-process deployment would see.
+//!   handle threaded through its signatures. A request runs on one thread
+//!   end to end, and the RPC boundary masks the client's ambient scope
+//!   ([`mask`]) so server spans can *only* parent through the
+//!   wire-propagated context — exactly what a real multi-process
+//!   deployment would see.
 //! * **Lock-free collection.** Finished spans go to a per-thread SPSC ring
 //!   drained by the [`TraceCollector`]; the record path takes no locks.
 //! * **Head sampling with promotion.** The keep/drop decision is made at
@@ -39,15 +39,13 @@ pub mod export;
 pub use collector::TraceCollector;
 
 /// Canonical span-attribute keys for the request-lifecycle layer (deadline
-/// shedding, hedged reads, degraded serving). One shared vocabulary keeps
+/// shedding, degraded serving). One shared vocabulary keeps
 /// client and server spans joinable by key.
 pub mod attrs {
     /// Why a unit of work was shed: `"deadline"` or `"overload"`.
     pub const SHED: &str = "shed";
     /// Remaining deadline budget (µs) when a request was admitted.
     pub const DEADLINE_US: &str = "deadline_us";
-    /// Present (`"true"`) on the attempt span of a hedged second read.
-    pub const HEDGED: &str = "hedged";
     /// Present (`"true"`) when a result was served degraded (stale).
     pub const DEGRADED: &str = "degraded";
     /// Staleness (ms) of a degraded result.
@@ -89,8 +87,8 @@ impl fmt::Display for SpanId {
     }
 }
 
-/// The portable part of a span: what crosses the wire (and thread
-/// boundaries) so remote/worker spans join the right tree.
+/// The portable part of a span: what crosses the wire so remote spans
+/// join the right tree.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SpanContext {
     pub trace: TraceId,
@@ -228,8 +226,7 @@ impl SamplerConfig {
 // Ambient scope stack
 
 enum Scope {
-    /// A live span (or an explicitly attached context) children should
-    /// parent to.
+    /// A live span children should parent to.
     Active {
         tracer: Arc<Tracer>,
         ctx: SpanContext,
@@ -346,17 +343,6 @@ impl Drop for MaskGuard {
     }
 }
 
-/// Guard for [`Tracer::attach`].
-pub struct ContextGuard {
-    token: u64,
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        pop_scope(self.token);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Tracer
 
@@ -396,19 +382,6 @@ impl Tracer {
     #[must_use]
     pub fn span_with_parent(self: &Arc<Self>, name: &'static str, parent: SpanContext) -> Span {
         self.start_span(name, parent.trace, Some(parent.span), parent.sampled)
-    }
-
-    /// Make `ctx` ambient on this thread until the guard drops — how
-    /// fan-out worker threads join the trace of the request that spawned
-    /// them (thread-locals do not cross `thread::scope`).
-    #[must_use]
-    pub fn attach(self: &Arc<Self>, ctx: SpanContext) -> ContextGuard {
-        ContextGuard {
-            token: push_scope(Scope::Active {
-                tracer: Arc::clone(self),
-                ctx,
-            }),
-        }
     }
 
     /// Drain all finished spans collected so far.
@@ -534,7 +507,7 @@ impl Span {
         self.inner.as_ref().is_some_and(|i| i.sampled)
     }
 
-    /// The context to propagate (on the wire, or to a worker thread).
+    /// The context to propagate on the wire.
     #[must_use]
     pub fn context(&self) -> Option<SpanContext> {
         self.inner.as_ref().map(|i| SpanContext {
@@ -735,30 +708,6 @@ mod tests {
             assert!(current().is_some(), "unmasked after guard drop");
         }
         assert_eq!(t.drain().len(), 1);
-    }
-
-    #[test]
-    fn attach_joins_worker_thread_to_trace() {
-        let t = tracer(SamplerConfig::always());
-        let root = t.root_span("query_batch", 0);
-        let ctx = root.context().unwrap();
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let t = Arc::clone(&t);
-                s.spawn(move || {
-                    let _g = t.attach(ctx);
-                    let _w = child("frame");
-                });
-            }
-        });
-        drop(root);
-        let recs = t.drain();
-        assert_eq!(recs.len(), 4);
-        let root_rec = recs.iter().find(|r| r.name == "query_batch").unwrap();
-        for f in recs.iter().filter(|r| r.name == "frame") {
-            assert_eq!(f.parent, Some(root_rec.span));
-            assert_eq!(f.trace, root_rec.trace);
-        }
     }
 
     #[test]

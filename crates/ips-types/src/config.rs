@@ -452,7 +452,7 @@ impl Priority {
 /// Client retry behaviour for failover across replicas and regions.
 ///
 /// The defaults reproduce the pre-deadline behaviour exactly: sweep every
-/// candidate once, no backoff charged, no hedging.
+/// candidate once, no backoff charged.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Maximum attempts across all replicas and regions. `usize::MAX` means
@@ -464,11 +464,6 @@ pub struct RetryPolicy {
     pub base_backoff: DurationMs,
     /// Jitter fraction applied to each backoff step (0.0–1.0).
     pub jitter: f64,
-    /// Fire a hedged second read for single-profile queries once the primary
-    /// attempt exceeds this percentile of the endpoint's observed latency
-    /// (e.g. 0.95). `0.0` disables hedging. Never applies to writes or
-    /// batch calls.
-    pub hedge_quantile: f64,
 }
 
 impl Default for RetryPolicy {
@@ -477,7 +472,6 @@ impl Default for RetryPolicy {
             attempts: usize::MAX,
             base_backoff: DurationMs::from_millis(5),
             jitter: 0.1,
-            hedge_quantile: 0.0,
         }
     }
 }
@@ -491,9 +485,6 @@ impl RetryPolicy {
         if !(0.0..=1.0).contains(&self.jitter) {
             return Err("jitter must be in [0, 1]".into());
         }
-        if !(0.0..1.0).contains(&self.hedge_quantile) && self.hedge_quantile != 0.0 {
-            return Err("hedge_quantile must be 0 (off) or in (0, 1)".into());
-        }
         Ok(())
     }
 }
@@ -506,8 +497,6 @@ pub struct CircuitBreakerConfig {
     /// How long an open breaker blocks traffic before admitting one
     /// half-open probe.
     pub cooldown: DurationMs,
-    /// EWMA smoothing factor for the endpoint's expected latency.
-    pub ewma_alpha: f64,
 }
 
 impl Default for CircuitBreakerConfig {
@@ -515,7 +504,6 @@ impl Default for CircuitBreakerConfig {
         Self {
             failure_threshold: 5,
             cooldown: DurationMs::from_millis(500),
-            ewma_alpha: 0.2,
         }
     }
 }
@@ -542,7 +530,7 @@ impl Default for DegradedServingConfig {
     }
 }
 
-/// Admission control for the server's batch worker pool.
+/// Admission control for the server's in-flight batch sub-query budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct AdmissionConfig {
     /// Maximum batch sub-queries in flight per instance before new batches

@@ -324,7 +324,7 @@ fn error_taxonomy(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
                 rule: "error-taxonomy",
                 message: format!(
                     "IpsError::{name} has no retry/overload classification — callers \
-                     cannot tell whether hedging or failover is safe"
+                     cannot tell whether retry or failover is safe"
                 ),
                 hint: "list it in is_retryable()/is_overload(), or assert its terminal \
                        classification in the error-module tests",

@@ -50,7 +50,6 @@ fn build() -> (MultiRegionDeployment, IpsClusterClient, SimClock) {
     client.set_breaker_config(CircuitBreakerConfig {
         failure_threshold: 1_000_000,
         cooldown: DurationMs::from_secs(60),
-        ewma_alpha: 0.2,
     });
     (deployment, client, ctl)
 }

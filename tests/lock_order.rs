@@ -1,6 +1,6 @@
 //! Lock-order harness: drives the sharded KV store, the WAL, replication,
-//! the profile cache and the batched query fan-out (the server's
-//! work-stealing pool) concurrently with the vendored parking_lot shim's
+//! the profile cache and the batched query path from several caller
+//! threads concurrently, with the vendored parking_lot shim's
 //! `lock-order-tracking` instrumentation live. Any inconsistently ordered
 //! pair of lock acquisitions anywhere in the stack panics the offending
 //! thread — so "the harness runs to completion" *is* the assertion that the

@@ -63,12 +63,11 @@ fn build() -> (World, Arc<Tracer>) {
     );
     client.add_endpoints(deployment.all_endpoints());
     client.refresh();
-    // Breakers and hedging are exercised elsewhere; keep every attempt on
+    // Breakers are exercised elsewhere; keep every attempt on
     // the straight path so the trace shape is deterministic.
     client.set_breaker_config(CircuitBreakerConfig {
         failure_threshold: 1_000_000,
         cooldown: DurationMs::from_secs(60),
-        ewma_alpha: 0.2,
     });
     client.set_tracer(Some(Arc::clone(&tracer)));
     for ep in deployment.all_endpoints() {

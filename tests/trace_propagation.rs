@@ -209,6 +209,36 @@ fn failover_batch_produces_one_coherent_trace() {
             "server span must hang off a wire-propagated attempt context"
         );
     }
+
+    // One request is one thread. In creation (span-id) order the attempts
+    // never overlap in time, and frame order is a function of the input:
+    // every endpoint gets one frame per failover round, so an attempt's
+    // round is how often its endpoint was tried before, and within a round
+    // frames go out in endpoint-name order — (region, round, endpoint)
+    // strictly ascends over the whole request.
+    let mut attempts: Vec<&SpanRecord> = recs.iter().filter(|r| r.name == "attempt").collect();
+    attempts.sort_by_key(|r| r.span.0);
+    let mut tried: HashMap<&str, usize> = HashMap::new();
+    let mut order = Vec::new();
+    for a in &attempts {
+        let endpoint = attr(a, "endpoint").unwrap();
+        let round = tried.entry(endpoint).or_default();
+        order.push((attr(a, "region").unwrap(), *round, endpoint));
+        *round += 1;
+    }
+    for (pair, keys) in attempts.windows(2).zip(order.windows(2)) {
+        assert!(
+            pair[0].end_us <= pair[1].start_us,
+            "attempts on {} and {} overlap in time",
+            keys[0].2,
+            keys[1].2
+        );
+        assert!(keys[0] < keys[1], "frame order: {order:?}");
+    }
+    assert!(
+        recs.iter().all(|r| r.name != "server_queue"),
+        "no worker hand-off, so no queueing stage"
+    );
 }
 
 #[test]
