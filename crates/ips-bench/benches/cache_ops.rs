@@ -26,7 +26,6 @@ fn cache(shards: usize, budget: usize) -> GCache<Arc<KvNode>> {
             memory_budget_bytes: budget,
             lru_shards: shards,
             dirty_shards: 2,
-            flush_threads: 2,
             ..Default::default()
         },
         Arc::new(SystemClock),

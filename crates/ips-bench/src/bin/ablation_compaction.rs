@@ -4,7 +4,8 @@
 //!
 //! 1. **Inline vs async** — running compaction on the serving path
 //!    (triggered by the incoming request) hurts query tail latency; moving
-//!    it to the dedicated pool keeps the serving path clean.
+//!    it off the request path (queued, then drained between requests as
+//!    `IpsInstance::tick` does) keeps the serving path clean.
 //! 2. **Partial vs full** — a partial pass (bounded merges) costs a
 //!    fraction of a full pass, at the price of converging over several
 //!    cycles; the full pass is reserved for long slice lists.
@@ -170,7 +171,8 @@ fn main() {
             }
             hist.record(t0.elapsed().as_micros() as u64);
             if !inline_compaction && round % 500 == 0 {
-                // Async pool: compaction runs between requests.
+                // Off the request path: the queue drains between requests,
+                // as `IpsInstance::tick` drains it.
                 rt.scheduler.run_pending(64);
             }
         }

@@ -37,7 +37,6 @@ fn run(isolation: bool) -> RunResult {
     let instance = IpsInstance::new_in_memory(IpsInstanceOptions::default(), Arc::clone(&clock));
     let mut cfg = TableConfig::new("iso");
     cfg.isolation.enabled = isolation;
-    cfg.isolation.merge_interval = DurationMs::from_secs(2);
     instance.create_table(TABLE, cfg).unwrap();
     let caller = CallerId::new(1);
     let mut generator = WorkloadGenerator::new(WorkloadConfig {

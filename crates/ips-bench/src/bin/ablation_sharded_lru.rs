@@ -9,6 +9,7 @@
 //! shard counts {1, 4, 16, 64} and reports read-latency tails and swap
 //! contention skips.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ips_bench::banner;
@@ -28,27 +29,21 @@ fn run(shards: usize, threads: usize) -> (ips_metrics::HistogramSnapshot, u64, u
         TableId::new(1),
         PersistenceMode::Bulk,
     ));
-    let cache = Arc::new(
-        GCache::new(
-            persister,
-            CacheConfig {
-                memory_budget_bytes: 4 << 20,
-                lru_shards: shards,
-                dirty_shards: 1,
-                flush_threads: 1,
-                swap_threads: 2,
-                swap_high_watermark: 0.85,
-                swap_low_watermark: 0.80,
-                flush_interval: DurationMs::from_millis(1),
-                swap_interval: DurationMs::from_millis(1),
-                stale_pool_entries: 0,
-            },
-            Arc::new(SystemClock),
-        )
-        .unwrap(),
-    );
+    let cache = GCache::new(
+        persister,
+        CacheConfig {
+            memory_budget_bytes: 4 << 20,
+            lru_shards: shards,
+            dirty_shards: 1,
+            swap_high_watermark: 0.85,
+            swap_low_watermark: 0.80,
+            stale_pool_entries: 0,
+        },
+        Arc::new(SystemClock),
+    )
+    .unwrap();
 
-    // Fill past the watermark so swap threads have permanent work.
+    // Fill past the watermark so swap has permanent work.
     let users = 3_000u64;
     for pid in 0..users {
         cache
@@ -68,34 +63,50 @@ fn run(shards: usize, threads: usize) -> (ips_metrics::HistogramSnapshot, u64, u
             .unwrap();
     }
 
-    // Real background swap/flush threads, as in production.
-    let bg = cache.spawn_background();
-
-    // Reader threads hammer Zipf-hot profiles while swap churns.
-    let hist = Arc::new(Histogram::new());
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let cache = Arc::clone(&cache);
-            let hist = Arc::clone(&hist);
-            std::thread::spawn(move || {
-                let mut x = 0x9E37_79B9u64.wrapping_add(t as u64);
-                for _ in 0..30_000 {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    // Zipf-ish: bias toward low ids.
-                    let r = (x >> 33) as f64 / (u32::MAX as f64 / 2.0);
-                    let pid = ((r * r * users as f64) as u64).min(users - 1);
-                    let t0 = std::time::Instant::now();
-                    let _ = cache.read(ProfileId::new(pid), |p| p.slice_count());
-                    hist.record(t0.elapsed().as_micros() as u64);
+    let hist = Histogram::new();
+    let stop = AtomicBool::new(false);
+    let stats = std::thread::scope(|s| {
+        // The paper's dedicated threads, owned by the harness: two swap
+        // loops (which skip each other's locked candidates, Fig 8) and one
+        // flush loop, each on a 1 ms cadence, racing the readers.
+        for swap in [true, true, false] {
+            let (cache, stop) = (&cache, &stop);
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let _ = if swap {
+                        cache.swap_cycle()
+                    } else {
+                        cache.flush_shard(0, 256)
+                    };
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
+            });
+        }
+        // Reader threads hammer Zipf-hot profiles while swap churns.
+        let readers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (cache, hist) = (&cache, &hist);
+                s.spawn(move || {
+                    let mut x = 0x9E37_79B9u64.wrapping_add(t as u64);
+                    for _ in 0..30_000 {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        // Zipf-ish: bias toward low ids.
+                        let r = (x >> 33) as f64 / (u32::MAX as f64 / 2.0);
+                        let pid = ((r * r * users as f64) as u64).min(users - 1);
+                        let t0 = std::time::Instant::now();
+                        let _ = cache.read(ProfileId::new(pid), |p| p.slice_count());
+                        hist.record(t0.elapsed().as_micros() as u64);
+                    }
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let stats = cache.stats();
-    drop(bg);
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
+        let stats = cache.stats();
+        stop.store(true, Ordering::Relaxed);
+        stats
+    });
     (hist.snapshot(), stats.swap_skips, stats.evictions)
 }
 

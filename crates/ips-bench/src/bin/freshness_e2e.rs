@@ -30,7 +30,6 @@ fn main() {
     let instance = IpsInstance::new_in_memory(IpsInstanceOptions::default(), Arc::clone(&clock));
     let mut cfg = TableConfig::new("fresh");
     cfg.isolation.enabled = true; // production posture: isolation on
-    cfg.isolation.merge_interval = DurationMs::from_secs(2);
     instance.create_table(TABLE, cfg).unwrap();
     let caller = CallerId::new(1);
 

@@ -129,8 +129,6 @@ fn main() {
                 memory_budget_bytes: 256 << 20,
                 lru_shards: 8,
                 dirty_shards: 2,
-                flush_threads: 2,
-                swap_threads: 1,
                 ..Default::default()
             },
             Arc::new(ips_types::SystemClock),

@@ -112,7 +112,7 @@ fn instance_failure_fails_over_within_region() {
     let (d, client, ctl) = deployment();
     write(&client, 7, 1, ctl.now());
     // The owner flushes to the persistent store (in production the
-    // flush threads do this within tens of milliseconds)...
+    // host's maintenance tick does this within tens of milliseconds)...
     let region_a = d.region("region-a").unwrap();
     for ep in &region_a.endpoints {
         ep.instance().flush_all().unwrap();

@@ -1,6 +1,6 @@
 //! The GCache implementation.
 //!
-//! Entries are `Arc<Mutex<CacheEntry>>` so the swap threads can `try_lock`
+//! Entries are `Arc<Mutex<CacheEntry>>` so a swap cycle can `try_lock`
 //! an eviction candidate and *skip* it on contention instead of blocking
 //! (Fig 8). Memory is accounted per LRU shard; when total usage crosses the
 //! high watermark, swap work starts from the **largest** shard and evicts
@@ -8,9 +8,8 @@
 //! are flushed before being dropped (write-back).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -205,7 +204,7 @@ pub struct GCache<S: ProfileStore> {
 }
 
 impl<S: ProfileStore + 'static> GCache<S> {
-    /// Build a cache over `persister` with the given sizing/thread policy.
+    /// Build a cache over `persister` with the given sizing policy.
     pub fn new(
         persister: Arc<ProfilePersister<S>>,
         config: CacheConfig,
@@ -748,8 +747,10 @@ impl<S: ProfileStore + 'static> GCache<S> {
 
     // ---- flush (dirty list) -----------------------------------------------
 
-    /// Flush up to `budget` dirty profiles from dirty shard `shard_idx`.
-    /// This is one flush thread's unit of work. Returns profiles flushed.
+    /// Flush up to `budget` dirty profiles from dirty shard `shard_idx`
+    /// (one shard's share of a tick). Returns profiles flushed. A profile
+    /// whose save fails is queued again before the error is returned, so a
+    /// later flush still writes it back.
     pub fn flush_shard(&self, shard_idx: usize, budget: usize) -> Result<usize> {
         let shard = &self.dirty[shard_idx % self.dirty.len()];
         let mut flushed = 0;
@@ -765,7 +766,10 @@ impl<S: ProfileStore + 'static> GCache<S> {
                     None => break,
                 }
             };
-            self.flush_one(pid)?;
+            if let Err(e) = self.flush_one(pid) {
+                self.mark_dirty(pid);
+                return Err(e);
+            }
             flushed += 1;
         }
         Ok(flushed)
@@ -809,7 +813,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
 
     // ---- swap (LRU eviction) ----------------------------------------------
 
-    /// One swap-thread pass: if usage exceeds the high watermark, evict cold
+    /// One swap pass: if usage exceeds the high watermark, evict cold
     /// entries starting from the largest shard until below the low
     /// watermark. Entries whose lock is contended are skipped (Fig 8).
     /// Returns entries evicted.
@@ -1099,71 +1103,6 @@ impl<S: ProfileStore + 'static> GCache<S> {
     pub fn persister(&self) -> &Arc<ProfilePersister<S>> {
         &self.persister
     }
-
-    /// Spawn the paper's background swap and flush threads. They run until
-    /// the returned handle drops. Real-time experiments use this; simulated
-    /// ones call [`GCache::swap_cycle`] / [`GCache::flush_shard`] directly.
-    pub fn spawn_background(self: &Arc<Self>) -> BackgroundThreads {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-
-        for t in 0..self.config.swap_threads {
-            let me = Arc::clone(self);
-            let stop = Arc::clone(&stop);
-            let interval =
-                std::time::Duration::from_millis(self.config.swap_interval.as_millis().max(1));
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gcache-swap-{t}"))
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            let _ = me.swap_cycle();
-                            std::thread::sleep(interval);
-                        }
-                    })
-                    // lint: allow(unwrap, reason = "thread spawn fails only on OS exhaustion at instance startup, before serving")
-                    .expect("spawn swap thread"),
-            );
-        }
-
-        // Flush threads: thread i owns dirty shard i % dirty_shards, so each
-        // shard gets flush_threads / dirty_shards dedicated threads.
-        for t in 0..self.config.flush_threads {
-            let me = Arc::clone(self);
-            let stop = Arc::clone(&stop);
-            let shard = t % self.config.dirty_shards;
-            let interval =
-                std::time::Duration::from_millis(self.config.flush_interval.as_millis().max(1));
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gcache-flush-{t}"))
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            let _ = me.flush_shard(shard, 256);
-                            std::thread::sleep(interval);
-                        }
-                    })
-                    // lint: allow(unwrap, reason = "thread spawn fails only on OS exhaustion at instance startup, before serving")
-                    .expect("spawn flush thread"),
-            );
-        }
-        BackgroundThreads { stop, handles }
-    }
-}
-
-/// Stops and joins the background threads on drop.
-pub struct BackgroundThreads {
-    stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Drop for BackgroundThreads {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1174,6 +1113,7 @@ mod tests {
         ActionTypeId, AggregateFunction, CountVector, DurationMs, FeatureId, PersistenceMode,
         SlotId, TableId, Timestamp,
     };
+    use std::sync::atomic::AtomicBool;
 
     fn cache(budget: usize) -> GCache<Arc<KvNode>> {
         cache_with_clock(budget, Arc::new(ips_types::SystemClock)).0
@@ -1194,8 +1134,6 @@ mod tests {
                 memory_budget_bytes: budget,
                 lru_shards: 4,
                 dirty_shards: 2,
-                flush_threads: 2,
-                swap_threads: 1,
                 ..Default::default()
             },
             clock,
@@ -1352,6 +1290,28 @@ mod tests {
     }
 
     #[test]
+    fn failed_flush_stays_queued_for_a_later_flush() {
+        let (c, node) = cache_with_clock(64 << 20, Arc::new(ips_types::SystemClock));
+        let pid = ProfileId::new(1);
+        write_row(&c, 1, 1_000, 7);
+        node.set_error_rate(1.0);
+        assert!(c.flush_shard(c.dirty_idx(pid), 16).is_err());
+        assert_eq!(
+            c.stats().dirty_backlog,
+            1,
+            "the failed profile is queued again"
+        );
+        node.set_error_rate(0.0);
+        assert_eq!(c.flush_all().unwrap(), 1);
+        assert_eq!(c.stats().dirty_backlog, 0);
+        let stored = c.persister().load(pid).unwrap();
+        assert!(
+            matches!(stored, crate::persist::LoadOutcome::Loaded { .. }),
+            "flush_all wrote the profile back"
+        );
+    }
+
+    #[test]
     fn stats_reflect_world() {
         let c = cache(64 << 20);
         write_row(&c, 1, 1_000, 1);
@@ -1359,42 +1319,6 @@ mod tests {
         assert_eq!(s.entries, 1);
         assert!(s.memory_bytes > 0);
         assert_eq!(s.dirty_backlog, 1);
-    }
-
-    #[test]
-    fn background_threads_flush_and_stop() {
-        let node = Arc::new(KvNode::new("kv", KvNodeConfig::default()).unwrap());
-        let persister = Arc::new(ProfilePersister::new(
-            Arc::clone(&node),
-            TableId::new(1),
-            PersistenceMode::Bulk,
-        ));
-        let c = Arc::new(
-            GCache::new(
-                persister,
-                CacheConfig {
-                    memory_budget_bytes: 64 << 20,
-                    lru_shards: 2,
-                    dirty_shards: 2,
-                    flush_threads: 2,
-                    swap_threads: 1,
-                    flush_interval: DurationMs::from_millis(5),
-                    swap_interval: DurationMs::from_millis(5),
-                    ..Default::default()
-                },
-                Arc::new(ips_types::SystemClock),
-            )
-            .unwrap(),
-        );
-        let bg = c.spawn_background();
-        write_row(&c, 1, 1_000, 1);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while node.store().is_empty() && std::time::Instant::now() < deadline {
-            // lint: allow(sleep-in-test, reason = "polls a real OS thread; the sim clock cannot advance kernel scheduling")
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert!(!node.store().is_empty(), "background flush should persist");
-        drop(bg); // stops and joins
     }
 
     #[test]
@@ -1475,8 +1399,6 @@ mod tests {
                 memory_budget_bytes: 64 << 20,
                 lru_shards: 2,
                 dirty_shards: 2,
-                flush_threads: 2,
-                swap_threads: 1,
                 stale_pool_entries: 4,
                 ..Default::default()
             },
@@ -1511,8 +1433,6 @@ mod tests {
                 memory_budget_bytes: 64 << 20,
                 lru_shards: 2,
                 dirty_shards: 2,
-                flush_threads: 2,
-                swap_threads: 1,
                 stale_pool_entries: 0,
                 ..Default::default()
             },
@@ -1542,8 +1462,6 @@ mod tests {
                 memory_budget_bytes: 64 << 20,
                 lru_shards: 4,
                 dirty_shards: 2,
-                flush_threads: 2,
-                swap_threads: 1,
                 stale_pool_entries: stale_entries,
                 ..Default::default()
             },
@@ -1798,8 +1716,6 @@ mod tests {
                     memory_budget_bytes: 64 << 20,
                     lru_shards: 4,
                     dirty_shards: 2,
-                    flush_threads: 2,
-                    swap_threads: 1,
                     stale_pool_entries: 0,
                     ..Default::default()
                 },
@@ -1875,8 +1791,6 @@ mod tests {
                     memory_budget_bytes: 64 << 20,
                     lru_shards: 2,
                     dirty_shards: 2,
-                    flush_threads: 2,
-                    swap_threads: 1,
                     ..Default::default()
                 },
                 Arc::new(ips_types::SystemClock),

@@ -2,7 +2,7 @@
 //!
 //! Each GCache shard owns one of these (Fig 7). Operations are O(1):
 //! `touch` moves a profile to the front on access, `pop_candidates` walks
-//! from the tail handing eviction candidates to the swap thread, which may
+//! from the tail handing eviction candidates to a swap cycle, which may
 //! *skip* entries it cannot lock (Fig 8) — so removal by key from the middle
 //! must also be O(1).
 
@@ -156,7 +156,7 @@ impl LruList {
         }
     }
 
-    /// Up to `n` eviction candidates, coldest first. The swap thread
+    /// Up to `n` eviction candidates, coldest first. A swap cycle
     /// try-locks each and skips the contended ones (Fig 8), so candidates
     /// beyond the first are needed.
     #[must_use]

@@ -3,12 +3,16 @@
 //! All profile data served online lives here. The cache is a sharded map of
 //! profile entries with two auxiliary structures per the paper:
 //!
-//! * a **sharded LRU list** (Fig 7) — swap threads evict cold entries from
+//! * a **sharded LRU list** (Fig 7) — a swap cycle evicts cold entries from
 //!   the largest shard when memory exceeds the high watermark, skipping
-//!   entries they cannot `try_lock` (Fig 8);
-//! * a **sharded dirty list** (Fig 9) — flush threads persist updated
-//!   profiles to the key-value store; the flush-thread count is a multiple
-//!   of the dirty-shard count so every shard has dedicated threads.
+//!   entries it cannot `try_lock` (Fig 8);
+//! * a **sharded dirty list** (Fig 9) — a per-shard flush persists updated
+//!   profiles to the key-value store.
+//!
+//! The paper runs swap and flush on dedicated threads. Here they run when
+//! the host calls `IpsInstance::tick`, which flushes every dirty shard and
+//! then runs one swap cycle; a host that wants them to race its traffic
+//! calls `tick` from a thread it owns.
 
 pub mod gcache;
 pub mod lru;

@@ -1,18 +1,17 @@
 //! Asynchronous compaction scheduling (§III-D, last paragraphs).
 //!
 //! Compaction used to run inline on the serving path, triggered by incoming
-//! requests, and hurt tail latency; the fix was to delegate it to a
-//! dedicated thread pool with capped parallelism. The scheduler is a
-//! deduplicated work queue of profile ids plus either background workers
-//! (live mode) or an explicit [`CompactionScheduler::run_pending`] pump
-//! (simulated-time experiments and tests).
+//! requests, and hurt tail latency; the paper's fix was to delegate it to a
+//! dedicated thread pool with capped parallelism. Here the request path only
+//! enqueues: the scheduler is a deduplicated work queue of profile ids, and
+//! [`CompactionScheduler::run_pending`] drains a bounded batch of it when the
+//! host calls `IpsInstance::tick`. The per-tick budget caps compaction's
+//! share of the host, as the pool size did; whoever calls `tick` plays the
+//! paper's pool.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use ips_metrics::Counter;
 use ips_types::ProfileId;
@@ -28,13 +27,11 @@ pub struct CompactionTask {
 struct Queue {
     tasks: VecDeque<CompactionTask>,
     queued: HashSet<ProfileId>,
-    shutdown: bool,
 }
 
-/// A deduplicated compaction work queue with capped parallelism.
+/// A deduplicated compaction work queue.
 pub struct CompactionScheduler {
     queue: Mutex<Queue>,
-    available: Condvar,
     handler: Box<dyn Fn(CompactionTask) + Send + Sync>,
     pub scheduled: Counter,
     pub executed: Counter,
@@ -44,28 +41,23 @@ pub struct CompactionScheduler {
 impl CompactionScheduler {
     /// Build a scheduler that executes tasks with `handler`.
     #[must_use]
-    pub fn new(handler: impl Fn(CompactionTask) + Send + Sync + 'static) -> Arc<Self> {
-        Arc::new(Self {
+    pub fn new(handler: impl Fn(CompactionTask) + Send + Sync + 'static) -> Self {
+        Self {
             queue: Mutex::new(Queue {
                 tasks: VecDeque::new(),
                 queued: HashSet::new(),
-                shutdown: false,
             }),
-            available: Condvar::new(),
             handler: Box::new(handler),
             scheduled: Counter::new(),
             executed: Counter::new(),
             deduplicated: Counter::new(),
-        })
+        }
     }
 
     /// Enqueue a task. A profile already queued is not queued twice (its
     /// `full` flag is upgraded if the new request wants a full pass).
     pub fn schedule(&self, task: CompactionTask) {
         let mut q = self.queue.lock();
-        if q.shutdown {
-            return;
-        }
         if q.queued.contains(&task.profile) {
             self.deduplicated.inc();
             if task.full {
@@ -78,8 +70,6 @@ impl CompactionScheduler {
         q.queued.insert(task.profile);
         q.tasks.push_back(task);
         self.scheduled.inc();
-        drop(q);
-        self.available.notify_one();
     }
 
     /// Pending queue depth.
@@ -88,8 +78,8 @@ impl CompactionScheduler {
         self.queue.lock().tasks.len()
     }
 
-    /// Synchronously execute up to `budget` pending tasks on the calling
-    /// thread (deterministic pump for experiments). Returns tasks run.
+    /// Execute up to `budget` pending tasks on the calling thread. Returns
+    /// tasks run.
     pub fn run_pending(&self, budget: usize) -> usize {
         let mut run = 0;
         while run < budget {
@@ -109,68 +99,13 @@ impl CompactionScheduler {
         }
         run
     }
-
-    /// Spawn `threads` background workers with capped parallelism. Workers
-    /// stop when the returned pool guard drops.
-    pub fn spawn_workers(self: &Arc<Self>, threads: usize) -> WorkerPool {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handles = (0..threads.max(1))
-            .map(|i| {
-                let me = Arc::clone(self);
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name(format!("ips-compact-{i}"))
-                    .spawn(move || loop {
-                        let task = {
-                            let mut q = me.queue.lock();
-                            loop {
-                                if stop.load(Ordering::Relaxed) || q.shutdown {
-                                    return;
-                                }
-                                if let Some(t) = q.tasks.pop_front() {
-                                    q.queued.remove(&t.profile);
-                                    break t;
-                                }
-                                me.available
-                                    .wait_for(&mut q, std::time::Duration::from_millis(20));
-                            }
-                        };
-                        (me.handler)(task);
-                        me.executed.inc();
-                    })
-                    // lint: allow(unwrap, reason = "thread spawn fails only on OS exhaustion at instance startup, before serving")
-                    .expect("spawn compaction worker")
-            })
-            .collect();
-        WorkerPool {
-            scheduler: Arc::clone(self),
-            stop,
-            handles,
-        }
-    }
-}
-
-/// Stops and joins the compaction workers on drop.
-pub struct WorkerPool {
-    scheduler: Arc<CompactionScheduler>,
-    stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.scheduler.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn pid(n: u64) -> ProfileId {
         ProfileId::new(n)
@@ -266,28 +201,5 @@ mod tests {
         s.schedule(task); // not a duplicate anymore
         s.run_pending(1);
         assert_eq!(count.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn background_workers_drain_queue() {
-        let count = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&count);
-        let s = CompactionScheduler::new(move |_| {
-            c2.fetch_add(1, Ordering::Relaxed);
-        });
-        let pool = s.spawn_workers(2);
-        for n in 0..100 {
-            s.schedule(CompactionTask {
-                profile: pid(n),
-                full: false,
-            });
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while count.load(Ordering::Relaxed) < 100 && std::time::Instant::now() < deadline {
-            // lint: allow(sleep-in-test, reason = "polls a real OS thread; the sim clock cannot advance kernel scheduling")
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(count.load(Ordering::Relaxed), 100);
-        drop(pool);
     }
 }

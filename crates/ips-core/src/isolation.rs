@@ -3,7 +3,8 @@
 //! Online reads matter more than write latency, so when isolation is on,
 //! incoming writes land in a *write table* — a small staging buffer separate
 //! from the main table — and a periodic merge folds them into the main table
-//! every few seconds. This keeps write bursts (e.g. an offline back-fill
+//! (every `IpsInstance::tick`; the paper merges every few seconds). This
+//! keeps write bursts (e.g. an offline back-fill
 //! job) from contending with the query path on the main table's entry locks.
 //!
 //! The write table's memory is capped; exceeding the cap triggers an eager
@@ -141,12 +142,6 @@ impl WriteTable {
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes.load(Ordering::Relaxed)
     }
-
-    /// How often the periodic merge should run.
-    #[must_use]
-    pub fn merge_interval(&self) -> DurationMs {
-        self.config.merge_interval
-    }
 }
 
 /// Fold a batch of buffered writes into a profile via its normal write path.
@@ -216,7 +211,6 @@ mod tests {
         let wt = WriteTable::new(IsolationConfig {
             enabled: true,
             write_table_budget_bytes: 200,
-            ..Default::default()
         });
         let mut saw_merge_request = false;
         for i in 0..10 {

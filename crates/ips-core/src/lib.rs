@@ -12,9 +12,9 @@
 //!   (§II-A, §III-B, Fig 6);
 //! * [`query`] — slice selection, multi-way merge/aggregate, top-K, filter,
 //!   decay (§II-B);
-//! * [`compact`] — compact, truncate, shrink, async scheduling (§III-D);
-//! * [`cache`] — GCache: sharded LRU + dirty lists, swap/flush threads
-//!   (§III-C, Figs 7–9);
+//! * [`compact`] — compact, truncate, shrink, off-path scheduling (§III-D);
+//! * [`cache`] — GCache: sharded LRU + dirty lists, swap cycle and per-shard
+//!   flush (§III-C, Figs 7–9);
 //! * [`persist`] — bulk and split persistence with version consistency
 //!   (§III-E, Figs 12–14);
 //! * [`isolation`] — the read-write isolation write table (§III-F);

@@ -9,7 +9,7 @@
 //! The module is a tree, one concern per file:
 //!
 //! * [`mod@self`] — the instance struct, construction, table lifecycle.
-//! * [`runtime`] — per-table runtime state, metrics, background threads.
+//! * [`runtime`] — per-table runtime state, metrics, the maintenance `tick`.
 //! * [`handlers`] — the write/read API bodies (`add_profiles`, `query`,
 //!   `query_batch`, UDAFs).
 //! * [`snapshot`] — shard-handoff snapshot export/import.
@@ -48,7 +48,7 @@ use crate::persist::{ProfilePersister, ProfileStore};
 use crate::quota::QuotaEnforcer;
 
 pub use pipeline::{FairAdmission, RequestContext, RequestKind, ServerPipeline};
-pub use runtime::{InstanceBackground, TableMetrics, TableRuntime};
+pub use runtime::{TableMetrics, TableRuntime};
 pub use snapshot::SnapshotImportAck;
 
 use snapshot::SnapshotProgress;

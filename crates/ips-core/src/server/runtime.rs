@@ -1,15 +1,13 @@
-//! Per-table runtime state and the instance's background machinery.
+//! Per-table runtime state and the instance's maintenance tick.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ips_metrics::{Counter, Histogram};
 use ips_types::{ProfileId, Result, SharedClock, TableConfig};
 
-use crate::cache::gcache::BackgroundThreads;
 use crate::cache::GCache;
 use crate::compact::compactor::needs_compaction;
-use crate::compact::scheduler::{CompactionScheduler, CompactionTask, WorkerPool};
+use crate::compact::scheduler::{CompactionScheduler, CompactionTask};
 use crate::hotconfig::HotConfig;
 use crate::isolation::{apply_buffered, WriteTable};
 
@@ -33,7 +31,7 @@ pub struct TableRuntime {
     pub config: HotConfig<TableConfig>,
     pub cache: Arc<GCache<DynStore>>,
     pub write_table: WriteTable,
-    pub scheduler: Arc<CompactionScheduler>,
+    pub scheduler: CompactionScheduler,
     pub metrics: TableMetrics,
     pub(crate) clock: SharedClock,
 }
@@ -77,64 +75,31 @@ impl TableRuntime {
 }
 
 impl IpsInstance {
-    /// One deterministic maintenance tick (simulated-time experiments):
-    /// merge write tables, run pending compactions, flush dirty shards, run
-    /// a swap cycle. Live deployments use [`IpsInstance::spawn_background`]
-    /// instead.
+    /// One maintenance pass over every table: merge the write table, run
+    /// pending compactions, flush each dirty shard, run a swap cycle. This
+    /// is the only way that work runs off the request path. The paper gives
+    /// it dedicated swap, flush and compaction threads; here whoever calls
+    /// `tick` plays them, inline or from a thread it owns.
+    ///
+    /// Every stage of every table runs even when an earlier one fails (a
+    /// failing flush must not stop swapping elsewhere); the first error is
+    /// returned.
     pub fn tick(&self) -> Result<()> {
-        for rt in self.table_runtimes() {
-            rt.merge_write_table()?;
-            rt.scheduler.run_pending(64);
-            let cfg = rt.config.load();
-            for shard in 0..cfg.cache.dirty_shards {
-                rt.cache.flush_shard(shard, 256)?;
+        let mut first_err = None;
+        let mut note = |r: Result<usize>| {
+            if let Err(e) = r {
+                first_err.get_or_insert(e);
             }
-            rt.cache.swap_cycle()?;
+        };
+        for rt in self.table_runtimes() {
+            note(rt.merge_write_table());
+            rt.scheduler.run_pending(64);
+            for shard in 0..rt.config.load().cache.dirty_shards {
+                note(rt.cache.flush_shard(shard, 256));
+            }
+            note(rt.cache.swap_cycle());
         }
-        Ok(())
-    }
-
-    /// Spawn all background machinery: cache swap/flush threads, compaction
-    /// workers and the periodic write-table merge. Dropping the returned
-    /// guard stops everything.
-    pub fn spawn_background(self: &Arc<Self>) -> InstanceBackground {
-        let tables = self.table_runtimes();
-        let mut cache_threads = Vec::new();
-        let mut worker_pools = Vec::new();
-        for rt in &tables {
-            cache_threads.push(rt.cache.spawn_background());
-            let cfg = rt.config.load();
-            worker_pools.push(
-                rt.scheduler
-                    .spawn_workers(cfg.compaction.async_pool_threads),
-            );
-        }
-        // Write-table merge thread.
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let merge_handle = std::thread::Builder::new()
-            .name("ips-wt-merge".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    let mut min_interval = std::time::Duration::from_millis(200);
-                    for rt in &tables {
-                        let _ = rt.merge_write_table();
-                        let iv = std::time::Duration::from_millis(
-                            rt.write_table.merge_interval().as_millis().max(10),
-                        );
-                        min_interval = min_interval.min(iv);
-                    }
-                    std::thread::sleep(min_interval);
-                }
-            })
-            // lint: allow(unwrap, reason = "thread spawn fails only on OS exhaustion at instance startup, before serving")
-            .expect("spawn merge thread");
-        InstanceBackground {
-            _cache_threads: cache_threads,
-            _worker_pools: worker_pools,
-            stop,
-            merge_handle: Some(merge_handle),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Flush every table's dirty data to the store (graceful shutdown).
@@ -151,22 +116,5 @@ impl IpsInstance {
     pub fn shutdown(&self) -> Result<usize> {
         self.begin_shutdown();
         self.flush_all()
-    }
-}
-
-/// Background machinery guard; stops everything on drop.
-pub struct InstanceBackground {
-    _cache_threads: Vec<BackgroundThreads>,
-    _worker_pools: Vec<WorkerPool>,
-    stop: Arc<AtomicBool>,
-    merge_handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for InstanceBackground {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.merge_handle.take() {
-            let _ = h.join();
-        }
     }
 }

@@ -1,7 +1,11 @@
 use std::sync::Arc;
 
+use ips_kv::{KvNode, KvNodeConfig};
+
 use super::pipeline::RequestContext;
 use super::{DynStore, IpsInstance, IpsInstanceOptions};
+use crate::compact::CompactionTask;
+use crate::persist::{LoadOutcome, ProfilePersister};
 use crate::query::{FilterPredicate, ProfileQuery};
 use ips_types::clock::sim_clock;
 use ips_types::Clock as _;
@@ -451,17 +455,80 @@ fn repeated_storage_failures_auto_degrade_unflagged_reads() {
     assert_eq!(i.degraded_serves.get(), 1);
 }
 
+/// An instance over a caller-held KV node, so a test can inject storage
+/// faults and inspect what reached the store.
+fn setup_on_node(cfg: TableConfig) -> (Arc<IpsInstance>, ips_types::SimClock, Arc<KvNode>) {
+    let (clock, ctl) = sim_clock(Timestamp::from_millis(
+        DurationMs::from_days(400).as_millis(),
+    ));
+    let node = Arc::new(KvNode::new("kv-tick", KvNodeConfig::default()).unwrap());
+    let i = IpsInstance::new(
+        Arc::clone(&node) as DynStore,
+        IpsInstanceOptions::default(),
+        clock,
+    );
+    i.create_table(TABLE, cfg).unwrap();
+    (i, ctl, node)
+}
+
 #[test]
-fn background_threads_start_and_stop() {
-    let (i, ctl) = setup();
-    let bg = i.spawn_background();
-    add(&i, 1, 1, 1, ctl.now());
-    // lint: allow(sleep-in-test, reason = "gives real OS threads a scheduling window; the sim clock cannot")
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    drop(bg);
-    // Still queryable after background stops.
-    let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
-    assert_eq!(i.query(CALLER, &q).unwrap().len(), 1);
+fn one_tick_leaves_the_instance_quiescent() {
+    let cfg = TableConfig::new("test"); // isolation on
+    let persistence = cfg.persistence;
+    let (i, ctl, node) = setup_on_node(cfg);
+    // Old one-second slices, so the merge schedules a compaction.
+    for n in 0..50u64 {
+        ctl.advance(DurationMs::from_secs(2));
+        add(&i, 1, n, 1, ctl.now());
+    }
+    ctl.advance(DurationMs::from_days(2));
+    add(&i, 1, 99, 1, ctl.now());
+    let rt = i.table(TABLE).unwrap();
+    assert_eq!(rt.write_table.pending_writes(), 51);
+
+    i.tick().unwrap();
+
+    assert_eq!(rt.write_table.pending_writes(), 0);
+    assert_eq!(rt.scheduler.executed.get(), 1);
+    assert_eq!(rt.scheduler.pending(), 0);
+    assert_eq!(rt.cache.stats().dirty_backlog, 0);
+    // The store holds the compacted profile: flush ran after compaction.
+    let stored = ProfilePersister::new(node, TABLE, persistence).load(ProfileId::new(1));
+    assert!(matches!(
+        stored,
+        Ok(LoadOutcome::Loaded { profile, .. })
+            if profile.feature_count() == 51 && profile.slice_count() < 51
+    ));
+}
+
+#[test]
+fn tick_runs_every_stage_when_flush_fails() {
+    let mut cfg = TableConfig::new("test");
+    cfg.isolation.enabled = false;
+    cfg.cache.memory_budget_bytes = 32 << 10;
+    let (i, ctl, node) = setup_on_node(cfg);
+    for pid in 0..200u64 {
+        for fid in 0..10u64 {
+            add(&i, pid, fid, 1, ctl.now());
+        }
+    }
+    let rt = i.table(TABLE).unwrap();
+    rt.cache.flush_all().unwrap();
+    assert!(rt.cache.memory_bytes() > 32 << 10, "swap has work to do");
+    // Compaction dirties the hottest profile; the cold ones stay clean,
+    // so swap can evict them without the store.
+    let profile = ProfileId::new(199);
+    rt.scheduler.schedule(CompactionTask {
+        profile,
+        full: true,
+    });
+
+    node.set_error_rate(1.0);
+    assert!(i.tick().is_err(), "flushing the compacted profile fails");
+    assert_eq!(rt.scheduler.executed.get(), 1, "compaction stage ran");
+    let stats = rt.cache.stats();
+    assert!(stats.evictions > 0, "swap stage ran after the failed flush");
+    assert_eq!(stats.dirty_backlog, 1, "the failed flush stays queued");
 }
 
 #[test]

@@ -220,8 +220,6 @@ proptest! {
                 memory_budget_bytes: 64 << 20,
                 lru_shards: 2,
                 dirty_shards: 1,
-                flush_threads: 1,
-                swap_threads: 1,
                 ..Default::default()
             },
             Arc::new(SystemClock),

@@ -7,14 +7,12 @@
 //! explicitly accepts ("minor data inconsistency is negligible in most
 //! recommendation based applications", §III-G).
 //!
-//! The replication pump is pull-based and explicit: harnesses call
-//! [`ReplicatedKv::pump`] (or run [`ReplicatedKv::spawn_pump_thread`]) to
-//! move a bounded batch of queued mutations to the replicas, which makes lag
-//! controllable and observable in experiments.
+//! The replication pump is pull-based and explicit: the host calls
+//! [`ReplicatedKv::pump`] to move a bounded batch of queued mutations to the
+//! replicas, inline or from a thread it owns, which makes lag controllable
+//! and observable in experiments.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use crossbeam::queue::SegQueue;
@@ -44,7 +42,7 @@ pub struct ReplicatedKv {
     master: Arc<KvNode>,
     replicas: Vec<Arc<KvNode>>,
     /// One queue per replica so a slow replica doesn't stall others.
-    queues: Vec<Arc<SegQueue<RepOp>>>,
+    queues: Vec<SegQueue<RepOp>>,
     pub replicated_ops: Counter,
     /// Queued ops whose generation probe lost to what the replica already
     /// holds (it restarted and bulk-resynced, or replication raced): the op
@@ -65,7 +63,7 @@ impl ReplicatedKv {
         replicas: Vec<Arc<KvNode>>,
         read_mode: ReplicaReadMode,
     ) -> Self {
-        let queues = replicas.iter().map(|_| Arc::new(SegQueue::new())).collect();
+        let queues = replicas.iter().map(|_| SegQueue::new()).collect();
         Self {
             master,
             replicas,
@@ -257,50 +255,6 @@ impl ReplicatedKv {
         }
         total
     }
-
-    /// Spawn a background thread that pumps continuously until the returned
-    /// guard is dropped. `interval` is a real-time pacing knob. Spawning can
-    /// fail when the OS is out of threads; that surfaces as a `Storage`
-    /// error instead of panicking the caller, which keeps the foreground
-    /// write path (and the explicit [`ReplicatedKv::pump`] fallback) alive.
-    pub fn spawn_pump_thread(
-        self: &Arc<Self>,
-        batch: usize,
-        interval: std::time::Duration,
-    ) -> Result<PumpHandle> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let me = Arc::clone(self);
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("kv-replication-pump".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    if me.pump(batch) == 0 {
-                        std::thread::sleep(interval);
-                    }
-                }
-            })
-            .map_err(|e| ips_types::IpsError::Storage(format!("spawn replication pump: {e}")))?;
-        Ok(PumpHandle {
-            stop,
-            handle: Some(handle),
-        })
-    }
-}
-
-/// Stops the background pump thread on drop.
-pub struct PumpHandle {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for PumpHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -402,28 +356,6 @@ mod tests {
         g.xset(b("k"), b("v1"), g0).unwrap();
         g.pump_all();
         assert_eq!(g.get_replica(0, b"k").unwrap(), Some(b("v1")));
-    }
-
-    #[test]
-    fn pump_thread_drains_in_background() {
-        let g = Arc::new(group(1, ReplicaReadMode::AllowStale));
-        let _pump = g
-            .spawn_pump_thread(64, std::time::Duration::from_millis(1))
-            .unwrap();
-        for i in 0..100u32 {
-            g.set(
-                Bytes::from(i.to_le_bytes().to_vec()),
-                Bytes::from_static(b"v"),
-            )
-            .unwrap();
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while g.backlog() > 0 && std::time::Instant::now() < deadline {
-            // lint: allow(sleep-in-test, reason = "polls a real OS thread; the sim clock cannot advance kernel scheduling")
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(g.backlog(), 0, "pump thread should drain the queue");
-        assert_eq!(g.get_replica(0, &7u32.to_le_bytes()).unwrap(), Some(b("v")));
     }
 
     #[test]

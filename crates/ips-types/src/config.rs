@@ -257,9 +257,6 @@ pub struct CompactionConfig {
     pub time_dimension: TimeDimensionConfig,
     pub truncate: TruncateConfig,
     pub shrink: ShrinkConfig,
-    /// Run compaction off the serving path on a dedicated pool with capped
-    /// parallelism.
-    pub async_pool_threads: usize,
     /// A *partial* compaction only merges up to this many slices per run; a
     /// profile exceeding `full_compact_slice_threshold` gets a full pass.
     pub partial_max_merges: usize,
@@ -278,7 +275,6 @@ impl Default for CompactionConfig {
                 max_slices: None,
             },
             shrink: ShrinkConfig::default(),
-            async_pool_threads: 2,
             partial_max_merges: 8,
             full_compact_slice_threshold: 128,
             min_interval: DurationMs::from_mins(5),
@@ -286,7 +282,8 @@ impl Default for CompactionConfig {
     }
 }
 
-/// GCache sizing and thread policy (§III-C).
+/// GCache sizing (§III-C). Swap and flush run when the host calls
+/// `IpsInstance::tick`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Total memory budget for cached profile data, in bytes.
@@ -297,17 +294,9 @@ pub struct CacheConfig {
     pub swap_high_watermark: f64,
     /// Number of LRU shards (hashed by profile id) to cut lock contention.
     pub lru_shards: usize,
-    /// Number of dirty-list shards.
+    /// Number of dirty-list shards; each tick flushes every shard in turn
+    /// (the paper's per-shard flush threads, Fig 9).
     pub dirty_shards: usize,
-    /// Number of swap threads.
-    pub swap_threads: usize,
-    /// Number of flush threads; must be a multiple of `dirty_shards` so every
-    /// shard gets at least one dedicated thread (§III-C / Fig 9).
-    pub flush_threads: usize,
-    /// How often flush threads scan their dirty shard.
-    pub flush_interval: DurationMs,
-    /// How often swap threads re-check memory usage.
-    pub swap_interval: DurationMs,
     /// How many evicted profiles to retain (data only, already flushed) in a
     /// side pool for stale-bounded degraded serving during KV brownouts.
     /// Zero disables the pool.
@@ -323,10 +312,6 @@ impl Default for CacheConfig {
             swap_high_watermark: 0.85,
             lru_shards: 16,
             dirty_shards: 4,
-            swap_threads: 2,
-            flush_threads: 4,
-            flush_interval: DurationMs::from_millis(50),
-            swap_interval: DurationMs::from_millis(20),
             stale_pool_entries: default_stale_pool_entries(),
         }
     }
@@ -342,12 +327,6 @@ impl CacheConfig {
         if self.lru_shards == 0 || self.dirty_shards == 0 {
             return Err("shard counts must be positive".into());
         }
-        if self.flush_threads == 0 || !self.flush_threads.is_multiple_of(self.dirty_shards) {
-            return Err(format!(
-                "flush_threads ({}) must be a positive multiple of dirty_shards ({})",
-                self.flush_threads, self.dirty_shards
-            ));
-        }
         if !(0.0..=1.0).contains(&self.swap_low_watermark)
             || !(0.0..=1.0).contains(&self.swap_high_watermark)
             || self.swap_low_watermark > self.swap_high_watermark
@@ -361,10 +340,9 @@ impl CacheConfig {
 /// Read-write isolation knobs (§III-F).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IsolationConfig {
-    /// Hot switch: isolation can be toggled live.
+    /// Hot switch: isolation can be toggled live. The staging write table
+    /// merges into the main table on every `IpsInstance::tick`.
     pub enabled: bool,
-    /// Merge the staging write table into the main table this often.
-    pub merge_interval: DurationMs,
     /// Cap the staging table's memory; beyond this, writes merge eagerly.
     pub write_table_budget_bytes: usize,
 }
@@ -373,7 +351,6 @@ impl Default for IsolationConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            merge_interval: DurationMs::from_secs(2),
             write_table_budget_bytes: 32 << 20,
         }
     }
@@ -792,17 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_config_flush_thread_invariant() {
-        let mut cfg = CacheConfig::default();
-        cfg.validate().unwrap();
-        cfg.flush_threads = 3;
-        cfg.dirty_shards = 4;
-        assert!(cfg.validate().is_err());
-        cfg.flush_threads = 8;
-        cfg.validate().unwrap();
-    }
-
-    #[test]
     fn cache_config_watermarks() {
         let cfg = CacheConfig {
             swap_low_watermark: 0.9,
@@ -810,6 +776,19 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn cache_config_shard_counts() {
+        CacheConfig::default().validate().unwrap();
+        for (lru_shards, dirty_shards) in [(0, 4), (16, 0)] {
+            let cfg = CacheConfig {
+                lru_shards,
+                dirty_shards,
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_err());
+        }
     }
 
     #[test]

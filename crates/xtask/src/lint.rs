@@ -11,9 +11,12 @@
 //! * `guard-across-rpc` — no lock guard bound in a scope that also performs
 //!   an RPC (`.call(` / `.dispatch(` / `.replicate(`); guards must drop
 //!   before the wire or a slow peer stalls every thread behind the lock.
-//! * `sleep-in-test` — no `thread::sleep` in test code; tests drive time
-//!   through the fault-injection sim clock (`ips_types::clock`) so they stay
-//!   deterministic and fast.
+//! * `sleep-in-test` — no `thread::sleep` in test code, nor in serving-crate
+//!   non-test code. Tests drive time through the fault-injection sim clock
+//!   (`ips_types::clock`) so they stay deterministic and fast; serving code
+//!   never polls on real time, because maintenance runs when the host calls
+//!   `IpsInstance::tick` / `ReplicatedKv::pump`. (The rule keeps its
+//!   historical name so existing waivers still match.)
 //! * `wall-clock` — no `Instant::now()` / `SystemTime::now()` in serving
 //!   non-test code: all timestamps must come from the injected
 //!   `ips_types::Clock` (logical time) or `ips_types::clock::monotonic_micros`
@@ -364,21 +367,23 @@ pub fn lint_file(rel: &str, src: &str, kind: FileKind) -> Vec<Violation> {
                             });
                         }
                     }
-                    // ---- rule (d): real sleeps in test code --------------
+                    // ---- rule (d): real sleeps in tests and serving code --
                     "thread"
-                        if in_test
+                        if (in_test || serving_live)
                             && path_sep(p + 1)
                             && ident_at(p + 3, "sleep")
                             && !allows.waives(line, "sleep-in-test") =>
                     {
+                        let place = if in_test { "test" } else { "serving" };
                         out.push(Violation {
                             file: rel.to_string(),
                             line,
                             rule: "sleep-in-test",
-                            message: "`thread::sleep` in test code".into(),
+                            message: format!("`thread::sleep` in {place} code"),
                             hint: "drive time through the fault-injection sim clock \
-                                   (ips_types::clock::sim_clock) or annotate \
-                                   `// lint: allow(sleep-in-test, reason = \"...\")`",
+                                   (ips_types::clock::sim_clock); serving work that must \
+                                   recur belongs in IpsInstance::tick, not a polling loop; \
+                                   or annotate `// lint: allow(sleep-in-test, reason = \"...\")`",
                         });
                     }
                     // ---- rule (e): wall-clock reads in serving code ------
@@ -889,16 +894,19 @@ mod tests {
         assert_eq!(rules(&lint_file("a.rs", src, PLAIN)), ["sleep-in-test"]);
         // Whole-file test classification (integration tests) too.
         let src2 = "fn t() { std::thread::sleep(d); }\n";
-        assert_eq!(
-            rules(&lint_file("t.rs", src2, TEST_FILE)),
-            ["sleep-in-test"]
-        );
+        let v = lint_file("t.rs", src2, TEST_FILE);
+        assert_eq!(rules(&v), ["sleep-in-test"]);
+        assert!(v[0].message.contains("test code"), "{}", v[0].message);
     }
 
     #[test]
-    fn sleep_in_non_test_code_is_not_this_rules_business() {
+    fn sleep_in_serving_code_flagged() {
         let src = "fn pump() { std::thread::sleep(interval); }\n";
-        assert!(lint_file("a.rs", src, SERVING).is_empty());
+        let v = lint_file("a.rs", src, SERVING);
+        assert_eq!(rules(&v), ["sleep-in-test"]);
+        assert!(v[0].message.contains("serving code"), "{}", v[0].message);
+        // Non-serving crates (bench bins, tools) may pace themselves.
+        assert!(lint_file("a.rs", src, PLAIN).is_empty());
     }
 
     #[test]

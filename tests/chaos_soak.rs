@@ -29,7 +29,6 @@ fn chaos_soak_survives_and_converges() {
     ));
     let mut table_cfg = TableConfig::new("chaos");
     table_cfg.isolation.enabled = true;
-    table_cfg.isolation.merge_interval = DurationMs::from_secs(1);
     table_cfg.cache.memory_budget_bytes = 2 << 20; // tight: constant swapping
     let deployment = MultiRegionDeployment::build(
         MultiRegionOptions {

@@ -20,7 +20,6 @@ fn build(isolation: bool) -> (Arc<IpsInstance>, SimClock) {
     let instance = IpsInstance::new_in_memory(IpsInstanceOptions::default(), clock);
     let mut cfg = TableConfig::new("t");
     cfg.isolation.enabled = isolation;
-    cfg.isolation.merge_interval = DurationMs::from_secs(2);
     instance.create_table(TABLE, cfg).unwrap();
     (instance, ctl)
 }

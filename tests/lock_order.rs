@@ -1,7 +1,7 @@
 //! Lock-order harness: drives the sharded KV store, the WAL, replication,
-//! the profile cache and the batched query path from several caller
-//! threads concurrently, with the vendored parking_lot shim's
-//! `lock-order-tracking` instrumentation live. Any inconsistently ordered
+//! the profile cache, instance maintenance (`tick`) and the batched query
+//! path from several caller threads concurrently, with the vendored
+//! parking_lot shim's `lock-order-tracking` instrumentation live. Any inconsistently ordered
 //! pair of lock acquisitions anywhere in the stack panics the offending
 //! thread — so "the harness runs to completion" *is* the assertion that the
 //! serving path is free of potential lock-order deadlocks.
@@ -77,13 +77,22 @@ fn full_stack_concurrency_has_no_lock_order_cycles() {
         vec![replica],
         ReplicaReadMode::MasterOnMiss,
     ));
-    let pump = group
-        .spawn_pump_thread(64, std::time::Duration::from_millis(1))
-        .unwrap();
-
     let stop = Arc::new(AtomicBool::new(false));
     let now = ctl.now();
     let mut handles = Vec::new();
+
+    // Replication pump: a harness-owned thread drains the replica queue
+    // while the KV hammer below writes through the master.
+    let pump = {
+        let group = Arc::clone(&group);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                group.pump(64);
+                std::thread::yield_now();
+            }
+        })
+    };
 
     // Writers: multi-region fan-out through the client (server write path,
     // cache inserts, quota, write-table).
@@ -132,7 +141,7 @@ fn full_stack_concurrency_has_no_lock_order_cycles() {
     }
 
     // KV hammer: sharded versioned store + WAL appends + CAS loop, while
-    // the background pump replicates concurrently.
+    // the pump thread replicates concurrently.
     for t in 0..2u64 {
         let group = Arc::clone(&group);
         handles.push(std::thread::spawn(move || {
@@ -146,15 +155,15 @@ fn full_stack_concurrency_has_no_lock_order_cycles() {
         }));
     }
 
-    // Cache maintenance: explicit flush/swap cycles on every instance race
-    // against the writers' and queriers' shard locks.
+    // Maintenance: every instance's tick (write-table merge, compaction,
+    // per-shard flush, swap) races the writers' and queriers' shard locks.
     {
         let endpoints = deployment.all_endpoints();
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 for ep in &endpoints {
-                    ep.instance().flush_all().unwrap();
+                    ep.instance().tick().unwrap();
                 }
                 std::thread::yield_now();
             }
@@ -172,7 +181,8 @@ fn full_stack_concurrency_has_no_lock_order_cycles() {
     maintenance
         .join()
         .expect("maintenance must not hit a lock-order cycle either");
-    drop(pump);
+    pump.join()
+        .expect("the replication pump must not hit a lock-order cycle either");
 
     // Prove the instrumentation was actually live for this run: the stack
     // above registers many distinct lock sites and real nesting edges.
