@@ -148,7 +148,7 @@ impl LambdaProfileService {
                 .or_insert_with(CountVector::empty);
             let mut one = CountVector::zeros(event.attribute + 1);
             one.set(event.attribute, 1);
-            counts.merge_sum(&one);
+            counts.merge_sum(one.as_slice());
         }
         *cursor = log.len();
         *self.last_batch_at.write() = now;

@@ -87,7 +87,7 @@ impl PreAggStore {
                 .buckets
                 .entry(epoch)
                 .or_insert_with(CountVector::empty)
-                .merge_sum(counts);
+                .merge_sum(counts.as_slice());
             // Expire buckets older than the window.
             let min_epoch = at.saturating_sub(*window).as_millis() / width;
             entry.buckets.retain(|e, _| *e >= min_epoch);
@@ -117,7 +117,7 @@ impl PreAggStore {
         let mut acc = CountVector::empty();
         for (epoch, counts) in &entry.buckets {
             if *epoch >= min_epoch {
-                acc.merge_sum(counts);
+                acc.merge_sum(counts.as_slice());
             }
         }
         Some(acc)

@@ -51,6 +51,8 @@ pub enum WireError {
     },
     /// A required field was absent.
     MissingField(u32),
+    /// A packed field holds more elements than its message allows.
+    TooManyElements(u32),
 }
 
 impl fmt::Display for WireError {
@@ -66,6 +68,7 @@ impl fmt::Display for WireError {
                 actual,
             } => write!(f, "field {field}: expected {expected:?}, found {actual:?}"),
             WireError::MissingField(n) => write!(f, "missing required field {n}"),
+            WireError::TooManyElements(n) => write!(f, "field {n}: too many elements"),
         }
     }
 }

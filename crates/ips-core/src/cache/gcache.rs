@@ -1209,17 +1209,18 @@ mod tests {
     #[test]
     fn swap_cycle_brings_memory_under_watermark() {
         // Budget small enough that 200 profiles exceed it.
-        let c = cache(200 << 10);
+        let budget = 100u64 << 10;
+        let c = cache(budget as usize);
         for pid in 0..200u64 {
             for fid in 0..20u64 {
                 write_row(&c, pid, 1_000 + fid, fid);
             }
         }
-        assert!(c.memory_bytes() > (200 << 10) * 85 / 100);
+        assert!(c.memory_bytes() > budget * 85 / 100);
         let evicted = c.swap_cycle().unwrap();
         assert!(evicted > 0);
         assert!(
-            c.memory_bytes() <= (200u64 << 10) * 85 / 100,
+            c.memory_bytes() <= budget * 85 / 100,
             "memory {} should be under high watermark",
             c.memory_bytes()
         );

@@ -41,7 +41,7 @@ pub fn shrink_profile(profile: &mut ProfileData, config: &ShrinkConfig, now: Tim
             let slot_map = per_slot.entry(slot).or_default();
             for (_, stats) in set.iter() {
                 for (fid, counts) in stats.iter() {
-                    let score = config.score(counts);
+                    let score = config.score(&counts);
                     let entry = slot_map.entry(fid).or_insert(FeatureAgg {
                         score: 0.0,
                         first_seen: slice.start(),

@@ -46,6 +46,7 @@ pub struct WriteTable {
     buffer: Mutex<HashMap<ProfileId, Vec<BufferedWrite>>>,
     approx_bytes: AtomicUsize,
     pub buffered: Counter,
+    /// Writes a merge applied to the main table.
     pub merged: Counter,
     pub eager_merges: Counter,
 }
@@ -109,18 +110,35 @@ impl WriteTable {
         }
     }
 
-    /// Take the whole buffer for merging into the main table. The caller
-    /// applies each profile's writes through its normal write path.
+    /// Take the whole buffer for merging into the main table, in profile-id
+    /// order, so a merge touches profiles — and so sets LRU order and
+    /// eviction victims — the same way on every run. The caller applies each
+    /// profile's writes through its normal write path, hands whatever it
+    /// could not apply back to [`Self::requeue`], and counts the rest in
+    /// [`Self::merged`].
     #[must_use]
     pub fn drain(&self) -> Vec<(ProfileId, Vec<BufferedWrite>)> {
-        let drained: Vec<_> = {
-            let mut buf = self.buffer.lock();
-            buf.drain().collect()
-        };
-        let writes: usize = drained.iter().map(|(_, v)| v.len()).sum();
-        self.merged.add(writes as u64);
+        let mut drained: Vec<_> = self.buffer.lock().drain().collect();
         self.approx_bytes.store(0, Ordering::Relaxed);
+        drained.sort_unstable_by_key(|(pid, _)| *pid);
         drained
+    }
+
+    /// Put drained writes a merge could not apply back in the buffer, ahead
+    /// of any the same profile buffered since the drain (those are newer).
+    pub fn requeue(&self, unapplied: impl IntoIterator<Item = (ProfileId, Vec<BufferedWrite>)>) {
+        let mut bytes = 0;
+        let mut buf = self.buffer.lock();
+        for (pid, mut writes) in unapplied {
+            bytes += writes
+                .iter()
+                .map(BufferedWrite::approx_bytes)
+                .sum::<usize>();
+            let slot = buf.entry(pid).or_default();
+            writes.append(slot);
+            *slot = writes;
+        }
+        self.approx_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Buffered writes visible for a single profile — used to keep the
@@ -203,7 +221,34 @@ mod tests {
         assert_eq!(drained.iter().map(|(_, v)| v.len()).sum::<usize>(), 3);
         assert_eq!(wt.pending_writes(), 0);
         assert_eq!(wt.approx_bytes(), 0);
-        assert_eq!(wt.merged.get(), 3);
+    }
+
+    #[test]
+    fn drain_is_in_profile_id_order() {
+        let wt = WriteTable::new(IsolationConfig::default());
+        for n in [7u64, 3, 9, 1, 5] {
+            wt.offer(pid(n), write_at(n));
+        }
+        let order: Vec<u64> = wt.drain().iter().map(|(p, _)| p.raw()).collect();
+        assert_eq!(order, vec![1, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn requeue_puts_unapplied_writes_ahead_of_newer_ones() {
+        let wt = WriteTable::new(IsolationConfig::default());
+        wt.offer(pid(1), write_at(1));
+        wt.offer(pid(2), write_at(2));
+        let drained = wt.drain();
+        wt.offer(pid(1), write_at(3));
+        wt.requeue(drained);
+        assert_eq!(wt.pending_writes(), 3);
+        assert!(wt.approx_bytes() >= 3 * std::mem::size_of::<BufferedWrite>());
+        let ats: Vec<u64> = wt
+            .pending_for(pid(1))
+            .iter()
+            .map(|w| w.at.as_millis())
+            .collect();
+        assert_eq!(ats, vec![1, 3], "the requeued write is older");
     }
 
     #[test]

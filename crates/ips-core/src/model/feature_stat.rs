@@ -1,21 +1,48 @@
 //! *Indexed Feature Stat*: per-action-type feature statistics.
 //!
-//! The innermost level of the in-memory hierarchy (Fig 6). Maps feature ids
-//! to their count vectors, with a lazily maintained sorted feature-id index —
-//! the paper's `fid_index` — so the query engine can run ordered multi-way
-//! merges across slices without re-sorting on every request.
+//! The innermost level of the in-memory hierarchy (Fig 6): two parallel
+//! columns sorted by feature id. `fids` *is* the paper's `fid_index`, so
+//! ordered merges read it directly. `counts` is flat, `width` attributes per
+//! feature, so no feature owns an allocation; a longer vector widens every
+//! row with zeros, which is how `CountVector::get_or_zero` reads a short one.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::ops::Deref;
 
-use ips_types::{AggregateFunction, CountVector, FeatureId};
+use ips_types::{AggregateFunction, FeatureId};
 
-/// Feature id → count vector, plus a sorted-id index for merge joins.
-#[derive(Clone, Debug, Default)]
+/// One feature's counts: a `width`-long row of a stat's `counts` column.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CountRow<'a>(&'a [i64]);
+
+impl<'a> CountRow<'a> {
+    #[must_use]
+    pub fn as_slice(self) -> &'a [i64] {
+        self.0
+    }
+
+    /// Attribute at `idx`, or 0 past the row's width.
+    #[must_use]
+    pub fn get_or_zero(self, idx: usize) -> i64 {
+        self.0.get(idx).copied().unwrap_or(0)
+    }
+}
+
+impl Deref for CountRow<'_> {
+    type Target = [i64];
+    fn deref(&self) -> &[i64] {
+        self.0
+    }
+}
+
+/// Feature id → counts, as id-sorted parallel columns.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexedFeatureStat {
-    stats: HashMap<FeatureId, CountVector>,
-    /// Sorted feature ids; rebuilt lazily after mutations ("fid_index").
-    index: Vec<FeatureId>,
-    index_dirty: bool,
+    /// Strictly ascending feature ids.
+    fids: Vec<FeatureId>,
+    /// Row `i` is `counts[i * width..(i + 1) * width]`.
+    counts: Vec<i64>,
+    width: usize,
 }
 
 impl IndexedFeatureStat {
@@ -24,83 +51,160 @@ impl IndexedFeatureStat {
         Self::default()
     }
 
+    /// An empty stat with room for `rows` features (decode knows how many
+    /// a frame holds).
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        Self {
+            fids: Vec::with_capacity(rows),
+            ..Self::default()
+        }
+    }
+
     /// Number of distinct features.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.stats.len()
+        self.fids.len()
     }
 
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
+        self.fids.is_empty()
     }
 
-    /// Fold `counts` into the feature's stat using the table's reduce
+    fn row(&self, i: usize) -> CountRow<'_> {
+        CountRow(&self.counts[i * self.width..(i + 1) * self.width])
+    }
+
+    /// Append `row` to `counts`, zero-padded to `width`.
+    fn push_padded(counts: &mut Vec<i64>, row: &[i64], width: usize) {
+        counts.extend_from_slice(row);
+        counts.resize(counts.len() + width - row.len(), 0);
+    }
+
+    /// Re-lay every row at `width` attributes. The counts column gets room
+    /// for as many rows as the `fids` column.
+    fn widen(&mut self, width: usize) {
+        if width <= self.width {
+            return;
+        }
+        let capacity = self.fids.capacity() * width;
+        let old = std::mem::replace(&mut self.counts, Vec::with_capacity(capacity));
+        for i in 0..self.len() {
+            let row = &old[i * self.width..(i + 1) * self.width];
+            Self::push_padded(&mut self.counts, row, width);
+        }
+        self.width = width;
+    }
+
+    /// Fold `row` into the feature's counts using the table's reduce
     /// function. Inserts the feature when absent.
-    pub fn upsert(&mut self, fid: FeatureId, counts: &CountVector, agg: AggregateFunction) {
-        match self.stats.get_mut(&fid) {
-            Some(existing) => agg.apply(existing, counts, true),
-            None => {
-                self.stats.insert(fid, counts.clone());
-                self.index_dirty = true;
+    pub fn upsert(&mut self, fid: FeatureId, row: &[i64], agg: AggregateFunction) {
+        // Most stats hold a feature or two: allocate the first row exactly,
+        // grow by doubling after that.
+        if self.fids.capacity() == 0 {
+            self.fids.reserve_exact(1);
+        }
+        self.widen(row.len());
+        let w = self.width;
+        match self.fids.binary_search(&fid) {
+            Ok(i) => agg.fold_row(&mut self.counts[i * w..(i + 1) * w], row, true),
+            Err(i) => {
+                self.fids.insert(i, fid);
+                let padded = row.iter().copied().chain(std::iter::repeat(0)).take(w);
+                self.counts.splice(i * w..i * w, padded);
             }
         }
     }
 
-    /// The stat for one feature.
+    /// Append a row read from storage, which is in id order unless written
+    /// before encoding was canonical; [`Self::restore_order`] fixes that.
+    pub(crate) fn push(&mut self, fid: FeatureId, row: &[i64]) {
+        self.widen(row.len());
+        self.fids.push(fid);
+        Self::push_padded(&mut self.counts, row, self.width);
+    }
+
+    /// Sort rows appended out of id order, summing duplicate ids.
+    pub(crate) fn restore_order(&mut self) {
+        if self.fids.windows(2).all(|w| w[0] < w[1]) {
+            return;
+        }
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&i| self.fids[i]);
+        let mut sorted = Self::with_capacity(self.len());
+        for i in order {
+            sorted.upsert(self.fids[i], &self.row(i), AggregateFunction::Sum);
+        }
+        *self = sorted;
+    }
+
+    /// The counts of one feature.
     #[must_use]
-    pub fn get(&self, fid: FeatureId) -> Option<&CountVector> {
-        self.stats.get(&fid)
+    pub fn get(&self, fid: FeatureId) -> Option<CountRow<'_>> {
+        self.fids.binary_search(&fid).ok().map(|i| self.row(i))
     }
 
-    /// Remove a feature (shrink path). Returns true when it existed.
-    pub fn remove(&mut self, fid: FeatureId) -> bool {
-        let existed = self.stats.remove(&fid).is_some();
-        if existed {
-            self.index_dirty = true;
+    /// Keep only features in the callback's good graces (shrink path),
+    /// compacting both columns in lockstep.
+    pub fn retain(&mut self, mut keep: impl FnMut(FeatureId, CountRow<'_>) -> bool) {
+        let w = self.width;
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if keep(self.fids[i], self.row(i)) {
+                self.fids[kept] = self.fids[i];
+                self.counts.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
+            }
         }
-        existed
+        self.fids.truncate(kept);
+        self.counts.truncate(kept * w);
     }
 
-    /// Keep only features in the callback's good graces (shrink path).
-    pub fn retain(&mut self, mut keep: impl FnMut(FeatureId, &CountVector) -> bool) {
-        let before = self.stats.len();
-        self.stats.retain(|fid, counts| keep(*fid, counts));
-        if self.stats.len() != before {
-            self.index_dirty = true;
-        }
+    /// Iterate `(feature, counts)` in ascending feature-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (FeatureId, CountRow<'_>)> {
+        (0..self.len()).map(|i| (self.fids[i], self.row(i)))
     }
 
-    /// The sorted feature-id index, rebuilding if stale.
-    pub fn sorted_fids(&mut self) -> &[FeatureId] {
-        if self.index_dirty || self.index.len() != self.stats.len() {
-            self.index.clear();
-            self.index.extend(self.stats.keys().copied());
-            self.index.sort_unstable();
-            self.index_dirty = false;
-        }
-        &self.index
-    }
-
-    /// Iterate `(feature, counts)` in arbitrary order (write/merge paths).
-    pub fn iter(&self) -> impl Iterator<Item = (FeatureId, &CountVector)> {
-        self.stats.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Merge another stat into this one feature-by-feature.
+    /// Merge another stat into this one in one linear pass over both sorted
+    /// columns, folding `other`'s counts in as the newer side.
     pub fn merge_from(&mut self, other: &IndexedFeatureStat, agg: AggregateFunction) {
-        for (fid, counts) in other.iter() {
-            self.upsert(fid, counts, agg);
+        let w = self.width.max(other.width);
+        let mut merged = Self {
+            fids: Vec::with_capacity(self.len() + other.len()),
+            counts: Vec::with_capacity((self.len() + other.len()) * w),
+            width: w,
+        };
+        let (mut i, mut j) = (0, 0);
+        while i < self.len() || j < other.len() {
+            let order = match (self.fids.get(i), other.fids.get(j)) {
+                (Some(mine), Some(theirs)) => mine.cmp(theirs),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            if order == Ordering::Greater {
+                merged.push(other.fids[j], &other.row(j));
+                j += 1;
+                continue;
+            }
+            merged.push(self.fids[i], &self.row(i));
+            i += 1;
+            if order == Ordering::Equal {
+                let at = merged.counts.len() - w;
+                agg.fold_row(&mut merged.counts[at..], &other.row(j), true);
+                j += 1;
+            }
         }
+        // Shared ids left spare capacity, and the result is long-lived.
+        merged.fids.shrink_to_fit();
+        merged.counts.shrink_to_fit();
+        *self = merged;
     }
 
-    /// Approximate heap footprint for memory accounting.
+    /// Heap held by the two columns.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        // map entry overhead ~ key + value + bucket bookkeeping
-        let entry_overhead = std::mem::size_of::<FeatureId>() + 16;
-        let values: usize = self.stats.values().map(CountVector::approx_bytes).sum();
-        self.stats.len() * entry_overhead + values + self.index.len() * 8
+        self.fids.capacity() * std::mem::size_of::<FeatureId>()
+            + self.counts.capacity() * std::mem::size_of::<i64>()
     }
 }
 
@@ -115,8 +219,8 @@ mod tests {
     #[test]
     fn upsert_inserts_then_aggregates() {
         let mut s = IndexedFeatureStat::new();
-        s.upsert(fid(1), &CountVector::single(2), AggregateFunction::Sum);
-        s.upsert(fid(1), &CountVector::single(3), AggregateFunction::Sum);
+        s.upsert(fid(1), &[2], AggregateFunction::Sum);
+        s.upsert(fid(1), &[3], AggregateFunction::Sum);
         assert_eq!(s.get(fid(1)).unwrap().as_slice(), &[5]);
         assert_eq!(s.len(), 1);
     }
@@ -124,67 +228,82 @@ mod tests {
     #[test]
     fn upsert_respects_aggregate_function() {
         let mut s = IndexedFeatureStat::new();
-        s.upsert(fid(1), &CountVector::single(2), AggregateFunction::Max);
-        s.upsert(fid(1), &CountVector::single(9), AggregateFunction::Max);
-        s.upsert(fid(1), &CountVector::single(4), AggregateFunction::Max);
+        for v in [2, 9, 4] {
+            s.upsert(fid(1), &[v], AggregateFunction::Max);
+        }
         assert_eq!(s.get(fid(1)).unwrap().as_slice(), &[9]);
 
         let mut s = IndexedFeatureStat::new();
-        s.upsert(fid(1), &CountVector::single(2), AggregateFunction::Last);
-        s.upsert(fid(1), &CountVector::single(7), AggregateFunction::Last);
+        s.upsert(fid(1), &[2], AggregateFunction::Last);
+        s.upsert(fid(1), &[7], AggregateFunction::Last);
         assert_eq!(s.get(fid(1)).unwrap().as_slice(), &[7]);
+    }
+
+    fn fids(s: &IndexedFeatureStat) -> Vec<u64> {
+        s.iter().map(|(f, _)| f.raw()).collect()
     }
 
     #[test]
     fn sorted_index_tracks_mutations() {
         let mut s = IndexedFeatureStat::new();
         for n in [5u64, 1, 9, 3] {
-            s.upsert(fid(n), &CountVector::single(1), AggregateFunction::Sum);
+            s.upsert(fid(n), &[1], AggregateFunction::Sum);
         }
-        assert_eq!(s.sorted_fids(), &[fid(1), fid(3), fid(5), fid(9)]);
-        s.remove(fid(3));
-        assert_eq!(s.sorted_fids(), &[fid(1), fid(5), fid(9)]);
-        s.upsert(fid(2), &CountVector::single(1), AggregateFunction::Sum);
-        assert_eq!(s.sorted_fids(), &[fid(1), fid(2), fid(5), fid(9)]);
+        assert_eq!(fids(&s), [1, 3, 5, 9]);
+        s.retain(|f, _| f != fid(3));
+        assert_eq!(fids(&s), [1, 5, 9]);
+        s.upsert(fid(2), &[1], AggregateFunction::Sum);
+        assert_eq!(fids(&s), [1, 2, 5, 9]);
     }
 
     #[test]
-    fn index_not_dirtied_by_pure_aggregation() {
+    fn wider_vector_pads_existing_rows_with_zeros() {
         let mut s = IndexedFeatureStat::new();
-        s.upsert(fid(1), &CountVector::single(1), AggregateFunction::Sum);
-        let _ = s.sorted_fids();
-        // Aggregating into an existing feature must not invalidate the index.
-        s.upsert(fid(1), &CountVector::single(1), AggregateFunction::Sum);
-        assert!(!s.index_dirty);
-        assert_eq!(s.sorted_fids(), &[fid(1)]);
+        s.upsert(fid(1), &[4], AggregateFunction::Sum);
+        s.upsert(fid(2), &[1, 2, 3], AggregateFunction::Sum);
+        s.upsert(fid(1), &[1, 1], AggregateFunction::Sum);
+        assert_eq!(s.get(fid(1)).unwrap().as_slice(), &[5, 1, 0]);
+        assert_eq!(s.get(fid(2)).unwrap().as_slice(), &[1, 2, 3]);
+        assert_eq!(s.get(fid(2)).unwrap().get_or_zero(7), 0);
+    }
+
+    #[test]
+    fn out_of_order_pushes_sort_once_and_sum_duplicates() {
+        let mut s = IndexedFeatureStat::new();
+        for (n, c) in [(9u64, 1i64), (3, 2), (9, 4), (1, 8)] {
+            s.push(fid(n), &[c]);
+        }
+        s.restore_order();
+        let rows: Vec<_> = s.iter().map(|(f, c)| (f.raw(), c[0])).collect();
+        assert_eq!(rows, vec![(1, 8), (3, 2), (9, 5)]);
     }
 
     #[test]
     fn retain_filters() {
         let mut s = IndexedFeatureStat::new();
-        for n in 0..10u64 {
-            s.upsert(
-                fid(n),
-                &CountVector::single(n as i64),
-                AggregateFunction::Sum,
-            );
+        for n in 0..10i64 {
+            s.upsert(fid(n as u64), &[n, -n], AggregateFunction::Sum);
         }
         s.retain(|_, c| c.get_or_zero(0) >= 5);
         assert_eq!(s.len(), 5);
         assert!(s.get(fid(4)).is_none());
-        assert!(s.get(fid(5)).is_some());
+        assert_eq!(s.get(fid(5)).unwrap().as_slice(), &[5, -5]);
+        assert_eq!(s.get(fid(9)).unwrap().as_slice(), &[9, -9]);
     }
 
     #[test]
     fn merge_from_combines() {
         let mut a = IndexedFeatureStat::new();
-        a.upsert(fid(1), &CountVector::single(1), AggregateFunction::Sum);
+        a.upsert(fid(1), &[1], AggregateFunction::Sum);
+        a.upsert(fid(4), &[1], AggregateFunction::Sum);
         let mut b = IndexedFeatureStat::new();
-        b.upsert(fid(1), &CountVector::single(2), AggregateFunction::Sum);
-        b.upsert(fid(2), &CountVector::single(5), AggregateFunction::Sum);
+        b.upsert(fid(1), &[2], AggregateFunction::Sum);
+        b.upsert(fid(2), &[5, 6], AggregateFunction::Sum);
         a.merge_from(&b, AggregateFunction::Sum);
-        assert_eq!(a.get(fid(1)).unwrap().as_slice(), &[3]);
-        assert_eq!(a.get(fid(2)).unwrap().as_slice(), &[5]);
+        assert_eq!(fids(&a), [1, 2, 4]);
+        assert_eq!(a.get(fid(1)).unwrap().as_slice(), &[3, 0]);
+        assert_eq!(a.get(fid(2)).unwrap().as_slice(), &[5, 6]);
+        assert_eq!(a.get(fid(4)).unwrap().as_slice(), &[1, 0]);
     }
 
     #[test]
@@ -192,8 +311,8 @@ mod tests {
         let mut s = IndexedFeatureStat::new();
         let empty = s.approx_bytes();
         for n in 0..100u64 {
-            s.upsert(fid(n), &CountVector::pair(1, 2), AggregateFunction::Sum);
+            s.upsert(fid(n), &[1, 2], AggregateFunction::Sum);
         }
-        assert!(s.approx_bytes() > empty + 100 * 8);
+        assert!(s.approx_bytes() >= empty + 100 * 24);
     }
 }

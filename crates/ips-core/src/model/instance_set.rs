@@ -1,24 +1,29 @@
 //! *Instance Set*: user behaviours across action types within one slot.
 //!
-//! The middle level of the in-memory hierarchy (Fig 6): an unordered map
-//! from action-type id to an [`IndexedFeatureStat`].
-
-use std::collections::HashMap;
+//! The middle level of the in-memory hierarchy (Fig 6): action-type id →
+//! [`IndexedFeatureStat`], as a `Vec` sorted by action-type id.
 
 use ips_types::{ActionTypeId, AggregateFunction, CountVector, FeatureId};
 
 use super::feature_stat::IndexedFeatureStat;
 
 /// Action type → indexed feature stats.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InstanceSet {
-    actions: HashMap<ActionTypeId, IndexedFeatureStat>,
+    actions: Vec<(ActionTypeId, IndexedFeatureStat)>,
 }
 
 impl InstanceSet {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty set with room for `actions` action types.
+    pub(crate) fn with_capacity(actions: usize) -> Self {
+        Self {
+            actions: Vec::with_capacity(actions),
+        }
     }
 
     /// Number of action types present.
@@ -35,7 +40,7 @@ impl InstanceSet {
     /// Total distinct `(action_type, feature)` pairs.
     #[must_use]
     pub fn feature_count(&self) -> usize {
-        self.actions.values().map(IndexedFeatureStat::len).sum()
+        self.actions.iter().map(|(_, s)| s.len()).sum()
     }
 
     /// Record counts for one feature under one action type.
@@ -46,24 +51,21 @@ impl InstanceSet {
         counts: &CountVector,
         agg: AggregateFunction,
     ) {
-        self.actions
-            .entry(action)
-            .or_default()
-            .upsert(fid, counts, agg);
+        super::entry(&mut self.actions, action).upsert(fid, counts.as_slice(), agg);
     }
 
     /// The stats for one action type.
     #[must_use]
     pub fn get(&self, action: ActionTypeId) -> Option<&IndexedFeatureStat> {
-        self.actions.get(&action)
+        super::get(&self.actions, &action)
     }
 
     /// Mutable stats for one action type.
     pub fn get_mut(&mut self, action: ActionTypeId) -> Option<&mut IndexedFeatureStat> {
-        self.actions.get_mut(&action)
+        super::get_mut(&mut self.actions, &action)
     }
 
-    /// Iterate all `(action, stats)` pairs.
+    /// Iterate all `(action, stats)` pairs in ascending action-type order.
     pub fn iter(&self) -> impl Iterator<Item = (ActionTypeId, &IndexedFeatureStat)> {
         self.actions.iter().map(|(k, v)| (*k, v))
     }
@@ -76,27 +78,41 @@ impl InstanceSet {
     /// Merge another set into this one.
     pub fn merge_from(&mut self, other: &InstanceSet, agg: AggregateFunction) {
         for (action, stats) in other.iter() {
-            self.actions
-                .entry(action)
-                .or_default()
-                .merge_from(stats, agg);
+            super::entry(&mut self.actions, action).merge_from(stats, agg);
         }
+    }
+
+    /// Append an action type read from storage; see
+    /// [`Self::restore_order`].
+    pub(crate) fn push(&mut self, action: ActionTypeId, stats: IndexedFeatureStat) {
+        self.actions.push((action, stats));
+    }
+
+    /// Sort features and action types appended out of order, summing
+    /// duplicates.
+    pub(crate) fn restore_order(&mut self) {
+        for (_, stats) in &mut self.actions {
+            stats.restore_order();
+        }
+        super::restore_order(&mut self.actions, |acc, stats| {
+            acc.merge_from(&stats, AggregateFunction::Sum);
+        });
     }
 
     /// Drop action types whose stat became empty (after shrink).
     pub fn prune_empty(&mut self) {
-        self.actions.retain(|_, s| !s.is_empty());
+        self.actions.retain(|(_, s)| !s.is_empty());
     }
 
-    /// Approximate heap footprint.
+    /// Heap held by this set and its stats.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let entry_overhead = std::mem::size_of::<ActionTypeId>() + 16;
-        self.actions
-            .values()
-            .map(IndexedFeatureStat::approx_bytes)
-            .sum::<usize>()
-            + self.actions.len() * entry_overhead
+        self.actions.capacity() * std::mem::size_of::<(ActionTypeId, IndexedFeatureStat)>()
+            + self
+                .actions
+                .iter()
+                .map(|(_, s)| s.approx_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -112,49 +128,36 @@ mod tests {
         FeatureId::new(n)
     }
 
+    /// Record `count` for feature `f` under action type `a`.
+    fn add(s: &mut InstanceSet, a: u32, f: u64, count: i64) {
+        s.upsert(
+            at(a),
+            fid(f),
+            &CountVector::single(count),
+            AggregateFunction::Sum,
+        );
+    }
+
     #[test]
     fn upsert_creates_action_types_on_demand() {
         let mut s = InstanceSet::new();
-        s.upsert(
-            at(1),
-            fid(10),
-            &CountVector::single(1),
-            AggregateFunction::Sum,
-        );
-        s.upsert(
-            at(2),
-            fid(10),
-            &CountVector::single(2),
-            AggregateFunction::Sum,
-        );
+        add(&mut s, 2, 10, 2);
+        add(&mut s, 1, 10, 1);
         assert_eq!(s.len(), 2);
         assert_eq!(s.feature_count(), 2);
         assert_eq!(s.get(at(1)).unwrap().get(fid(10)).unwrap().as_slice(), &[1]);
         assert_eq!(s.get(at(2)).unwrap().get(fid(10)).unwrap().as_slice(), &[2]);
+        let order: Vec<_> = s.iter().map(|(a, _)| a).collect();
+        assert_eq!(order, vec![at(1), at(2)], "iteration is in id order");
     }
 
     #[test]
     fn merge_from_is_per_action_type() {
         let mut a = InstanceSet::new();
-        a.upsert(
-            at(1),
-            fid(1),
-            &CountVector::single(1),
-            AggregateFunction::Sum,
-        );
+        add(&mut a, 1, 1, 1);
         let mut b = InstanceSet::new();
-        b.upsert(
-            at(1),
-            fid(1),
-            &CountVector::single(4),
-            AggregateFunction::Sum,
-        );
-        b.upsert(
-            at(3),
-            fid(9),
-            &CountVector::single(7),
-            AggregateFunction::Sum,
-        );
+        add(&mut b, 1, 1, 4);
+        add(&mut b, 3, 9, 7);
         a.merge_from(&b, AggregateFunction::Sum);
         assert_eq!(a.get(at(1)).unwrap().get(fid(1)).unwrap().as_slice(), &[5]);
         assert_eq!(a.get(at(3)).unwrap().get(fid(9)).unwrap().as_slice(), &[7]);
@@ -163,13 +166,8 @@ mod tests {
     #[test]
     fn prune_empty_removes_hollow_actions() {
         let mut s = InstanceSet::new();
-        s.upsert(
-            at(1),
-            fid(1),
-            &CountVector::single(1),
-            AggregateFunction::Sum,
-        );
-        s.get_mut(at(1)).unwrap().remove(fid(1));
+        add(&mut s, 1, 1, 1);
+        s.get_mut(at(1)).unwrap().retain(|_, _| false);
         assert_eq!(s.len(), 1);
         s.prune_empty();
         assert_eq!(s.len(), 0);
@@ -179,12 +177,7 @@ mod tests {
     fn approx_bytes_counts_nested() {
         let mut s = InstanceSet::new();
         let base = s.approx_bytes();
-        s.upsert(
-            at(1),
-            fid(1),
-            &CountVector::single(1),
-            AggregateFunction::Sum,
-        );
+        add(&mut s, 1, 1, 1);
         assert!(s.approx_bytes() > base);
     }
 }

@@ -14,7 +14,7 @@ use ips_types::{
 use super::slice::Slice;
 
 /// One user's profile: a newest-first list of non-overlapping slices.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileData {
     /// Newest first: `slices[0]` covers the most recent interval.
     slices: Vec<Slice>,
@@ -185,10 +185,12 @@ impl ProfileData {
         self.slices.iter().map(Slice::feature_count).sum()
     }
 
-    /// Approximate heap footprint of the whole profile.
+    /// Footprint of the whole profile: itself, its slice list (spare
+    /// capacity included) and the heap each slice holds.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<ProfileData>()
+            + (self.slices.capacity() - self.slices.len()) * std::mem::size_of::<Slice>()
             + self.slices.iter().map(Slice::approx_bytes).sum::<usize>()
     }
 }

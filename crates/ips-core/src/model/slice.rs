@@ -1,11 +1,9 @@
 //! *Slice*: a snapshot of a user's behaviour over one time interval.
 //!
-//! The second level of the in-memory hierarchy (Fig 6): a slot-id keyed map
-//! of [`InstanceSet`]s, bounded by a closed-open time range. A profile is a
-//! time-ordered list of slices; compaction merges adjacent slices into wider
-//! ones (Fig 10).
-
-use std::collections::HashMap;
+//! The second level of the in-memory hierarchy (Fig 6): slot id →
+//! [`InstanceSet`], as a `Vec` sorted by slot id, bounded by a closed-open
+//! time range. A profile is a time-ordered list of slices; compaction
+//! merges adjacent slices into wider ones (Fig 10).
 
 use ips_types::{ActionTypeId, AggregateFunction, CountVector, FeatureId, SlotId, Timestamp};
 
@@ -18,13 +16,23 @@ pub struct Slice {
     start: Timestamp,
     /// Exclusive end of the covered interval.
     end: Timestamp,
-    slots: HashMap<SlotId, InstanceSet>,
-    /// Cached approximate footprint; refreshed on mutation.
+    slots: Vec<(SlotId, InstanceSet)>,
+    /// Cached footprint; refreshed on mutation.
     approx_bytes: usize,
     /// Set on every mutation; cleared when the slice is flushed to storage.
     /// Split-mode persistence reuses the stored value of clean slices.
     dirty: bool,
 }
+
+/// Slices are equal when they cover the same interval with the same
+/// content; the cached footprint and the dirty flag are bookkeeping.
+impl PartialEq for Slice {
+    fn eq(&self, other: &Self) -> bool {
+        self.start == other.start && self.end == other.end && self.slots == other.slots
+    }
+}
+
+impl Eq for Slice {}
 
 impl Slice {
     /// An empty slice covering `[start, end)`.
@@ -37,7 +45,7 @@ impl Slice {
         Self {
             start,
             end,
-            slots: HashMap::new(),
+            slots: Vec::new(),
             approx_bytes: std::mem::size_of::<Slice>(),
             dirty: true,
         }
@@ -85,7 +93,7 @@ impl Slice {
     /// Total distinct `(slot, action, feature)` triples.
     #[must_use]
     pub fn feature_count(&self) -> usize {
-        self.slots.values().map(InstanceSet::feature_count).sum()
+        self.slots.iter().map(|(_, s)| s.feature_count()).sum()
     }
 
     #[must_use]
@@ -103,10 +111,7 @@ impl Slice {
         counts: &CountVector,
         agg: AggregateFunction,
     ) {
-        self.slots
-            .entry(slot)
-            .or_default()
-            .upsert(action, fid, counts, agg);
+        super::entry(&mut self.slots, slot).upsert(action, fid, counts, agg);
         self.dirty = true;
         self.refresh_bytes();
     }
@@ -114,15 +119,15 @@ impl Slice {
     /// The instance set for one slot.
     #[must_use]
     pub fn slot(&self, slot: SlotId) -> Option<&InstanceSet> {
-        self.slots.get(&slot)
+        super::get(&self.slots, &slot)
     }
 
     /// Mutable access to one slot (shrink path).
     pub fn slot_mut(&mut self, slot: SlotId) -> Option<&mut InstanceSet> {
-        self.slots.get_mut(&slot)
+        super::get_mut(&mut self.slots, &slot)
     }
 
-    /// Iterate `(slot, instance set)` pairs.
+    /// Iterate `(slot, instance set)` pairs in ascending slot order.
     pub fn iter_slots(&self) -> impl Iterator<Item = (SlotId, &InstanceSet)> {
         self.slots.iter().map(|(k, v)| (*k, v))
     }
@@ -136,41 +141,64 @@ impl Slice {
     /// folding counts with the table's reduce function. This is the primitive
     /// behind compaction (Fig 10): `other` must be older (its interval is
     /// expected to precede this one's), though the merge itself only assumes
-    /// the intervals are adjacent or overlapping.
+    /// the intervals are adjacent or overlapping. Each feature column merges
+    /// in one linear pass.
     pub fn absorb(&mut self, other: &Slice, agg: AggregateFunction) {
         self.start = self.start.min(other.start);
         self.end = self.end.max(other.end);
         for (slot, set) in other.iter_slots() {
-            self.slots.entry(slot).or_default().merge_from(set, agg);
+            super::entry(&mut self.slots, slot).merge_from(set, agg);
         }
         self.dirty = true;
         self.refresh_bytes();
+    }
+
+    /// A slice decoded from storage. Each level arrives in wire order; a
+    /// frame written before encoding was canonical is put in id order here,
+    /// summing duplicate ids as replaying its writes would.
+    pub(crate) fn from_decoded(
+        start: Timestamp,
+        end: Timestamp,
+        mut slots: Vec<(SlotId, InstanceSet)>,
+    ) -> Self {
+        for (_, set) in &mut slots {
+            set.restore_order();
+        }
+        super::restore_order(&mut slots, |acc, set| {
+            acc.merge_from(&set, AggregateFunction::Sum);
+        });
+        let mut slice = Self {
+            slots,
+            ..Self::new(start, end)
+        };
+        slice.refresh_bytes();
+        slice
     }
 
     /// Drop empty slots (after shrink) and refresh footprint.
     pub fn prune_empty(&mut self) {
-        for set in self.slots.values_mut() {
+        for (_, set) in &mut self.slots {
             set.prune_empty();
         }
-        self.slots.retain(|_, s| !s.is_empty());
+        self.slots.retain(|(_, s)| !s.is_empty());
         self.dirty = true;
         self.refresh_bytes();
     }
 
-    /// Recompute the cached footprint. Called by mutators; callers that
-    /// mutate via `slot_mut`/`iter_slots_mut` must call this afterwards.
+    /// Recompute the cached footprint from column capacities, in
+    /// O(slots + action types). Called by mutators; callers that mutate via
+    /// `slot_mut`/`iter_slots_mut` must call this afterwards.
     pub fn refresh_bytes(&mut self) {
-        let entry_overhead = std::mem::size_of::<SlotId>() + 16;
         self.approx_bytes = std::mem::size_of::<Slice>()
+            + self.slots.capacity() * std::mem::size_of::<(SlotId, InstanceSet)>()
             + self
                 .slots
-                .values()
-                .map(InstanceSet::approx_bytes)
-                .sum::<usize>()
-            + self.slots.len() * entry_overhead;
+                .iter()
+                .map(|(_, s)| s.approx_bytes())
+                .sum::<usize>();
     }
 
-    /// Approximate heap footprint (cached).
+    /// Footprint: the slice itself plus the heap it holds (cached).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
@@ -197,6 +225,17 @@ mod tests {
         FeatureId::new(n)
     }
 
+    /// Record `count` for feature `f` in slot `s` under action type 1.
+    fn add(slice: &mut Slice, s: u32, f: u64, count: i64) {
+        let counts = CountVector::single(count);
+        slice.add(slot(s), at(1), fid(f), &counts, AggregateFunction::Sum);
+    }
+
+    fn count(slice: &Slice, s: u32, f: u64) -> Option<i64> {
+        let row = slice.slot(slot(s))?.get(at(1))?.get(fid(f))?;
+        Some(row.get_or_zero(0))
+    }
+
     #[test]
     fn covers_and_overlaps() {
         let s = Slice::new(ts(100), ts(200));
@@ -217,89 +256,33 @@ mod tests {
     #[test]
     fn add_and_lookup() {
         let mut s = Slice::new(ts(0), ts(10));
-        s.add(
-            slot(1),
-            at(1),
-            fid(42),
-            &CountVector::single(3),
-            AggregateFunction::Sum,
-        );
-        s.add(
-            slot(1),
-            at(1),
-            fid(42),
-            &CountVector::single(2),
-            AggregateFunction::Sum,
-        );
-        let counts = s
-            .slot(slot(1))
-            .unwrap()
-            .get(at(1))
-            .unwrap()
-            .get(fid(42))
-            .unwrap();
-        assert_eq!(counts.as_slice(), &[5]);
+        add(&mut s, 1, 42, 3);
+        add(&mut s, 1, 42, 2);
+        assert_eq!(count(&s, 1, 42), Some(5));
         assert_eq!(s.feature_count(), 1);
     }
 
     #[test]
     fn absorb_merges_counts_and_widens_range() {
         let mut newer = Slice::new(ts(100), ts(200));
-        newer.add(
-            slot(1),
-            at(1),
-            fid(1),
-            &CountVector::single(2),
-            AggregateFunction::Sum,
-        );
+        add(&mut newer, 1, 1, 2);
         let mut older = Slice::new(ts(0), ts(100));
-        older.add(
-            slot(1),
-            at(1),
-            fid(1),
-            &CountVector::single(3),
-            AggregateFunction::Sum,
-        );
-        older.add(
-            slot(2),
-            at(1),
-            fid(9),
-            &CountVector::single(1),
-            AggregateFunction::Sum,
-        );
+        add(&mut older, 1, 1, 3);
+        add(&mut older, 2, 9, 1);
 
         newer.absorb(&older, AggregateFunction::Sum);
         assert_eq!(newer.start(), ts(0));
         assert_eq!(newer.end(), ts(200));
-        assert_eq!(
-            newer
-                .slot(slot(1))
-                .unwrap()
-                .get(at(1))
-                .unwrap()
-                .get(fid(1))
-                .unwrap()
-                .as_slice(),
-            &[5]
-        );
+        assert_eq!(count(&newer, 1, 1), Some(5));
         assert_eq!(newer.slot(slot(2)).unwrap().feature_count(), 1);
     }
 
     #[test]
     fn prune_empty_slots() {
         let mut s = Slice::new(ts(0), ts(10));
-        s.add(
-            slot(1),
-            at(1),
-            fid(1),
-            &CountVector::single(1),
-            AggregateFunction::Sum,
-        );
-        s.slot_mut(slot(1))
-            .unwrap()
-            .get_mut(at(1))
-            .unwrap()
-            .remove(fid(1));
+        add(&mut s, 1, 1, 1);
+        let stats = s.slot_mut(slot(1)).unwrap().get_mut(at(1)).unwrap();
+        stats.retain(|_, _| false);
         s.prune_empty();
         assert_eq!(s.slot_count(), 0);
         assert!(s.is_empty());
@@ -310,13 +293,7 @@ mod tests {
         let mut s = Slice::new(ts(0), ts(10));
         let empty = s.approx_bytes();
         for i in 0..50u64 {
-            s.add(
-                slot(1),
-                at(1),
-                fid(i),
-                &CountVector::single(1),
-                AggregateFunction::Sum,
-            );
+            add(&mut s, 1, i, 1);
         }
         assert!(s.approx_bytes() > empty);
     }

@@ -6,13 +6,12 @@
 //! read, so the schema can grow.
 // wire-schema: registry
 
-use ips_codec::wire::{WireReader, WireWriter};
+use ips_codec::varint::{decode_u64, zigzag_decode};
+use ips_codec::wire::{WireError, WireReader, WireWriter};
 use ips_codec::{decode_frame, encode_frame_traced, FrameTraceContext};
-use ips_types::{
-    ActionTypeId, AggregateFunction, CountVector, FeatureId, IpsError, Result, SlotId, Timestamp,
-};
+use ips_types::{ActionTypeId, FeatureId, IpsError, Result, SlotId, Timestamp, MAX_ATTRIBUTES};
 
-use crate::model::{ProfileData, Slice};
+use crate::model::{IndexedFeatureStat, InstanceSet, ProfileData, Slice};
 
 /// Frame a storage payload, stamping the ambient request's trace context
 /// into the header when one is live — a flushed blob can then be tied back
@@ -44,6 +43,8 @@ const F_FEATURE: u32 = 2;
 const F_FID: u32 = 1;
 const F_COUNTS: u32 = 2;
 
+/// Every level iterates in id order, so equal content encodes to equal
+/// bytes.
 fn write_slice(w: &mut WireWriter, slice: &Slice) {
     w.put_fixed64(F_START, slice.start().as_millis());
     w.put_fixed64(F_END, slice.end().as_millis());
@@ -56,7 +57,7 @@ fn write_slice(w: &mut WireWriter, slice: &Slice) {
                     for (fid, counts) in stats.iter() {
                         aw.put_message(F_FEATURE, |fw| {
                             fw.put_u64(F_FID, fid.raw());
-                            fw.put_packed_i64(F_COUNTS, counts.as_slice());
+                            fw.put_packed_i64(F_COUNTS, &counts);
                         });
                     }
                 });
@@ -77,13 +78,42 @@ pub fn encode_slice(slice: &Slice) -> Vec<u8> {
     framed
 }
 
-/// Decoded per-slot payload: slot → action → (feature, counts) triples.
-type SlotEntries = Vec<(SlotId, Vec<(ActionTypeId, Vec<(FeatureId, CountVector)>)>)>;
+/// Unpack a packed zigzag count list into `row` without allocating. A list
+/// longer than a count vector may be is malformed.
+fn unpack_counts<'r>(
+    mut bytes: &[u8],
+    row: &'r mut [i64; MAX_ATTRIBUTES],
+) -> std::result::Result<&'r [i64], WireError> {
+    let mut len = 0;
+    while !bytes.is_empty() {
+        let (v, n) = decode_u64(bytes)?;
+        *row.get_mut(len)
+            .ok_or(WireError::TooManyElements(F_COUNTS))? = zigzag_decode(v);
+        len += 1;
+        bytes = &bytes[n..];
+    }
+    Ok(&row[..len])
+}
 
+/// How often `field` occurs in a message body: the exact capacity of the
+/// column it decodes into. Malformed input stops the count early; the
+/// decode proper reports it.
+fn count_field(body: &[u8], field: u32) -> usize {
+    let mut reader = WireReader::new(body);
+    let mut n = 0;
+    while let Ok(Some((f, _))) = reader.next_field() {
+        n += usize::from(f == field);
+    }
+    n
+}
+
+/// Decode one slice body straight into the model's columns, each allocated
+/// once at its exact size. Rows are appended in wire order; a frame
+/// written before encoding was canonical is sorted once at the end.
 fn read_slice(body: &[u8]) -> Result<Slice> {
     let mut start = None;
     let mut end = None;
-    let mut slots: SlotEntries = Vec::new();
+    let mut slots: Vec<(SlotId, InstanceSet)> = Vec::with_capacity(count_field(body, F_SLOT));
 
     WireReader::new(body)
         .for_each(|f, v| {
@@ -92,14 +122,19 @@ fn read_slice(body: &[u8]) -> Result<Slice> {
                 F_END => end = Some(Timestamp::from_millis(v.as_u64(f)?)),
                 F_SLOT => {
                     let mut slot_id = None;
-                    let mut actions = Vec::new();
-                    WireReader::new(v.as_bytes(f)?).for_each(|sf, sv| {
+                    let slot_body = v.as_bytes(f)?;
+                    let mut set = InstanceSet::with_capacity(count_field(slot_body, F_ACTION));
+                    WireReader::new(slot_body).for_each(|sf, sv| {
                         match sf {
                             F_SLOT_ID => slot_id = Some(SlotId::new(sv.as_u64(sf)? as u32)),
                             F_ACTION => {
                                 let mut action_id = None;
-                                let mut features = Vec::new();
-                                WireReader::new(sv.as_bytes(sf)?).for_each(|af, av| {
+                                let action_body = sv.as_bytes(sf)?;
+                                let mut stats = IndexedFeatureStat::with_capacity(count_field(
+                                    action_body,
+                                    F_FEATURE,
+                                ));
+                                WireReader::new(action_body).for_each(|af, av| {
                                     match af {
                                         F_ACTION_ID => {
                                             action_id =
@@ -107,7 +142,7 @@ fn read_slice(body: &[u8]) -> Result<Slice> {
                                         }
                                         F_FEATURE => {
                                             let mut fid = None;
-                                            let mut counts = CountVector::empty();
+                                            let mut packed: &[u8] = &[];
                                             WireReader::new(av.as_bytes(af)?).for_each(
                                                 |ff, fv| {
                                                     match ff {
@@ -116,34 +151,31 @@ fn read_slice(body: &[u8]) -> Result<Slice> {
                                                                 fv.as_u64(ff)?,
                                                             ));
                                                         }
-                                                        F_COUNTS => {
-                                                            counts = CountVector::from_slice(
-                                                                &fv.as_packed_i64(ff)?,
-                                                            );
-                                                        }
+                                                        F_COUNTS => packed = fv.as_bytes(ff)?,
                                                         _ => {}
                                                     }
                                                     Ok(())
                                                 },
                                             )?;
                                             if let Some(fid) = fid {
-                                                features.push((fid, counts.clone()));
+                                                let mut row = [0; MAX_ATTRIBUTES];
+                                                stats.push(fid, unpack_counts(packed, &mut row)?);
                                             }
                                         }
                                         _ => {}
                                     }
                                     Ok(())
                                 })?;
-                                if let Some(a) = action_id {
-                                    actions.push((a, features));
+                                if let Some(a) = action_id.filter(|_| !stats.is_empty()) {
+                                    set.push(a, stats);
                                 }
                             }
                             _ => {}
                         }
                         Ok(())
                     })?;
-                    if let Some(s) = slot_id {
-                        slots.push((s, actions));
+                    if let Some(s) = slot_id.filter(|_| !set.is_empty()) {
+                        slots.push((s, set));
                     }
                 }
                 _ => {}
@@ -157,17 +189,7 @@ fn read_slice(body: &[u8]) -> Result<Slice> {
     if start >= end {
         return Err(IpsError::Codec("slice has degenerate range".into()));
     }
-    let mut slice = Slice::new(start, end);
-    for (slot, actions) in slots {
-        for (action, features) in actions {
-            for (fid, counts) in features {
-                // Sum is irrelevant here: each (slot, action, fid) appears
-                // once in the encoding, so this is a plain insert.
-                slice.add(slot, action, fid, &counts, AggregateFunction::Sum);
-            }
-        }
-    }
-    Ok(slice)
+    Ok(Slice::from_decoded(start, end, slots))
 }
 
 /// Deserialize one slice from framed bytes.
@@ -194,7 +216,7 @@ pub fn encode_profile(profile: &ProfileData) -> Vec<u8> {
 pub fn decode_profile(frame: &[u8]) -> Result<ProfileData> {
     let body = decode_frame(frame).map_err(|e| IpsError::Codec(e.to_string()))?;
     let mut profile = ProfileData::new();
-    let mut slices: Vec<Slice> = Vec::new();
+    let mut slices: Vec<Slice> = Vec::with_capacity(count_field(&body, F_SLICE));
     WireReader::new(&body)
         .for_each(|f, v| {
             match f {
@@ -224,7 +246,7 @@ pub fn decode_profile(frame: &[u8]) -> Result<ProfileData> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ips_types::DurationMs;
+    use ips_types::{AggregateFunction, CountVector, DurationMs};
 
     fn ts(t: u64) -> Timestamp {
         Timestamp::from_millis(t)
@@ -249,42 +271,13 @@ mod tests {
         p
     }
 
-    fn profiles_equal(a: &ProfileData, b: &ProfileData) -> bool {
-        if a.slice_count() != b.slice_count() || a.last_compacted != b.last_compacted {
-            return false;
-        }
-        for (sa, sb) in a.slices().iter().zip(b.slices()) {
-            if sa.start() != sb.start() || sa.end() != sb.end() {
-                return false;
-            }
-            if sa.feature_count() != sb.feature_count() {
-                return false;
-            }
-            for (slot, set) in sa.iter_slots() {
-                let Some(other) = sb.slot(slot) else {
-                    return false;
-                };
-                for (action, stats) in set.iter() {
-                    let Some(ostats) = other.get(action) else {
-                        return false;
-                    };
-                    for (fid, counts) in stats.iter() {
-                        if ostats.get(fid) != Some(counts) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
     #[test]
     fn profile_round_trip() {
         let p = sample_profile(5, 20);
         let bytes = encode_profile(&p);
         let decoded = decode_profile(&bytes).unwrap();
-        assert!(profiles_equal(&p, &decoded));
+        assert_eq!(decoded, p);
+        assert_eq!(encode_profile(&decoded), bytes, "encoding is canonical");
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! filter / top-K the merged set.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use ips_types::config::{decay_factor, DecayFunction};
 use ips_types::{
-    AggregateFunction, CountVector, FeatureId, ShrinkConfig, SlotId, SortKey, SortOrder, Timestamp,
+    scale_counts, AggregateFunction, CountVector, FeatureId, ShrinkConfig, SlotId, SortKey,
+    SortOrder, Timestamp, MAX_ATTRIBUTES,
 };
 
 use crate::model::ProfileData;
@@ -57,42 +59,35 @@ pub fn merged_features(
                 decay_factor(decay, decay_base, age)
             }
         };
-        let mut fold = |fid: FeatureId, counts: &CountVector| {
-            let mut contribution = counts.clone();
-            if (factor - 1.0).abs() > f64::EPSILON {
-                contribution.scale(factor);
-            }
-            match acc.get_mut(&fid) {
-                Some(entry) => {
-                    // src_is_newer = false: we iterate newest first.
-                    agg.apply(&mut entry.counts, &contribution, false);
-                }
-                None => {
-                    acc.insert(
-                        fid,
-                        FeatureEntry {
-                            feature: fid,
-                            counts: contribution,
-                            last_seen: slice.end(),
-                        },
-                    );
+        let scaled = (factor - 1.0).abs() > f64::EPSILON;
+        let mut fold = |fid: FeatureId, row: &[i64]| {
+            let mut buf = [0i64; MAX_ATTRIBUTES];
+            let contribution = if scaled {
+                let buf = &mut buf[..row.len()];
+                buf.copy_from_slice(row);
+                scale_counts(buf, factor);
+                buf
+            } else {
+                row
+            };
+            match acc.entry(fid) {
+                // src_is_newer = false: we iterate newest first.
+                Entry::Occupied(mut e) => agg.apply(&mut e.get_mut().counts, contribution, false),
+                Entry::Vacant(e) => {
+                    e.insert(FeatureEntry {
+                        feature: fid,
+                        counts: CountVector::from_slice(contribution),
+                        last_seen: slice.end(),
+                    });
                 }
             }
         };
-        match action {
-            Some(a) => {
-                if let Some(stats) = set.get(a) {
-                    for (fid, counts) in stats.iter() {
-                        fold(fid, counts);
-                    }
-                }
-            }
-            None => {
-                for (_, stats) in set.iter() {
-                    for (fid, counts) in stats.iter() {
-                        fold(fid, counts);
-                    }
-                }
+        for (_, stats) in set
+            .iter()
+            .filter(|(a, _)| action.is_none() || action == Some(*a))
+        {
+            for (fid, counts) in stats.iter() {
+                fold(fid, &counts);
             }
         }
     }
@@ -110,8 +105,8 @@ fn make_cmp(
         let primary = match sort {
             SortKey::Attribute(idx) => a.counts.get_or_zero(idx).cmp(&b.counts.get_or_zero(idx)),
             SortKey::WeightedScore => weights
-                .score(&a.counts)
-                .partial_cmp(&weights.score(&b.counts))
+                .score(a.counts.as_slice())
+                .partial_cmp(&weights.score(b.counts.as_slice()))
                 .unwrap_or(Ordering::Equal),
             SortKey::Timestamp => a.last_seen.cmp(&b.last_seen),
             SortKey::FeatureId => a.feature.cmp(&b.feature),

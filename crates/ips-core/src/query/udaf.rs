@@ -16,9 +16,9 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use ips_types::{ActionTypeId, CountVector, DurationMs, FeatureId, SlotId, Timestamp};
+use ips_types::{ActionTypeId, DurationMs, FeatureId, SlotId, Timestamp};
 
-use crate::model::ProfileData;
+use crate::model::{CountRow, ProfileData};
 use crate::query::topk::top_k_by;
 
 /// One contribution delivered to a UDAF: a feature's counts inside one
@@ -27,7 +27,7 @@ use crate::query::topk::top_k_by;
 pub struct Contribution<'a> {
     pub feature: FeatureId,
     pub action: ActionTypeId,
-    pub counts: &'a CountVector,
+    pub counts: CountRow<'a>,
     /// Age of the contribution's slice (from its end) relative to `now`.
     pub age: DurationMs,
     /// The slice's end timestamp.
@@ -72,7 +72,10 @@ pub fn execute_udaf<U: UserDefinedAggregate>(
             continue;
         };
         let age = now.distance(slice.end().min(now));
-        let mut deliver = |a: ActionTypeId, stats: &crate::model::IndexedFeatureStat| {
+        let wanted = set
+            .iter()
+            .filter(|(a, _)| action.is_none() || action == Some(*a));
+        for (a, stats) in wanted {
             for (feature, counts) in stats.iter() {
                 let contribution = Contribution {
                     feature,
@@ -83,18 +86,6 @@ pub fn execute_udaf<U: UserDefinedAggregate>(
                 };
                 let state = states.entry(feature).or_insert_with(|| udaf.init());
                 udaf.fold(state, &contribution);
-            }
-        };
-        match action {
-            Some(a) => {
-                if let Some(stats) = set.get(a) {
-                    deliver(a, stats);
-                }
-            }
-            None => {
-                for (a, stats) in set.iter() {
-                    deliver(a, stats);
-                }
             }
         }
     }
@@ -210,7 +201,7 @@ impl UserDefinedAggregate for RecencyWeighted {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ips_types::AggregateFunction;
+    use ips_types::{AggregateFunction, CountVector};
 
     const SLOT: SlotId = SlotId(1);
     const LIKE: ActionTypeId = ActionTypeId(1);

@@ -38,7 +38,10 @@ pub struct TableRuntime {
 
 impl TableRuntime {
     /// Fold the staging write table into the main table (the periodic merge
-    /// from §III-F). Returns writes merged.
+    /// from §III-F). Returns writes merged. When applying one profile's
+    /// writes fails, those writes and every profile's not yet applied go
+    /// back into the write table before the error is returned, so the next
+    /// merge lands them.
     pub fn merge_write_table(&self) -> Result<usize> {
         let cfg = self.config.load();
         let head_granularity = cfg
@@ -48,16 +51,28 @@ impl TableRuntime {
             .first()
             .map(|b| b.granularity)
             .unwrap_or(ips_types::DurationMs::from_secs(1));
-        let drained = self.write_table.drain();
+        let mut drained = self.write_table.drain().into_iter();
         let mut merged = 0;
-        for (pid, writes) in drained {
-            merged += writes.len();
-            self.cache.write(pid, |profile| {
+        let outcome = loop {
+            let Some((pid, writes)) = drained.next() else {
+                break Ok(merged);
+            };
+            let applied = self.cache.write(pid, |profile| {
                 apply_buffered(profile, &writes, cfg.aggregate, head_granularity);
-            })?;
-            self.maybe_schedule_compaction(pid)?;
-        }
-        Ok(merged)
+            });
+            if let Err(e) = applied {
+                self.write_table
+                    .requeue(std::iter::once((pid, writes)).chain(drained));
+                break Err(e);
+            }
+            merged += writes.len();
+            if let Err(e) = self.maybe_schedule_compaction(pid) {
+                self.write_table.requeue(drained);
+                break Err(e);
+            }
+        };
+        self.write_table.merged.add(merged as u64);
+        outcome
     }
 
     pub(crate) fn maybe_schedule_compaction(&self, pid: ProfileId) -> Result<()> {

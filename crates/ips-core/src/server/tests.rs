@@ -532,6 +532,55 @@ fn tick_runs_every_stage_when_flush_fails() {
 }
 
 #[test]
+fn failed_write_table_merge_keeps_every_unapplied_write() {
+    let (i, ctl, node) = setup_on_node(TableConfig::new("test")); // isolation on
+    let rt = i.table(TABLE).unwrap();
+    let pids = [1u64, 2, 3];
+    for &pid in &pids {
+        add(&i, pid, 10, 1, ctl.now());
+    }
+    rt.merge_write_table().unwrap();
+    rt.cache.flush_all().unwrap();
+    for &pid in &pids {
+        assert!(rt.cache.evict(ProfileId::new(pid)).unwrap());
+    }
+    // Buffered writes for evicted profiles: the merge must load each one.
+    for &pid in &pids {
+        add(&i, pid, 10, 2, ctl.now());
+        add(&i, pid, 20, 5, ctl.now());
+    }
+
+    node.set_error_rate(1.0);
+    assert!(rt.merge_write_table().is_err(), "the first load fails");
+    assert_eq!(rt.write_table.pending_writes(), 6, "nothing dropped");
+
+    node.set_error_rate(0.0);
+    assert_eq!(rt.merge_write_table().unwrap(), 6);
+    assert_eq!(
+        rt.write_table.merged.get(),
+        3 + 6,
+        "each write counted once"
+    );
+    for &pid in &pids {
+        let q = ProfileQuery::filter(
+            TABLE,
+            ProfileId::new(pid),
+            SLOT,
+            TimeRange::last_days(1),
+            FilterPredicate::All,
+        );
+        let counts: Vec<(u64, i64)> = i
+            .query(CALLER, &q)
+            .unwrap()
+            .entries
+            .iter()
+            .map(|e| (e.feature.raw(), e.counts.get_or_zero(0)))
+            .collect();
+        assert_eq!(counts, vec![(10, 3), (20, 5)], "profile {pid}");
+    }
+}
+
+#[test]
 fn standard_pipeline_stage_order_is_the_documented_contract() {
     let (i, _ctl) = setup();
     assert_eq!(

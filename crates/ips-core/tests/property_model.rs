@@ -4,7 +4,9 @@
 //!   non-overlapping, and never lose counts;
 //! * compaction and truncation preserve (respectively bound) aggregate
 //!   totals under any time-dimension configuration;
-//! * the profile wire codec round-trips arbitrary profiles;
+//! * the profile wire codec round-trips arbitrary profiles canonically —
+//!   equal content gives equal bytes, frames in the older hash order still
+//!   load, and corrupt frames are rejected without panicking;
 //! * query results equal a naive reference implementation;
 //! * a projected (window) load answers window queries exactly like a full
 //!   load, and upgrading the partial entry to full coverage reconstructs
@@ -13,9 +15,13 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
+use ips_codec::wire::WireWriter;
 use ips_core::compact::compactor::compact_profile;
 use ips_core::model::ProfileData;
+use ips_core::persist::schema::{decode_slice, encode_slice};
 use ips_core::persist::{decode_profile, encode_profile, ProfilePersister, SliceProjection};
 use ips_core::query::{engine, FilterPredicate, ProfileQuery};
 use ips_core::GCache;
@@ -71,6 +77,65 @@ fn grand_total(profile: &ProfileData) -> i64 {
         .flat_map(|(_, stats)| stats.iter())
         .map(|(_, c)| c.get_or_zero(0))
         .sum()
+}
+
+/// `profile` encoded the way frames were written before encoding was
+/// canonical: every slot, action-type and feature list in descending id
+/// order, as a hash map could hand them out.
+fn encode_descending(profile: &ProfileData) -> Vec<u8> {
+    // The storage schema's tags: profile 1 = slice, 2 = last_compacted;
+    // slice 1 = start, 2 = end, 3 = slot; slot and action 1 = id,
+    // 2 = child; feature 1 = fid, 2 = packed counts.
+    let mut w = WireWriter::new();
+    w.put_fixed64(2, profile.last_compacted.as_millis());
+    for slice in profile.slices() {
+        w.put_message(1, |sw| {
+            sw.put_fixed64(1, slice.start().as_millis());
+            sw.put_fixed64(2, slice.end().as_millis());
+            let slots: Vec<_> = slice.iter_slots().collect();
+            for (slot, set) in slots.into_iter().rev() {
+                sw.put_message(3, |lw| {
+                    lw.put_u64(1, u64::from(slot.raw()));
+                    let actions: Vec<_> = set.iter().collect();
+                    for (action, stats) in actions.into_iter().rev() {
+                        lw.put_message(2, |aw| {
+                            aw.put_u64(1, u64::from(action.raw()));
+                            let features: Vec<_> = stats.iter().collect();
+                            for (fid, counts) in features.into_iter().rev() {
+                                aw.put_message(2, |fw| {
+                                    fw.put_u64(1, fid.raw());
+                                    fw.put_packed_i64(2, &counts);
+                                });
+                            }
+                        });
+                    }
+                });
+            }
+        });
+    }
+    ips_codec::encode_frame(&w.into_bytes())
+}
+
+/// Sort writes by their `granularity` bucket and shuffle them within each
+/// bucket: the slices they open are the same, only arrival order differs.
+fn shuffle_within_buckets(writes: &[Write], granularity: DurationMs, seed: u64) -> Vec<Write> {
+    let g = granularity.as_millis();
+    let mut out = writes.to_vec();
+    out.sort_by_key(|w| w.at / g);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut start = 0;
+    while start < out.len() {
+        let bucket = out[start].at / g;
+        let len = out[start..]
+            .iter()
+            .take_while(|w| w.at / g == bucket)
+            .count();
+        for i in (1..len).rev() {
+            out.swap(start + i, start + rng.gen_range(0..=i));
+        }
+        start += len;
+    }
+    out
 }
 
 proptest! {
@@ -150,10 +215,81 @@ proptest! {
         prop_assert_eq!(decoded.slice_count(), p.slice_count());
         prop_assert_eq!(grand_total(&decoded), grand_total(&p));
         prop_assert!(decoded.check_invariants().is_ok());
-        // Determinism: re-encoding the decoded profile yields identical
-        // structural content (byte equality is not required — map order).
-        let re = decode_profile(&encode_profile(&decoded)).unwrap();
-        prop_assert_eq!(grand_total(&re), grand_total(&p));
+        prop_assert_eq!(&decoded, &p);
+        prop_assert_eq!(encode_profile(&decoded), bytes);
+    }
+
+    #[test]
+    fn equal_content_encodes_to_equal_bytes(
+        writes in proptest::collection::vec(arb_write(), 0..200),
+        seed_a in any::<u64>(),
+        seed_b in any::<u64>(),
+    ) {
+        let granularity = DurationMs::from_secs(5);
+        let mut a = ProfileData::new();
+        apply(&mut a, &shuffle_within_buckets(&writes, granularity, seed_a), granularity);
+        let mut b = ProfileData::new();
+        apply(&mut b, &shuffle_within_buckets(&writes, granularity, seed_b), granularity);
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(encode_profile(&a), encode_profile(&b));
+        for (sa, sb) in a.slices().iter().zip(b.slices()) {
+            prop_assert_eq!(encode_slice(sa), encode_slice(sb));
+        }
+    }
+
+    #[test]
+    fn descending_order_frames_decode_to_the_canonical_profile(
+        writes in proptest::collection::vec(arb_write(), 0..200),
+    ) {
+        let mut p = ProfileData::new();
+        apply(&mut p, &writes, DurationMs::from_secs(5));
+        let legacy = decode_profile(&encode_descending(&p)).unwrap();
+        prop_assert_eq!(&legacy, &decode_profile(&encode_profile(&p)).unwrap());
+        prop_assert_eq!(&legacy, &p);
+        prop_assert_eq!(encode_profile(&legacy), encode_profile(&p));
+    }
+
+    #[test]
+    fn corrupt_frames_are_rejected_without_panicking(
+        writes in proptest::collection::vec(arb_write(), 1..100),
+        cut in any::<prop::sample::Index>(),
+        flip in any::<prop::sample::Index>(),
+        bit in 0u32..8,
+    ) {
+        let mut p = ProfileData::new();
+        apply(&mut p, &writes, DurationMs::from_secs(5));
+        let frame = encode_profile(&p);
+        let body = ips_codec::decode_frame(&frame).unwrap();
+        let slice_frame = encode_slice(&p.slices()[0]);
+        let slice_body = ips_codec::decode_frame(&slice_frame).unwrap();
+
+        let mut flipped = frame.clone();
+        flipped[flip.index(frame.len())] ^= 1 << bit;
+        let mut flipped_body = body.clone();
+        flipped_body[flip.index(body.len())] ^= 1 << bit;
+        let mut flipped_slice = slice_body.clone();
+        flipped_slice[flip.index(slice_body.len())] ^= 1 << bit;
+        let candidates = [
+            frame[..cut.index(frame.len())].to_vec(),
+            flipped,
+            // Behind a valid checksum, so the schema decoder sees the damage.
+            ips_codec::encode_frame(&body[..cut.index(body.len())]),
+            ips_codec::encode_frame(&flipped_body),
+        ];
+        for bytes in &candidates {
+            if let Ok(decoded) = decode_profile(bytes) {
+                prop_assert!(decoded.check_invariants().is_ok());
+            }
+        }
+        for bytes in [
+            slice_frame[..cut.index(slice_frame.len())].to_vec(),
+            ips_codec::encode_frame(&slice_body[..cut.index(slice_body.len())]),
+            ips_codec::encode_frame(&flipped_slice),
+        ] {
+            if let Ok(slice) = decode_slice(&bytes) {
+                prop_assert!(slice.start() < slice.end());
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl AggregateFunction {
     /// `src_is_newer` matters only for [`AggregateFunction::Last`]: the merge
     /// network visits slices newest-first, so the accumulator usually already
     /// holds the newest value.
-    pub fn apply(self, acc: &mut CountVector, src: &CountVector, src_is_newer: bool) {
+    pub fn apply(self, acc: &mut CountVector, src: &[i64], src_is_newer: bool) {
         match self {
             AggregateFunction::Sum => acc.merge_sum(src),
             AggregateFunction::Max => acc.merge_max(src),
@@ -46,6 +46,37 @@ impl AggregateFunction {
             AggregateFunction::Last => {
                 if src_is_newer {
                     acc.merge_last(src);
+                }
+            }
+        }
+    }
+
+    /// Fold `src` into the fixed-width row `acc`, which is at least as wide:
+    /// rows of one stat share a width, zero-padded, so a missing attribute
+    /// reads as zero here as it does through [`CountVector::get_or_zero`].
+    pub fn fold_row(self, acc: &mut [i64], src: &[i64], src_is_newer: bool) {
+        let pairs = acc.iter_mut().zip(src);
+        match self {
+            AggregateFunction::Sum => {
+                for (a, s) in pairs {
+                    *a = a.saturating_add(*s);
+                }
+            }
+            AggregateFunction::Max => {
+                for (a, s) in pairs {
+                    *a = (*a).max(*s);
+                }
+            }
+            AggregateFunction::Min => {
+                for (a, s) in pairs {
+                    *a = (*a).min(*s);
+                }
+            }
+            AggregateFunction::Last => {
+                if src_is_newer {
+                    let (head, tail) = acc.split_at_mut(src.len());
+                    head.copy_from_slice(src);
+                    tail.fill(0);
                 }
             }
         }
@@ -241,9 +272,8 @@ impl ShrinkConfig {
 
     /// Weighted multi-dimensional importance score of a count vector.
     #[must_use]
-    pub fn score(&self, counts: &CountVector) -> f64 {
+    pub fn score(&self, counts: &[i64]) -> f64 {
         counts
-            .as_slice()
             .iter()
             .enumerate()
             .map(|(i, v)| *v as f64 * self.weights.get(i).copied().unwrap_or(1.0))
@@ -726,23 +756,37 @@ mod tests {
     #[test]
     fn aggregate_apply_dispatch() {
         let mut acc = CountVector::single(5);
-        AggregateFunction::Sum.apply(&mut acc, &CountVector::single(3), false);
+        AggregateFunction::Sum.apply(&mut acc, &[3], false);
         assert_eq!(acc.as_slice(), &[8]);
 
         let mut acc = CountVector::single(5);
-        AggregateFunction::Max.apply(&mut acc, &CountVector::single(3), false);
+        AggregateFunction::Max.apply(&mut acc, &[3], false);
         assert_eq!(acc.as_slice(), &[5]);
 
         let mut acc = CountVector::single(5);
-        AggregateFunction::Min.apply(&mut acc, &CountVector::single(3), false);
+        AggregateFunction::Min.apply(&mut acc, &[3], false);
         assert_eq!(acc.as_slice(), &[3]);
 
         // Last keeps acc when src is older, replaces when newer.
         let mut acc = CountVector::single(5);
-        AggregateFunction::Last.apply(&mut acc, &CountVector::single(3), false);
+        AggregateFunction::Last.apply(&mut acc, &[3], false);
         assert_eq!(acc.as_slice(), &[5]);
-        AggregateFunction::Last.apply(&mut acc, &CountVector::single(3), true);
+        AggregateFunction::Last.apply(&mut acc, &[3], true);
         assert_eq!(acc.as_slice(), &[3]);
+    }
+
+    #[test]
+    fn fold_row_dispatch_pads_short_sources_with_zeros() {
+        let fold = |agg: AggregateFunction, src: &[i64], newer: bool| {
+            let mut row = [5, -2, 4];
+            agg.fold_row(&mut row, src, newer);
+            row
+        };
+        assert_eq!(fold(AggregateFunction::Sum, &[3, 1], false), [8, -1, 4]);
+        assert_eq!(fold(AggregateFunction::Max, &[3, 1], false), [5, 1, 4]);
+        assert_eq!(fold(AggregateFunction::Min, &[3, 1], false), [3, -2, 4]);
+        assert_eq!(fold(AggregateFunction::Last, &[3], false), [5, -2, 4]);
+        assert_eq!(fold(AggregateFunction::Last, &[3], true), [3, 0, 0]);
     }
 
     #[test]
@@ -752,9 +796,9 @@ mod tests {
             ..Default::default()
         };
         // 2 clicks + 1 share at weight 10 = 12.
-        assert!((cfg.score(&CountVector::pair(2, 1)) - 12.0).abs() < 1e-9);
+        assert!((cfg.score(&[2, 1]) - 12.0).abs() < 1e-9);
         // Missing weights default to 1.
-        assert!((cfg.score(&CountVector::from_slice(&[2, 1, 5])) - 17.0).abs() < 1e-9);
+        assert!((cfg.score(&[2, 1, 5]) - 17.0).abs() < 1e-9);
     }
 
     #[test]

@@ -156,27 +156,27 @@ impl CountVector {
     }
 
     /// Element-wise saturating sum. Widens to the longer of the two vectors.
-    pub fn merge_sum(&mut self, other: &CountVector) {
+    pub fn merge_sum(&mut self, other: &[i64]) {
         let dst = self.make_mut(other.len());
-        for (i, v) in other.as_slice().iter().enumerate() {
+        for (i, v) in other.iter().enumerate() {
             dst[i] = dst[i].saturating_add(*v);
         }
     }
 
     /// Element-wise max. Widens to the longer of the two vectors.
-    pub fn merge_max(&mut self, other: &CountVector) {
+    pub fn merge_max(&mut self, other: &[i64]) {
         let dst = self.make_mut(other.len());
-        for (i, v) in other.as_slice().iter().enumerate() {
+        for (i, v) in other.iter().enumerate() {
             dst[i] = dst[i].max(*v);
         }
     }
 
     /// Element-wise min over the shared prefix; extra attributes of `other`
     /// are copied (a missing attribute is "no constraint", not zero).
-    pub fn merge_min(&mut self, other: &CountVector) {
+    pub fn merge_min(&mut self, other: &[i64]) {
         let shared = self.len().min(other.len());
         let dst = self.make_mut(other.len());
-        for (i, v) in other.as_slice().iter().enumerate() {
+        for (i, v) in other.iter().enumerate() {
             if i < shared {
                 dst[i] = dst[i].min(*v);
             } else {
@@ -186,18 +186,14 @@ impl CountVector {
     }
 
     /// Replace with `other` ("last write wins" reduce function).
-    pub fn merge_last(&mut self, other: &CountVector) {
-        *self = other.clone();
+    pub fn merge_last(&mut self, other: &[i64]) {
+        *self = Self::from_slice(other);
     }
 
     /// Multiply every attribute by `factor`, rounding toward zero. Used by
     /// decay functions, which operate on aggregated counts.
     pub fn scale(&mut self, factor: f64) {
-        let dst = self.make_mut(0);
-        for v in dst {
-            // Saturate rather than wrap on overflow of the f64 -> i64 cast.
-            *v = (*v as f64 * factor) as i64;
-        }
+        scale_counts(self.make_mut(0), factor);
     }
 
     /// Approximate heap + inline footprint in bytes, for memory accounting.
@@ -207,6 +203,14 @@ impl CountVector {
             CountVector::Inline { .. } => std::mem::size_of::<CountVector>(),
             CountVector::Spilled(v) => std::mem::size_of::<CountVector>() + v.len() * 8,
         }
+    }
+}
+
+/// [`CountVector::scale`] over a plain slice of counts.
+pub fn scale_counts(counts: &mut [i64], factor: f64) {
+    for v in counts {
+        // Saturate rather than wrap on overflow of the f64 -> i64 cast.
+        *v = (*v as f64 * factor) as i64;
     }
 }
 
@@ -283,32 +287,32 @@ mod tests {
     #[test]
     fn merge_sum_widens() {
         let mut a = CountVector::single(10);
-        a.merge_sum(&CountVector::from_slice(&[1, 2, 3]));
+        a.merge_sum(&[1, 2, 3]);
         assert_eq!(a.as_slice(), &[11, 2, 3]);
     }
 
     #[test]
     fn merge_sum_saturates() {
         let mut a = CountVector::single(i64::MAX);
-        a.merge_sum(&CountVector::single(1));
+        a.merge_sum(&[1]);
         assert_eq!(a.as_slice(), &[i64::MAX]);
     }
 
     #[test]
     fn merge_max_and_min() {
         let mut a = CountVector::pair(1, 9);
-        a.merge_max(&CountVector::pair(5, 2));
+        a.merge_max(&[5, 2]);
         assert_eq!(a.as_slice(), &[5, 9]);
 
         let mut b = CountVector::pair(1, 9);
-        b.merge_min(&CountVector::from_slice(&[5, 2, 7]));
+        b.merge_min(&[5, 2, 7]);
         assert_eq!(b.as_slice(), &[1, 2, 7]);
     }
 
     #[test]
     fn merge_last_replaces() {
         let mut a = CountVector::from_slice(&[1, 2, 3]);
-        a.merge_last(&CountVector::single(9));
+        a.merge_last(&[9]);
         assert_eq!(a.as_slice(), &[9]);
     }
 

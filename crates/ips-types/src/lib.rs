@@ -26,7 +26,7 @@ pub use config::{
     RetryPolicy, ShrinkConfig, SortKey, SortOrder, TableConfig, TimeDimensionConfig,
     TruncateConfig, WalConfig,
 };
-pub use counts::{CountVector, MAX_ATTRIBUTES};
+pub use counts::{scale_counts, CountVector, MAX_ATTRIBUTES};
 pub use deadline::{ArmedDeadline, Deadline};
 pub use error::{IpsError, Result};
 pub use ids::{ActionTypeId, CallerId, FeatureId, ProfileId, SlotId, TableId};
