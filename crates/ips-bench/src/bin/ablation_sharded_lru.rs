@@ -9,6 +9,8 @@
 //! shard counts {1, 4, 16, 64} and reports read-latency tails and swap
 //! contention skips.
 
+#![expect(clippy::disallowed_methods, reason = "loops run on a real 1 ms tick")]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

@@ -28,6 +28,8 @@
 //!
 //! Writes `BENCH_fairness.json`. `--smoke` shrinks the workload for CI.
 
+#![expect(clippy::disallowed_methods, reason = "sleeps model store and clients")]
+
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

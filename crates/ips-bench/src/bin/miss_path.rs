@@ -17,6 +17,8 @@
 //!
 //! Writes `BENCH_miss_path.json`. `--smoke` shrinks the workload for CI.
 
+#![expect(clippy::disallowed_methods, reason = "sleeps model KV service time")]
+
 use std::fmt::Write as _;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;

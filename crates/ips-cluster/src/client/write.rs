@@ -19,7 +19,7 @@ impl IpsClusterClient {
     /// Write one batch of features to **every region** (the ingestion-side
     /// fan-out). Succeeds if at least one region accepted; per-region
     /// failures are retried within the region and then counted.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the paper's add_profile API")]
     pub fn add_profiles(
         &self,
         caller: CallerId,
@@ -212,7 +212,7 @@ impl IpsClusterClient {
     }
 
     /// Convenience single-feature write.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the paper's add_profile API")]
     pub fn add_profile(
         &self,
         caller: CallerId,

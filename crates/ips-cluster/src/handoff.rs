@@ -253,7 +253,7 @@ impl HandoffCoordinator {
     /// Stream one `(source, target)` pair's moving hot entries, table by
     /// table. Returns the aggregated outcome; `warmed = false` means the
     /// stream gave up partway (the remainder cold-joins).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "two rings and two endpoints")]
     fn run_transfer(
         &self,
         source_ep: &Arc<RpcEndpoint>,

@@ -69,7 +69,7 @@ impl EndpointHealth {
     /// monotonic-microsecond reading. Closed admits everyone; open admits
     /// nobody until the cooldown elapses, at which point exactly one caller
     /// wins the CAS and becomes the half-open probe.
-    pub fn try_admit(&self, now_us: u64) -> bool {
+    pub(crate) fn try_admit(&self, now_us: u64) -> bool {
         match self.state.load(Ordering::Acquire) {
             STATE_CLOSED => true,
             STATE_HALF_OPEN => false,

@@ -120,7 +120,6 @@ pub fn encode_frame_traced(payload: &[u8], trace: Option<&FrameTraceContext>) ->
     if trace.is_some() {
         flags |= FLAG_TRACE;
     }
-    // lint: allow(encode-alloc, reason = "the envelope escapes to the caller, so it cannot come from the pool")
     let mut out = Vec::with_capacity(body.len() + 16 + TRACE_CTX_LEN);
     out.push(MAGIC);
     out.push(flags);

@@ -122,7 +122,7 @@ macro_rules! wire_message {
         $(#[$meta])*
         $vis struct $name;
 
-        #[allow(dead_code)]
+        #[allow(dead_code, reason = "a message may not use every generated form")]
         impl $name {
             pub const DESCRIPTOR: $crate::message::MessageDescriptor =
                 $crate::message::MessageDescriptor {

@@ -647,9 +647,9 @@ impl<S: ProfileStore + 'static> GCache<S> {
         pid: ProfileId,
         f: impl FnOnce(&mut ProfileData) -> R,
     ) -> Result<(R, bool)> {
+        #[expect(clippy::expect_used, reason = "entry(create=true) always yields Some")]
         let (entry, hit, _cost) = self
             .entry(pid, true, &SliceProjection::Full)?
-            // lint: allow(unwrap, reason = "entry(create=true) yields Some by construction; see entry()")
             .expect("create=true always yields an entry");
         let mut guard = entry.lock();
         debug_assert!(guard.missing.is_empty(), "write path must be full");
@@ -1752,7 +1752,7 @@ mod tests {
                 "waiters never gathered: {}",
                 c.stats().inflight_waiters
             );
-            // lint: allow(sleep-in-test, reason = "polls real OS threads parking on the in-flight slot")
+            #[expect(clippy::disallowed_methods, reason = "polls real parked threads")]
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         store.open_gate();
@@ -1811,7 +1811,7 @@ mod tests {
                 std::time::Instant::now() < deadline,
                 "waiters never gathered"
             );
-            // lint: allow(sleep-in-test, reason = "polls real OS threads parking on the in-flight slot")
+            #[expect(clippy::disallowed_methods, reason = "polls real parked threads")]
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         store.open_gate();

@@ -213,6 +213,28 @@ mod tests {
     }
 
     #[test]
+    fn compaction_under_last_keeps_the_newest_value() {
+        let mut p = ProfileData::new();
+        // One 1s slice per second, fid 1 carrying the second it was written.
+        for i in 0..10u64 {
+            p.add(
+                ts(i * 1_000),
+                SLOT,
+                LIKE,
+                FeatureId::new(1),
+                &CountVector::single(i as i64),
+                AggregateFunction::Last,
+                DurationMs::from_secs(1),
+            );
+        }
+        let now = ts(120_000); // all ten slices fall in one 10s target epoch
+        compact_profile(&mut p, &demo_config(), AggregateFunction::Last, now, false);
+        assert_eq!(p.slice_count(), 1);
+        assert_eq!(total_likes(&p, 1), 9, "the newest write must survive");
+        p.check_invariants().unwrap();
+    }
+
+    #[test]
     fn fresh_slices_stay_fine_grained() {
         let mut p = ProfileData::new();
         for i in 0..20u64 {

@@ -67,7 +67,6 @@ pub mod isolation;
 pub mod model;
 pub mod persist;
 pub mod query;
-pub mod quota;
 pub mod server;
 
 pub use cache::{ExportBatch, ExportedEntry, GCache, ImportReport};

@@ -166,7 +166,8 @@ impl IndexedFeatureStat {
     }
 
     /// Merge another stat into this one in one linear pass over both sorted
-    /// columns, folding `other`'s counts in as the newer side.
+    /// columns, folding `other`'s counts in as the older side (compaction
+    /// merges an older slice into a newer one, so `Last` keeps this side).
     pub fn merge_from(&mut self, other: &IndexedFeatureStat, agg: AggregateFunction) {
         let w = self.width.max(other.width);
         let mut merged = Self {
@@ -190,7 +191,7 @@ impl IndexedFeatureStat {
             i += 1;
             if order == Ordering::Equal {
                 let at = merged.counts.len() - w;
-                agg.fold_row(&mut merged.counts[at..], &other.row(j), true);
+                agg.fold_row(&mut merged.counts[at..], &other.row(j), false);
                 j += 1;
             }
         }

@@ -75,7 +75,7 @@ impl InstanceSet {
         self.actions.iter_mut().map(|(k, v)| (*k, v))
     }
 
-    /// Merge another set into this one.
+    /// Merge another, older set into this one.
     pub fn merge_from(&mut self, other: &InstanceSet, agg: AggregateFunction) {
         for (action, stats) in other.iter() {
             super::entry(&mut self.actions, action).merge_from(stats, agg);

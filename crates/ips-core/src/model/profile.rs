@@ -67,7 +67,7 @@ impl ProfileData {
     /// * covered by an existing slice → fold into it;
     /// * in a gap between slices, or older than the tail → splice a new
     ///   slice at the right position.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one observation's full key")]
     pub fn add(
         &mut self,
         at: Timestamp,

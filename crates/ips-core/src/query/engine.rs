@@ -29,7 +29,7 @@ use super::topk::top_k_by;
 /// makes `get_profile_decay` favour recent slices (§II-B).
 ///
 /// Returns `(merged features, slices_visited)`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one query's window and decay")]
 pub fn merged_features(
     profile: &ProfileData,
     slot: SlotId,

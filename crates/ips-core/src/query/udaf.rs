@@ -97,7 +97,7 @@ pub fn execute_udaf<U: UserDefinedAggregate>(
 
 /// Execute a UDAF and return the top `k` features by its output, descending,
 /// with feature id as the deterministic tie-break.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one query's window and top-k")]
 pub fn execute_udaf_top_k<U>(
     profile: &ProfileData,
     slot: SlotId,

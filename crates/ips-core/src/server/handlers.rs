@@ -25,7 +25,7 @@ impl IpsInstance {
     // ---- write API (§II-B) -------------------------------------------------
 
     /// `add_profile`: record one observation.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the paper's add_profile API")]
     pub fn add_profile(
         self: &Arc<Self>,
         caller: CallerId,
@@ -42,7 +42,7 @@ impl IpsInstance {
 
     /// `add_profiles`: the batched write API. All features share one
     /// `(timestamp, slot, action)` coordinate, as in the paper's interface.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the paper's add_profile API")]
     pub fn add_profiles(
         self: &Arc<Self>,
         caller: CallerId,
@@ -65,7 +65,7 @@ impl IpsInstance {
     }
 
     /// [`IpsInstance::add_profiles`] with an explicit request context.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the paper's add_profile API")]
     pub fn add_profiles_ctx(
         self: &Arc<Self>,
         ctx: &RequestContext,
@@ -274,7 +274,7 @@ impl IpsInstance {
     /// one profile's slot/window, returning the top `k` features by the
     /// UDAF's output. Runs inside the instance, next to the data, like the
     /// built-in computations; unknown profiles yield an empty result.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "a UDAF query's full parameters")]
     pub fn query_udaf<U>(
         self: &Arc<Self>,
         caller: CallerId,

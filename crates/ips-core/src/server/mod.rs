@@ -45,7 +45,7 @@ use crate::compact::scheduler::{CompactionScheduler, CompactionTask};
 use crate::hotconfig::HotConfig;
 use crate::isolation::WriteTable;
 use crate::persist::{ProfilePersister, ProfileStore};
-use crate::quota::QuotaEnforcer;
+use pipeline::quota::QuotaEnforcer;
 
 pub use pipeline::{FairAdmission, RequestContext, RequestKind, ServerPipeline};
 pub use runtime::{TableMetrics, TableRuntime};
@@ -130,9 +130,9 @@ impl IpsInstance {
     /// path for examples and tests.
     #[must_use]
     pub fn new_in_memory(options: IpsInstanceOptions, clock: SharedClock) -> Arc<Self> {
+        #[expect(clippy::expect_used, reason = "no WAL path, so no I/O to fail")]
         let node = Arc::new(
             KvNode::new(format!("{}-kv", options.name), KvNodeConfig::default())
-                // lint: allow(unwrap, reason = "KvNode::new without a WAL path performs no I/O and cannot fail")
                 .expect("in-memory node construction cannot fail"),
         );
         Self::new(node as DynStore, options, clock)

@@ -207,10 +207,10 @@ impl FairAdmission {
         }
         let ticket = state.next_ticket;
         state.next_ticket += 1;
+        #[expect(clippy::expect_used, reason = "inserted above under the same lock")]
         state
             .callers
             .get_mut(&caller)
-            // lint: allow(unwrap, reason = "entry inserted three lines up under the same lock; absence is a bug worth crashing on")
             .expect("caller registered above")
             .queue
             .push_back(Ticket { id: ticket, units });
@@ -218,10 +218,10 @@ impl FairAdmission {
         let mut slices: u32 = 0;
         loop {
             if self.grantable(&state, caller, ticket, units) {
+                #[expect(clippy::expect_used, reason = "grantable() just found this ticket")]
                 let caller_state = state
                     .callers
                     .get_mut(&caller)
-                    // lint: allow(unwrap, reason = "grantable() just found this caller's ticket at the queue head under the same lock")
                     .expect("queued caller is active");
                 caller_state.queue.pop_front();
                 caller_state.inflight += units;
@@ -430,7 +430,7 @@ mod tests {
         let ctrl2 = Arc::clone(&ctrl);
         let waiter = std::thread::spawn(move || ctrl2.admit(B, 1, 1, None).map(drop));
         // Give the waiter time to enqueue, then release A.
-        // lint: allow(sleep-in-test, reason = "bounds a real cross-thread condvar handoff; no sim clock drives it")
+        #[expect(clippy::disallowed_methods, reason = "a real cross-thread handoff")]
         std::thread::sleep(Duration::from_millis(5));
         drop(pa);
         waiter

@@ -14,7 +14,7 @@ use crate::server::IpsInstance;
 
 /// Record a deadline shed: a span the trace pipeline can assert on, plus
 /// the instance counter.
-pub(crate) fn record_shed(inst: &IpsInstance) -> IpsError {
+pub(super) fn record_shed(inst: &IpsInstance) -> IpsError {
     let mut span = ips_trace::child("shed");
     span.set_attr(ips_trace::attrs::SHED, "deadline");
     inst.shed_deadline.inc();
@@ -22,7 +22,7 @@ pub(crate) fn record_shed(inst: &IpsInstance) -> IpsError {
 }
 
 /// Shed the request if its deadline has already passed.
-pub(crate) fn shed_if_expired(inst: &IpsInstance, ctx: &RequestContext) -> Result<()> {
+pub(super) fn shed_if_expired(inst: &IpsInstance, ctx: &RequestContext) -> Result<()> {
     if ctx.deadline_expired() {
         Err(record_shed(inst))
     } else {

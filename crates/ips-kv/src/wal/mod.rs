@@ -682,7 +682,7 @@ impl Wal {
     /// strict recovery on corruption, or (salvage) resync to the next valid
     /// frame. Returns the position to continue scanning from — `data.len()`
     /// when the rest of the segment is gone.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the recovery scan's state")]
     fn handle_bad_frame(
         &self,
         mode: RecoveryMode,

@@ -121,6 +121,16 @@ pub struct TimeBand {
     pub to_age: DurationMs,
 }
 
+impl TimeBand {
+    const fn new(granularity: DurationMs, from_age: DurationMs, to_age: DurationMs) -> Self {
+        Self {
+            granularity,
+            from_age,
+            to_age,
+        }
+    }
+}
+
 /// The full time-dimension configuration: an ordered list of bands, youngest
 /// first, with strictly increasing, contiguous age ranges.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,21 +143,29 @@ impl TimeDimensionConfig {
     /// `1s:[0s,1m] 1m:[1m,1h] 1h:[1h,24h] 1d:[24h,30d] 30d:[30d,365d]`.
     #[must_use]
     pub fn production_default() -> Self {
-        Self::from_pairs(&[
-            ("1s", "0s", "1m"),
-            ("1m", "1m", "1h"),
-            ("1h", "1h", "24h"),
-            ("1d", "24h", "30d"),
-            ("30d", "30d", "365d"),
-        ])
-        .expect("static config is valid")
+        use DurationMs as D;
+        Self {
+            bands: vec![
+                TimeBand::new(D::from_secs(1), D::ZERO, D::from_mins(1)),
+                TimeBand::new(D::from_mins(1), D::from_mins(1), D::from_hours(1)),
+                TimeBand::new(D::from_hours(1), D::from_hours(1), D::from_hours(24)),
+                TimeBand::new(D::from_days(1), D::from_hours(24), D::from_days(30)),
+                TimeBand::new(D::from_days(30), D::from_days(30), D::from_days(365)),
+            ],
+        }
     }
 
     /// The demo configuration from Listing 2: 10-minute slices between 10
     /// minutes and 1 hour of age.
     #[must_use]
     pub fn demo() -> Self {
-        Self::from_pairs(&[("1m", "0s", "10m"), ("10m", "10m", "1h")]).expect("static config")
+        use DurationMs as D;
+        Self {
+            bands: vec![
+                TimeBand::new(D::from_mins(1), D::ZERO, D::from_mins(10)),
+                TimeBand::new(D::from_mins(10), D::from_mins(10), D::from_hours(1)),
+            ],
+        }
     }
 
     /// Build from `(granularity, from, to)` duration literals.
@@ -738,6 +756,21 @@ mod tests {
             Some(DurationMs::from_days(30))
         );
         assert_eq!(cfg.granularity_for_age(DurationMs::from_days(400)), None);
+    }
+
+    #[test]
+    fn built_in_time_dimensions_match_their_listings() {
+        let listing3 = TimeDimensionConfig::from_pairs(&[
+            ("1s", "0s", "1m"),
+            ("1m", "1m", "1h"),
+            ("1h", "1h", "24h"),
+            ("1d", "24h", "30d"),
+            ("30d", "30d", "365d"),
+        ]);
+        assert_eq!(listing3, Ok(TimeDimensionConfig::production_default()));
+        let listing2 =
+            TimeDimensionConfig::from_pairs(&[("1m", "0s", "10m"), ("10m", "10m", "1h")]);
+        assert_eq!(listing2, Ok(TimeDimensionConfig::demo()));
     }
 
     #[test]

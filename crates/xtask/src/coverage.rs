@@ -10,15 +10,125 @@
 //! *never* touched.
 //!
 //! Waivable with `// lint: allow(metrics-coverage, reason = "...")` on (or
-//! immediately before) the declaration line.
+//! immediately before) the declaration line. This module also holds what
+//! both `xtask` checks share: [`Violation`], the waiver table and the file
+//! walk.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::lexer::{self, Tok, TokKind};
-use crate::lint::{collect_rs_files, Allows, Violation, SERVING_CRATES};
+
+/// Crates whose non-test code sits on the serving path.
+const SERVING_CRATES: &[&str] = &[
+    "ips-types",
+    "ips-core",
+    "ips-kv",
+    "ips-cluster",
+    "ips-codec",
+    "ips-ingest",
+    "ips-trace",
+];
+
+/// One finding.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Violation {
+    pub file: String,
+    pub line: usize,
+    pub rule: &'static str,
+    pub message: String,
+    pub hint: &'static str,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {} (fix: {})",
+            self.file, self.line, self.rule, self.message, self.hint
+        )
+    }
+}
+
+/// Every `.rs` file under `dir`, skipping build output.
+pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if name == "target" || name == ".git" {
+                continue;
+            }
+            collect_rs_files(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
+/// `path` relative to `root`, with `/` separators.
+pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// The rule a `// lint: allow(<rule>, reason = "...")` comment waives. An
+/// annotation without a non-empty reason waives nothing.
+fn parse_allow(comment: &str) -> Option<String> {
+    let start = comment.find("lint: allow(")?;
+    let rest = &comment[start + "lint: allow(".len()..];
+    let (rule, reason) = rest[..rest.find(')')?].split_once(',')?;
+    let reason = reason.trim().strip_prefix("reason")?.trim_start();
+    let reason = reason.strip_prefix('=')?.trim_start().strip_prefix('"')?;
+    let rule = rule.trim();
+    (!rule.is_empty() && reason.trim_end_matches('"').trim().len() > 1).then(|| rule.to_string())
+}
+
+/// The per-file waiver table: a `// lint: allow(...)` comment at the end of
+/// a line waives that line; on a line of its own it waives the next line.
+pub(crate) struct Allows {
+    by_line: HashMap<usize, Vec<String>>,
+}
+
+impl Allows {
+    pub(crate) fn build(toks: &[Tok]) -> Allows {
+        let code_lines: HashSet<usize> = toks
+            .iter()
+            .filter(|t| t.kind != TokKind::Comment)
+            .map(|t| t.line)
+            .collect();
+        let mut by_line: HashMap<usize, Vec<String>> = HashMap::new();
+        for t in toks {
+            if t.kind != TokKind::Comment || !t.text.starts_with("//") {
+                continue;
+            }
+            if let Some(rule) = parse_allow(&t.text) {
+                let target = if code_lines.contains(&t.line) {
+                    t.line
+                } else {
+                    t.line + 1
+                };
+                by_line.entry(target).or_default().push(rule);
+            }
+        }
+        Allows { by_line }
+    }
+
+    pub(crate) fn waives(&self, line: usize, rule: &str) -> bool {
+        self.by_line
+            .get(&line)
+            .is_some_and(|rules| rules.iter().any(|r| r == rule))
+    }
+}
 
 /// Metric-valued types from `ips-metrics` that require a live mutation site.
 const METRIC_TYPES: &[&str] = &["Counter", "Gauge", "HitRatio", "Histogram"];
@@ -51,15 +161,11 @@ pub fn check_tree(root: &Path) -> io::Result<Vec<Violation>> {
         let mut files = Vec::new();
         collect_rs_files(&src_dir, &mut files)?;
         for path in files {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
+            let rel = rel_path(root, &path);
             let src = fs::read_to_string(&path)?;
             let toks = lexer::lex(&src);
             let mask = lexer::test_mask(&toks);
-            let (allows, _) = Allows::build(&toks);
+            let allows = Allows::build(&toks);
 
             let mut ct: Vec<&Tok> = Vec::with_capacity(toks.len());
             let mut cmask: Vec<bool> = Vec::with_capacity(toks.len());

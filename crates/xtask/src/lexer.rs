@@ -18,8 +18,6 @@
 //! test regions, fn bodies) to the passes, which share the helpers at the
 //! bottom of this file.
 
-use std::fmt;
-
 /// Token classes the analysis passes care about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokKind {
@@ -51,12 +49,6 @@ pub struct Tok {
     pub text: String,
     /// 1-based line the token *starts* on.
     pub line: usize,
-}
-
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{:?}({})", self.line, self.kind, self.text)
-    }
 }
 
 impl Tok {

@@ -1,25 +1,35 @@
 //! Workspace task runner.
 //!
 //! ```text
-//! cargo run -p xtask -- check [--root <dir>] [--json]
+//! cargo run -p xtask -- check [--root <dir>]
 //! ```
 //!
-//! `check` runs the full static-analysis pass — the token-stream lint rules
-//! (see [`lint`]) and the metrics coverage check (see [`coverage`]) — and
-//! exits non-zero with `file:line` diagnostics on violations. `--json`
-//! emits the same violations as a JSON array on stdout (one object per
-//! violation with `file`/`line`/`rule`/`message`/`hint`) for CI artifacts.
+//! `check` runs the two source checks clippy cannot express and exits
+//! non-zero with `file:line` diagnostics on violations:
 //!
-//! The wire schema is not checked here: every message is declared with
-//! `ips_codec::wire_message!`, and the `wire_schema_lock` test of the `ips`
-//! crate diffs the generated descriptors against `wire_schema.lock`.
+//! * `wire-primitives` — non-test code outside `ips-codec` must not name
+//!   `WireWriter` / `WireReader`. Every wire message is declared once with
+//!   `ips_codec::wire_message!`, which generates the encoder, the decoder
+//!   (with its skip arm) and the descriptor `wire_schema.lock` is checked
+//!   against; a hand-written `put_*` / `next_field` pair is schema the lock
+//!   cannot see. Clippy's `disallowed-types` cannot carry this rule: it also
+//!   fires inside every `wire_message!` expansion.
+//! * `metrics-coverage` — see [`coverage`].
+//!
+//! Both run on the token stream of [`lexer`], so string and comment
+//! contents never trip them, and both honour a line waiver with a mandatory
+//! reason: `// lint: allow(<rule>, reason = "...")`. The other house rules
+//! are clippy lints; DESIGN.md §11 maps each rule to what enforces it.
 
 mod coverage;
 mod lexer;
-mod lint;
 
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+use coverage::{collect_rs_files, rel_path, Allows, Violation};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,39 +39,25 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from)
         .unwrap_or_else(workspace_root);
-    match args.first().map(String::as_str) {
-        Some("check") => check(&root, args.iter().any(|a| a == "--json")),
-        _ => {
-            eprintln!("usage: cargo run -p xtask -- check [--root <dir>] [--json]");
-            ExitCode::FAILURE
-        }
+    if args.first().map(String::as_str) != Some("check") {
+        eprintln!("usage: cargo run -p xtask -- check [--root <dir>]");
+        return ExitCode::FAILURE;
     }
-}
-
-fn check(root: &Path, json: bool) -> ExitCode {
-    let run = || -> std::io::Result<Vec<lint::Violation>> {
-        let mut violations = lint::check_tree(root)?;
-        violations.extend(coverage::check_tree(root)?);
+    let run = || -> io::Result<Vec<Violation>> {
+        let mut violations = check_wire_primitives(&root)?;
+        violations.extend(coverage::check_tree(&root)?);
         Ok(violations)
     };
     match run() {
         Ok(violations) if violations.is_empty() => {
-            if json {
-                println!("[]");
-            } else {
-                println!("xtask check: clean");
-            }
+            println!("xtask check: clean");
             ExitCode::SUCCESS
         }
         Ok(violations) => {
-            if json {
-                println!("{}", render_json(&violations));
-            } else {
-                for v in &violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("xtask check: {} violation(s)", violations.len());
+            for v in &violations {
+                eprintln!("{v}");
             }
+            eprintln!("xtask check: {} violation(s)", violations.len());
             ExitCode::FAILURE
         }
         Err(e) => {
@@ -71,39 +67,54 @@ fn check(root: &Path, json: bool) -> ExitCode {
     }
 }
 
-/// Hand-rolled JSON (the workspace policy is zero new dependencies; the
-/// violation fields only need string escaping, not a full serializer).
-fn render_json(violations: &[lint::Violation]) -> String {
-    let mut out = String::from("[\n");
-    for (i, v) in violations.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\", \
-             \"hint\": \"{}\"}}{}\n",
-            escape_json(&v.file),
-            v.line,
-            escape_json(v.rule),
-            escape_json(&v.message),
-            escape_json(v.hint),
-            if i + 1 < violations.len() { "," } else { "" }
-        ));
+/// Run `wire-primitives` over `crates/`, the repository-level `tests/` and
+/// `examples/`. `vendor/` is exempt.
+fn check_wire_primitives(root: &Path) -> io::Result<Vec<Violation>> {
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        collect_rs_files(&root.join(dir), &mut files)?;
     }
-    out.push(']');
-    out
+    files.sort();
+    let mut out = Vec::new();
+    for path in files {
+        let rel = rel_path(root, &path);
+        out.extend(wire_primitives(&rel, &fs::read_to_string(&path)?));
+    }
+    Ok(out)
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// `WireWriter` / `WireReader` named in `rel`'s non-test code, one finding
+/// per line. The codec crate and whole test files (integration tests,
+/// benches, `tests.rs` modules) are exempt.
+fn wire_primitives(rel: &str, src: &str) -> Vec<Violation> {
+    let test_file = rel.starts_with("tests/")
+        || rel.contains("/tests/")
+        || rel.contains("/benches/")
+        || rel.ends_with("/tests.rs");
+    if test_file || rel.starts_with("crates/ips-codec/") {
+        return Vec::new();
     }
+    let toks = lexer::lex(src);
+    let in_test = lexer::test_mask(&toks);
+    let allows = Allows::build(&toks);
+    let mut out: Vec<Violation> = toks
+        .iter()
+        .zip(in_test)
+        .filter(|(t, in_test)| {
+            !in_test
+                && (t.is_ident("WireWriter") || t.is_ident("WireReader"))
+                && !allows.waives(t.line, "wire-primitives")
+        })
+        .map(|(t, _)| Violation {
+            file: rel.to_string(),
+            line: t.line,
+            rule: "wire-primitives",
+            message: format!("`{}` named outside ips-codec", t.text),
+            hint: "declare the message with ips_codec::wire_message! so its encoder, decoder \
+                   and wire_schema.lock descriptor come from one table",
+        })
+        .collect();
+    out.dedup_by_key(|v| v.line);
     out
 }
 
@@ -121,38 +132,57 @@ fn workspace_root() -> PathBuf {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_escaping_handles_quotes_and_control_chars() {
-        assert_eq!(escape_json(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(escape_json("a\\b"), "a\\\\b");
-        assert_eq!(escape_json("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+    const A: &str = "crates/ips-core/src/a.rs";
+
+    fn lines(violations: &[Violation]) -> Vec<usize> {
+        violations.iter().map(|v| v.line).collect()
     }
 
     #[test]
-    fn json_output_is_one_object_per_violation() {
-        let violations = vec![
-            lint::Violation {
-                file: "a.rs".into(),
-                line: 3,
-                rule: "unwrap",
-                message: "msg with \"quotes\"".into(),
-                hint: "hint",
-            },
-            lint::Violation {
-                file: "b.rs".into(),
-                line: 7,
-                rule: "std-lock",
-                message: "m".into(),
-                hint: "h",
-            },
-        ];
-        let json = render_json(&violations);
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with(']'));
-        assert_eq!(json.matches("\"file\"").count(), 2);
-        assert!(json.contains(r#""line": 3"#));
-        assert!(json.contains(r#"msg with \"quotes\""#));
-        assert_eq!(json.matches("},\n").count(), 1, "comma between, not after");
+    fn wire_primitives_flagged_outside_codec_non_test_code() {
+        let src = "use ips_codec::wire::WireWriter;\nfn f(r: WireReader) {}\n";
+        assert_eq!(lines(&wire_primitives(A, src)), [1, 2]);
+        assert!(wire_primitives("crates/ips-codec/src/wire.rs", src).is_empty());
+        assert_eq!(
+            lines(&wire_primitives("crates/ips-bench/src/lib.rs", src)),
+            [1, 2]
+        );
+    }
+
+    #[test]
+    fn wire_primitives_allowed_in_tests_macros_and_strings() {
+        let test_code = "#[cfg(test)]\nmod tests {\n fn t() { let w = WireWriter::new(); }\n}\n";
+        assert!(wire_primitives(A, test_code).is_empty());
+        let test_file = "fn t() { let w = WireWriter::new(); }\n";
+        assert!(wire_primitives("crates/ips-core/tests/p.rs", test_file).is_empty());
+        let declared = "wire_message! { struct S(\"s\"); }\nconst D: &str = \"WireReader\";\n";
+        assert!(wire_primitives(A, declared).is_empty());
+    }
+
+    #[test]
+    fn allow_annotation_waives_same_line() {
+        let src = "fn f(r: WireReader) {} // lint: allow(wire-primitives, reason = \"fixture\")\n";
+        assert!(wire_primitives(A, src).is_empty());
+    }
+
+    #[test]
+    fn allow_annotation_waives_next_line() {
+        let src = "// lint: allow(wire-primitives, reason = \"fixture\")\n\
+                   fn f(r: WireReader) {}\n\
+                   fn g(r: WireReader) {}\n";
+        let v = wire_primitives(A, src);
+        assert_eq!(lines(&v), [3], "allow must not leak past one line");
+    }
+
+    #[test]
+    fn allow_without_reason_is_a_violation() {
+        let src = "fn f(r: WireReader) {} // lint: allow(wire-primitives)\n";
+        assert_eq!(lines(&wire_primitives(A, src)), [1]);
+    }
+
+    #[test]
+    fn allow_for_a_different_rule_does_not_waive() {
+        let src = "fn f(r: WireReader) {} // lint: allow(metrics-coverage, reason = \"nope\")\n";
+        assert_eq!(lines(&wire_primitives(A, src)), [1]);
     }
 }

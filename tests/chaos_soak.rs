@@ -490,7 +490,7 @@ fn flapping_endpoint_breaker_opens_and_readmits() {
 
     // ---- flap up: half-open probe re-admits ------------------------------
     owner.set_down(false);
-    // lint: allow(sleep-in-test, reason = "breaker cooldowns run on real monotonic time, which the sim clock cannot advance")
+    #[expect(clippy::disallowed_methods, reason = "breaker cooldowns use real time")]
     std::thread::sleep(std::time::Duration::from_millis(60));
     for _ in 0..5 {
         client.query(CALLER, &q).unwrap();

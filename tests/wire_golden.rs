@@ -1,7 +1,8 @@
 //! Golden bytes for every wire message: one sample value per
 //! `wire_schema.lock` section, plus the absent-field shapes (untraced
 //! envelope, default `CallOptions`, non-degraded and no-fetch
-//! `QueryResult`, `TimeRange::Current`, an error with an empty message).
+//! `QueryResult`, `TimeRange::Current`, an error with an empty message), and
+//! a storage frame carrying a writer's trace context.
 //!
 //! Equal values must encode to identical bytes across codec rewrites:
 //! persisted profiles, WAL segments and RPC frames written by an older
@@ -17,6 +18,7 @@ use bytes::Bytes;
 use ips::cluster::rpc::{
     CallOptions, ProfileWrite, RequestEnvelope, RpcRequest, RpcResponse, SnapshotAck, SnapshotEntry,
 };
+use ips::codec::frame::{decode_frame, encode_frame_traced, FrameTraceContext};
 use ips::core::persist::persister::ProfilePersister;
 use ips::core::persist::schema::{decode_profile, decode_slice, encode_profile, encode_slice};
 use ips::core::query::{FeatureEntry, FilterPredicate, ProfileQuery, QueryKind, QueryResult};
@@ -463,6 +465,14 @@ fn render() -> Vec<(String, String)> {
     let bytes = encode_slice(slice);
     assert_eq!(&decode_slice(&bytes).unwrap(), slice);
     out.push(("persist/slice".into(), hex(&bytes)));
+    // The same slice as a writer inside a live span framed it (`FLAG_TRACE`).
+    let ctx = FrameTraceContext {
+        trace_id: span().trace.0,
+        span_id: span().span.0,
+        sampled: true,
+    };
+    let traced = encode_frame_traced(&decode_frame(&bytes).unwrap(), Some(&ctx));
+    out.push(("persist/slice_traced".into(), hex(&traced)));
     out.push((
         "persist/slice_meta".into(),
         hex(&slice_meta_bytes(&profile)),
@@ -476,6 +486,26 @@ fn render() -> Vec<(String, String)> {
 /// `name hex` per line: the committed bytes, shared with the decoder
 /// fuzzing in `wire_schema.rs`.
 const GOLDEN: &str = include_str!("wire_golden.txt");
+
+/// The read path for storage frames written with a trace context: the
+/// committed bytes decode to the sample slice without any writer involved.
+#[test]
+fn traced_storage_frame_golden_decodes() {
+    let hex = GOLDEN
+        .lines()
+        .find_map(|line| line.strip_prefix("persist/slice_traced "))
+        .expect("golden fixture has a traced storage frame");
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(bytes[1] & 0x02, 0x02, "FLAG_TRACE is set");
+    let profile = sample_profile();
+    let slice = &profile.slices()[0];
+    let untraced = decode_frame(&encode_slice(slice)).unwrap();
+    assert_eq!(decode_frame(&bytes).unwrap(), untraced);
+    assert_eq!(&decode_slice(&bytes).unwrap(), slice);
+}
 
 #[test]
 fn every_wire_message_encodes_to_its_golden_bytes() {
