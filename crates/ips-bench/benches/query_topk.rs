@@ -1,7 +1,7 @@
 //! Micro-bench: the top-K query path over profiles of varying depth.
 //!
 //! The core serving operation (§II-B): resolve window → merge slices →
-//! bounded-heap top-K. Sweeps slice count and feature density, plus the
+//! bounded top-K. Sweeps slice count and feature density, plus the
 //! three time-range kinds.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -2,6 +2,7 @@
 //! keys, decay functions, errors, query results, profile writes and
 //! snapshot chunks. Field numbering is local to each message.
 
+use ips_codec::wire::count_field;
 use ips_codec::wire_message;
 use ips_core::query::{FeatureEntry, FilterPredicate, ProfileQuery, QueryKind, QueryResult};
 use ips_types::config::DecayFunction;
@@ -265,7 +266,10 @@ wire_message! {
         let fetched = r.kv_round_trips > 0;
     }
     decode(bytes) -> QueryResult {
-        let mut result = QueryResult::default();
+        let mut result = QueryResult {
+            entries: Vec::with_capacity(count_field(bytes, 3)),
+            ..QueryResult::default()
+        };
     }
     1 varint(r.slices_visited as u64) => |v| result.slices_visited = v as usize;
     2 varint(u64::from(r.cache_hit)) => |v| result.cache_hit = v != 0;

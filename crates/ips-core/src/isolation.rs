@@ -33,8 +33,9 @@ pub struct BufferedWrite {
 }
 
 impl BufferedWrite {
+    /// The counts are inline, so the struct's size is the whole footprint.
     fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<BufferedWrite>() + self.counts.approx_bytes()
+        std::mem::size_of::<BufferedWrite>()
     }
 }
 
@@ -249,6 +250,18 @@ mod tests {
             .map(|w| w.at.as_millis())
             .collect();
         assert_eq!(ats, vec![1, 3], "the requeued write is older");
+    }
+
+    #[test]
+    fn buffered_bytes_count_each_write_once() {
+        // 8 (at) + 4 (slot) + 4 (action) + 8 (feature) + 72 (inline counts).
+        assert_eq!(write_at(1).approx_bytes(), 96);
+        let wt = WriteTable::new(IsolationConfig::default());
+        wt.offer(pid(1), write_at(1));
+        wt.offer(pid(2), write_at(2));
+        assert_eq!(wt.approx_bytes(), 2 * 96);
+        wt.requeue(wt.drain());
+        assert_eq!(wt.approx_bytes(), 2 * 96);
     }
 
     #[test]

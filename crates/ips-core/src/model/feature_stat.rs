@@ -71,7 +71,13 @@ impl IndexedFeatureStat {
         self.fids.is_empty()
     }
 
-    fn row(&self, i: usize) -> CountRow<'_> {
+    /// The id-sorted feature column.
+    pub(crate) fn fids(&self) -> &[FeatureId] {
+        &self.fids
+    }
+
+    /// The counts of the `i`-th feature in id order.
+    pub(crate) fn row(&self, i: usize) -> CountRow<'_> {
         CountRow(&self.counts[i * self.width..(i + 1) * self.width])
     }
 

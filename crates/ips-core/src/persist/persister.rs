@@ -256,21 +256,23 @@ impl<S: ProfileStore> ProfilePersister<S> {
             self.save_split(pid, profile, held)?
         } else {
             self.metrics.bytes_written.add(bulk_bytes.len() as u64);
+            let bulk_bytes = Bytes::from(bulk_bytes);
             // Bulk values don't race slice writes, but we still route through
             // xset so a lost-update between two flushers is detected.
             match self
                 .store
-                .xset(bulk_key(self.table, pid), Bytes::from(bulk_bytes), held)
+                .xset(bulk_key(self.table, pid), bulk_bytes.clone(), held)
             {
                 Ok(g) => g,
                 Err(IpsError::StaleGeneration { current, .. }) => {
                     // Someone flushed a newer version; ours is superseded but
                     // re-flushing over it with the current generation is the
                     // correct last-writer-wins resolution for cache flushes.
+                    // Encoding is canonical, so the bytes already made are
+                    // the ones a re-encode would produce.
                     self.metrics.stale_retries.inc();
-                    let bytes = encode_profile(profile);
                     self.store
-                        .xset(bulk_key(self.table, pid), Bytes::from(bytes), current)?
+                        .xset(bulk_key(self.table, pid), bulk_bytes, current)?
                 }
                 Err(e) => return Err(e),
             }
@@ -344,19 +346,18 @@ impl<S: ProfileStore> ProfilePersister<S> {
             next_seq,
             last_compacted: profile.last_compacted,
         };
-        let meta_bytes = meta.encode();
+        let meta_bytes = Bytes::from(meta.encode());
         self.metrics.bytes_written.add(meta_bytes.len() as u64);
-        let new_gen = match self.store.xset(
-            meta_key(self.table, pid),
-            Bytes::from(meta_bytes.clone()),
-            held,
-        ) {
+        let new_gen = match self
+            .store
+            .xset(meta_key(self.table, pid), meta_bytes.clone(), held)
+        {
             Ok(g) => g,
             Err(IpsError::StaleGeneration { current, .. }) => {
                 // Another flusher won; last-writer-wins with its generation.
                 self.metrics.stale_retries.inc();
                 self.store
-                    .xset(meta_key(self.table, pid), Bytes::from(meta_bytes), current)?
+                    .xset(meta_key(self.table, pid), meta_bytes, current)?
             }
             Err(e) => return Err(e),
         };

@@ -4,31 +4,31 @@
 //! the resolved window, then multi-way merge all feature counts under the
 //! requested slot (optionally one action type), applying the table's
 //! aggregate function and the query's decay function, and finally sort /
-//! filter / top-K the merged set.
+//! filter / top-K the merged features as they stream out of the merge.
 
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use ips_types::config::{decay_factor, DecayFunction};
 use ips_types::{
-    scale_counts, AggregateFunction, CountVector, FeatureId, ShrinkConfig, SlotId, SortKey,
-    SortOrder, Timestamp, MAX_ATTRIBUTES,
+    scale_counts, AggregateFunction, CountVector, ShrinkConfig, SlotId, SortKey, SortOrder,
+    Timestamp, MAX_ATTRIBUTES,
 };
 
 use crate::model::ProfileData;
 
+use super::merge::{MergedRow, WindowMerge};
 use super::request::{FeatureEntry, ProfileQuery, QueryKind, QueryResult};
 use super::topk::top_k_by;
 
 /// Merge all features in `profile` under `slot` (and optionally one action
-/// type) across slices overlapping `[lo, hi)`.
+/// type) across slices overlapping `[lo, hi)`, in feature-id order.
 ///
 /// Decay is applied *per slice* before aggregation: counts from a slice aged
 /// `now - slice_end` are scaled by the decay curve at that age, which is what
 /// makes `get_profile_decay` favour recent slices (§II-B).
 ///
-/// Returns `(merged features, slices_visited)`.
+/// Returns `(merged features, slices_visited)`. The features are produced
+/// lazily, one per distinct id, with no allocation per feature.
 #[allow(clippy::too_many_arguments, reason = "one query's window and decay")]
 pub fn merged_features(
     profile: &ProfileData,
@@ -40,58 +40,52 @@ pub fn merged_features(
     decay: DecayFunction,
     decay_base: f64,
     now: Timestamp,
-) -> (Vec<FeatureEntry>, usize) {
-    let range = profile.slices_in_window(lo, hi);
-    let slices = &profile.slices()[range.clone()];
-    let mut acc: HashMap<FeatureId, FeatureEntry> = HashMap::new();
-
-    // Newest-first iteration: the first time we see a feature we record its
-    // freshest slice end; AggregateFunction::Last also relies on this order
-    // (the accumulator always holds the newest value).
-    for slice in slices {
-        let Some(set) = slice.slot(slot) else {
-            continue;
-        };
-        let factor = match decay {
-            DecayFunction::None => 1.0,
-            _ => {
-                let age = now.distance(slice.end().min(now));
-                decay_factor(decay, decay_base, age)
-            }
-        };
-        let scaled = (factor - 1.0).abs() > f64::EPSILON;
-        let mut fold = |fid: FeatureId, row: &[i64]| {
-            let mut buf = [0i64; MAX_ATTRIBUTES];
-            let contribution = if scaled {
-                let buf = &mut buf[..row.len()];
-                buf.copy_from_slice(row);
-                scale_counts(buf, factor);
-                buf
-            } else {
-                row
-            };
-            match acc.entry(fid) {
-                // src_is_newer = false: we iterate newest first.
-                Entry::Occupied(mut e) => agg.apply(&mut e.get_mut().counts, contribution, false),
-                Entry::Vacant(e) => {
-                    e.insert(FeatureEntry {
-                        feature: fid,
-                        counts: CountVector::from_slice(contribution),
-                        last_seen: slice.end(),
-                    });
-                }
-            }
-        };
-        for (_, stats) in set
+) -> (impl Iterator<Item = FeatureEntry> + '_, usize) {
+    let mut merge = WindowMerge::new(profile, slot, action, lo, hi);
+    let window = merge.window();
+    // One factor per slice of the window; none without decay.
+    let factors: Vec<f64> = match decay {
+        DecayFunction::None => Vec::new(),
+        _ => window
             .iter()
-            .filter(|(a, _)| action.is_none() || action == Some(*a))
-        {
-            for (fid, counts) in stats.iter() {
-                fold(fid, &counts);
-            }
+            .map(|s| decay_factor(decay, decay_base, now.distance(s.end().min(now))))
+            .collect(),
+    };
+    let features = std::iter::from_fn(move || {
+        // The first row is the newest: it seeds the counts and `last_seen`,
+        // and later rows fold in as the older side.
+        let mut buf = [0; MAX_ATTRIBUTES];
+        let first = merge.next()?;
+        let mut entry = FeatureEntry {
+            feature: first.feature,
+            counts: CountVector::from_slice(weighted(first, &factors, &mut buf)),
+            last_seen: window[first.slice].end(),
+        };
+        while let Some(row) = merge.next_of(entry.feature) {
+            agg.apply(&mut entry.counts, weighted(row, &factors, &mut buf), false);
         }
+        Some(entry)
+    });
+    (features, window.len())
+}
+
+/// `row`'s counts scaled in `buf` by its slice's decay factor, or the row
+/// itself when there is no factor or it is 1, which keeps the counts exact.
+fn weighted<'r>(
+    row: MergedRow<'r>,
+    factors: &[f64],
+    buf: &'r mut [i64; MAX_ATTRIBUTES],
+) -> &'r [i64] {
+    let counts = row.counts.as_slice();
+    match factors.get(row.slice) {
+        Some(&f) if (f - 1.0).abs() > f64::EPSILON => {
+            let buf = &mut buf[..counts.len()];
+            buf.copy_from_slice(counts);
+            scale_counts(buf, f);
+            buf
+        }
+        _ => counts,
     }
-    (acc.into_values().collect(), slices.len())
 }
 
 /// The comparison used for sorting/top-K: "greater is better" under the
@@ -136,7 +130,7 @@ pub fn execute(
     if window.is_empty() {
         return QueryResult::default();
     }
-    let (entries, slices_visited) = merged_features(
+    let (features, slices_visited) = merged_features(
         profile,
         query.slot,
         query.action,
@@ -150,18 +144,12 @@ pub fn execute(
 
     let entries = match &query.kind {
         QueryKind::TopK { k, sort, order } | QueryKind::Decay { k, sort, order } => {
-            let cmp = make_cmp(*sort, *order, weights);
-            top_k_by(entries.into_iter(), *k, cmp)
+            top_k_by(features, *k, make_cmp(*sort, *order, weights))
         }
-        QueryKind::Filter { predicate } => {
-            let mut kept: Vec<FeatureEntry> = entries
-                .into_iter()
-                .filter(|e| predicate.accepts(e.feature, &e.counts))
-                .collect();
-            // Deterministic output order: by feature id.
-            kept.sort_by_key(|e| e.feature);
-            kept
-        }
+        // The merge yields feature-id order, the filter's output order.
+        QueryKind::Filter { predicate } => features
+            .filter(|e| predicate.accepts(e.feature, &e.counts))
+            .collect(),
     };
 
     QueryResult {
@@ -175,7 +163,7 @@ pub fn execute(
 mod tests {
     use super::*;
     use crate::query::request::FilterPredicate;
-    use ips_types::{ActionTypeId, DurationMs, ProfileId, TableId, TimeRange};
+    use ips_types::{ActionTypeId, DurationMs, FeatureId, ProfileId, TableId, TimeRange};
 
     const SLOT: SlotId = SlotId(1);
     const LIKE: ActionTypeId = ActionTypeId(1);

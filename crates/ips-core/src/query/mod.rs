@@ -7,6 +7,7 @@
 //! with a filter or a top-K selection on the requested sort key.
 
 pub mod engine;
+pub(crate) mod merge;
 pub mod request;
 pub mod topk;
 pub mod udaf;

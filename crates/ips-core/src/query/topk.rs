@@ -1,16 +1,16 @@
 //! Bounded top-K selection.
 //!
 //! Queries routinely ask for the top handful of features out of hundreds of
-//! merged candidates, so a bounded binary heap (O(n log k)) beats a full
-//! sort (O(n log n)). Ties break on feature id so results are deterministic
-//! regardless of hash-map iteration order.
+//! merged candidates, streamed from the merge. A buffer of at most `2k`
+//! candidates is cut back to the best `k` in linear time whenever it fills,
+//! so memory stays O(k) and the work is O(n) on average before one final
+//! sort of `k` items. Callers supply a total order (ties break on feature
+//! id), so results are deterministic.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Select the `k` largest items under `cmp` (a total "greater-is-better"
-/// order), returning them best-first. Stable across runs: callers must
-/// supply a total order (use a tie-break key).
+/// order), returning them best-first.
 pub fn top_k_by<T>(
     items: impl Iterator<Item = T>,
     k: usize,
@@ -19,54 +19,20 @@ pub fn top_k_by<T>(
     if k == 0 {
         return Vec::new();
     }
-
-    // Min-heap of the current best k: the root is the worst of the best,
-    // evicted whenever something better arrives.
-    struct Entry<T, F: Fn(&T, &T) -> Ordering> {
-        item: T,
-        cmp: std::rc::Rc<F>,
-    }
-    impl<T, F: Fn(&T, &T) -> Ordering> PartialEq for Entry<T, F> {
-        fn eq(&self, other: &Self) -> bool {
-            (self.cmp)(&self.item, &other.item) == Ordering::Equal
-        }
-    }
-    impl<T, F: Fn(&T, &T) -> Ordering> Eq for Entry<T, F> {}
-    impl<T, F: Fn(&T, &T) -> Ordering> PartialOrd for Entry<T, F> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<T, F: Fn(&T, &T) -> Ordering> Ord for Entry<T, F> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we need the min at the root.
-            (self.cmp)(&other.item, &self.item)
-        }
-    }
-
-    let cmp = std::rc::Rc::new(cmp);
+    let best_first = |a: &T, b: &T| cmp(b, a);
+    let limit = k.saturating_mul(2);
     // Cap the preallocation: k may be "give me everything" (usize::MAX-ish).
-    let mut heap: BinaryHeap<Entry<T, _>> =
-        BinaryHeap::with_capacity(k.saturating_add(1).min(4_096));
+    let mut kept = Vec::with_capacity(limit.min(4_096));
     for item in items {
-        if heap.len() < k {
-            heap.push(Entry {
-                item,
-                cmp: std::rc::Rc::clone(&cmp),
-            });
-        } else if let Some(worst) = heap.peek() {
-            if (cmp)(&item, &worst.item) == Ordering::Greater {
-                heap.pop();
-                heap.push(Entry {
-                    item,
-                    cmp: std::rc::Rc::clone(&cmp),
-                });
-            }
+        if kept.len() == limit {
+            kept.select_nth_unstable_by(k, best_first);
+            kept.truncate(k);
         }
+        kept.push(item);
     }
-    let mut out: Vec<T> = heap.into_iter().map(|e| e.item).collect();
-    out.sort_by(|a, b| (cmp)(b, a));
-    out
+    kept.sort_unstable_by(best_first);
+    kept.truncate(k);
+    kept
 }
 
 #[cfg(test)]

@@ -14,11 +14,11 @@
 //! IPS: the upstream ships the computation, not the data.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 use ips_types::{ActionTypeId, DurationMs, FeatureId, SlotId, Timestamp};
 
 use crate::model::{CountRow, ProfileData};
+use crate::query::merge::WindowMerge;
 use crate::query::topk::top_k_by;
 
 /// One contribution delivered to a UDAF: a feature's counts inside one
@@ -54,45 +54,36 @@ pub trait UserDefinedAggregate {
     fn finish(&self, state: Self::State) -> Self::Output;
 }
 
-/// Execute a UDAF over `profile`'s `slot` within `[lo, hi)`, returning every
-/// feature's final value (unordered).
-pub fn execute_udaf<U: UserDefinedAggregate>(
-    profile: &ProfileData,
+/// Execute a UDAF over `profile`'s `slot` within `[lo, hi)`, yielding every
+/// feature's final value in feature-id order. Each feature's contributions
+/// are folded as they leave the merge, so one state is alive at a time.
+pub fn execute_udaf<'a, U: UserDefinedAggregate>(
+    profile: &'a ProfileData,
     slot: SlotId,
     action: Option<ActionTypeId>,
     lo: Timestamp,
     hi: Timestamp,
     now: Timestamp,
-    udaf: &U,
-) -> Vec<(FeatureId, U::Output)> {
-    let range = profile.slices_in_window(lo, hi);
-    let mut states: HashMap<FeatureId, U::State> = HashMap::new();
-    for slice in &profile.slices()[range] {
-        let Some(set) = slice.slot(slot) else {
-            continue;
-        };
-        let age = now.distance(slice.end().min(now));
-        let wanted = set
-            .iter()
-            .filter(|(a, _)| action.is_none() || action == Some(*a));
-        for (a, stats) in wanted {
-            for (feature, counts) in stats.iter() {
-                let contribution = Contribution {
-                    feature,
-                    action: a,
-                    counts,
-                    age,
-                    slice_end: slice.end(),
-                };
-                let state = states.entry(feature).or_insert_with(|| udaf.init());
-                udaf.fold(state, &contribution);
-            }
+    udaf: &'a U,
+) -> impl Iterator<Item = (FeatureId, U::Output)> + 'a {
+    let mut merge = WindowMerge::new(profile, slot, action, lo, hi);
+    let window = merge.window();
+    std::iter::from_fn(move || {
+        let first = merge.next()?;
+        let mut state = udaf.init();
+        for row in std::iter::successors(Some(first), |_| merge.next_of(first.feature)) {
+            let slice_end = window[row.slice].end();
+            let contribution = Contribution {
+                feature: row.feature,
+                action: row.action,
+                counts: row.counts,
+                age: now.distance(slice_end.min(now)),
+                slice_end,
+            };
+            udaf.fold(&mut state, &contribution);
         }
-    }
-    states
-        .into_iter()
-        .map(|(fid, state)| (fid, udaf.finish(state)))
-        .collect()
+        Some((first.feature, udaf.finish(state)))
+    })
 }
 
 /// Execute a UDAF and return the top `k` features by its output, descending,
@@ -113,7 +104,7 @@ where
     U::Output: PartialOrd,
 {
     let all = execute_udaf(profile, slot, action, lo, hi, now, udaf);
-    top_k_by(all.into_iter(), k, |a, b| {
+    top_k_by(all, k, |a, b| {
         a.1.partial_cmp(&b.1)
             .unwrap_or(Ordering::Equal)
             .then_with(|| a.0.cmp(&b.0))
@@ -266,7 +257,7 @@ mod tests {
         for d in 0..3u64 {
             add(&mut p, day * (2 + d), 2, &[1]);
         }
-        let out = execute_udaf(
+        let out: Vec<_> = execute_udaf(
             &p,
             SLOT,
             None,
@@ -274,7 +265,8 @@ mod tests {
             ts(day * 30),
             ts(day * 30),
             &DistinctActiveDays,
-        );
+        )
+        .collect();
         let get = |fid: u64| {
             out.iter()
                 .find(|(f, _)| *f == FeatureId::new(fid))
@@ -307,7 +299,7 @@ mod tests {
         let mut p = ProfileData::new();
         add(&mut p, 1_000, 1, &[5]);
         add(&mut p, 100_000, 2, &[5]);
-        let out = execute_udaf(
+        let out: Vec<_> = execute_udaf(
             &p,
             SLOT,
             None,
@@ -315,7 +307,8 @@ mod tests {
             ts(200_000),
             ts(200_000),
             &DistinctActiveDays,
-        );
+        )
+        .collect();
         assert_eq!(out.len(), 1, "only the in-window feature contributes");
         assert_eq!(out[0].0, FeatureId::new(2));
     }
@@ -333,7 +326,7 @@ mod tests {
             AggregateFunction::Sum,
             DurationMs::from_secs(1),
         );
-        let out = execute_udaf(
+        let out: Vec<_> = execute_udaf(
             &p,
             SLOT,
             Some(LIKE),
@@ -341,7 +334,8 @@ mod tests {
             ts(1_000_000),
             ts(1_000_000),
             &DistinctActiveDays,
-        );
+        )
+        .collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, FeatureId::new(1));
     }
@@ -349,7 +343,7 @@ mod tests {
     #[test]
     fn empty_window_is_empty() {
         let p = ProfileData::new();
-        let out = execute_udaf(
+        let out: Vec<_> = execute_udaf(
             &p,
             SLOT,
             None,
@@ -357,7 +351,8 @@ mod tests {
             ts(1),
             ts(1),
             &DistinctActiveDays,
-        );
+        )
+        .collect();
         assert!(out.is_empty());
     }
 
@@ -382,7 +377,7 @@ mod tests {
         add(&mut p, 1_000, 1, &[3]);
         add(&mut p, 5_000, 1, &[9]);
         add(&mut p, 9_000, 1, &[4]);
-        let out = execute_udaf(
+        let out: Vec<_> = execute_udaf(
             &p,
             SLOT,
             None,
@@ -390,7 +385,8 @@ mod tests {
             ts(1_000_000),
             ts(1_000_000),
             &MaxBurst,
-        );
+        )
+        .collect();
         assert_eq!(out[0].1, 9);
     }
 }

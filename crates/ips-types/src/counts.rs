@@ -2,9 +2,10 @@
 //!
 //! Each feature is associated with a small vector of action counts (clicks,
 //! likes, comments, shares, impressions, ...). The paper's *Indexed Feature
-//! Stat* stores them as "either an int64 pair or a list"; we model both with
-//! one inline small-vector type: most features carry one or two attributes, so
-//! the common case stays heap-free.
+//! Stat* stores them as "either an int64 pair or a list"; one inline array
+//! sized for [`MAX_ATTRIBUTES`] holds every width here, so a count vector
+//! never touches the heap. Tables commonly declare three attributes
+//! (likes, shares, impressions), a width an "int64 pair" would not hold.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -14,50 +15,44 @@ use std::ops::{Index, IndexMut};
 /// Production IPS tables track a handful of action attributes (clicks, likes,
 /// comments, shares, impressions, conversions, price, ...). Eight covers
 /// every workload in the paper's examples while keeping the inline
-/// representation a single cache line.
+/// representation at 72 bytes.
 pub const MAX_ATTRIBUTES: usize = 8;
-
-const INLINE: usize = 2;
 
 /// A small vector of signed 64-bit attribute counts.
 ///
-/// The first `len` entries are meaningful; the rest are zero. Up to
-/// [`INLINE`] values are stored inline ("int64 pair" fast path from the
-/// paper); longer vectors spill to the heap.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub enum CountVector {
-    /// At most two attributes, stored inline.
-    Inline { len: u8, vals: [i64; INLINE] },
-    /// Three or more attributes.
-    Spilled(Box<[i64]>),
+/// The first `len` entries are meaningful; the rest are zero, so derived
+/// equality and hashing see only the meaningful prefix.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct CountVector {
+    len: u8,
+    vals: [i64; MAX_ATTRIBUTES],
 }
 
 impl CountVector {
     /// An empty (zero-attribute) vector.
     #[must_use]
     pub const fn empty() -> Self {
-        CountVector::Inline {
+        Self {
             len: 0,
-            vals: [0; INLINE],
+            vals: [0; MAX_ATTRIBUTES],
         }
     }
 
-    /// A single-attribute vector — the most common production shape.
+    /// A single-attribute vector.
     #[must_use]
     pub const fn single(v: i64) -> Self {
-        CountVector::Inline {
-            len: 1,
-            vals: [v, 0],
-        }
+        let mut vals = [0; MAX_ATTRIBUTES];
+        vals[0] = v;
+        Self { len: 1, vals }
     }
 
     /// A two-attribute vector (the paper's "int64 pair").
     #[must_use]
     pub const fn pair(a: i64, b: i64) -> Self {
-        CountVector::Inline {
-            len: 2,
-            vals: [a, b],
-        }
+        let mut vals = [0; MAX_ATTRIBUTES];
+        vals[0] = a;
+        vals[1] = b;
+        Self { len: 2, vals }
     }
 
     /// Build from a slice. Panics if `vals.len() > MAX_ATTRIBUTES`.
@@ -68,25 +63,18 @@ impl CountVector {
             "count vector limited to {MAX_ATTRIBUTES} attributes, got {}",
             vals.len()
         );
-        match vals.len() {
-            0 => Self::empty(),
-            1 => Self::single(vals[0]),
-            2 => Self::pair(vals[0], vals[1]),
-            _ => CountVector::Spilled(vals.into()),
-        }
+        let mut v = Self::zeros(vals.len());
+        v.vals[..vals.len()].copy_from_slice(vals);
+        v
     }
 
     /// A zero vector with `len` attributes.
     #[must_use]
     pub fn zeros(len: usize) -> Self {
         assert!(len <= MAX_ATTRIBUTES);
-        if len <= INLINE {
-            CountVector::Inline {
-                len: len as u8,
-                vals: [0; INLINE],
-            }
-        } else {
-            CountVector::Spilled(vec![0; len].into())
+        Self {
+            len: len as u8,
+            vals: [0; MAX_ATTRIBUTES],
         }
     }
 
@@ -94,26 +82,20 @@ impl CountVector {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            CountVector::Inline { len, .. } => *len as usize,
-            CountVector::Spilled(v) => v.len(),
-        }
+        self.len as usize
     }
 
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// View as a slice.
     #[inline]
     #[must_use]
     pub fn as_slice(&self) -> &[i64] {
-        match self {
-            CountVector::Inline { len, vals } => &vals[..*len as usize],
-            CountVector::Spilled(v) => v,
-        }
+        &self.vals[..self.len()]
     }
 
     /// Attribute at `idx`, or 0 when the vector is shorter. Aggregating
@@ -125,29 +107,11 @@ impl CountVector {
         self.as_slice().get(idx).copied().unwrap_or(0)
     }
 
+    /// The first `max(len, min_len)` attributes, widening with zeros.
     fn make_mut(&mut self, min_len: usize) -> &mut [i64] {
         assert!(min_len <= MAX_ATTRIBUTES);
-        let cur = self.len();
-        let target = cur.max(min_len);
-        if target > INLINE {
-            if let CountVector::Inline { len, vals } = self {
-                let mut v = vec![0i64; target];
-                v[..*len as usize].copy_from_slice(&vals[..*len as usize]);
-                *self = CountVector::Spilled(v.into());
-            } else if let CountVector::Spilled(v) = self {
-                if v.len() < target {
-                    let mut grown = vec![0i64; target];
-                    grown[..v.len()].copy_from_slice(v);
-                    *self = CountVector::Spilled(grown.into());
-                }
-            }
-        } else if let CountVector::Inline { len, .. } = self {
-            *len = (*len).max(target as u8);
-        }
-        match self {
-            CountVector::Inline { len, vals } => &mut vals[..*len as usize],
-            CountVector::Spilled(v) => v,
-        }
+        self.len = self.len.max(min_len as u8);
+        &mut self.vals[..self.len as usize]
     }
 
     /// Set attribute `idx`, widening the vector with zeros if needed.
@@ -177,11 +141,7 @@ impl CountVector {
         let shared = self.len().min(other.len());
         let dst = self.make_mut(other.len());
         for (i, v) in other.iter().enumerate() {
-            if i < shared {
-                dst[i] = dst[i].min(*v);
-            } else {
-                dst[i] = *v;
-            }
+            dst[i] = if i < shared { dst[i].min(*v) } else { *v };
         }
     }
 
@@ -195,15 +155,6 @@ impl CountVector {
     pub fn scale(&mut self, factor: f64) {
         scale_counts(self.make_mut(0), factor);
     }
-
-    /// Approximate heap + inline footprint in bytes, for memory accounting.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            CountVector::Inline { .. } => std::mem::size_of::<CountVector>(),
-            CountVector::Spilled(v) => std::mem::size_of::<CountVector>() + v.len() * 8,
-        }
-    }
 }
 
 /// [`CountVector::scale`] over a plain slice of counts.
@@ -211,12 +162,6 @@ pub fn scale_counts(counts: &mut [i64], factor: f64) {
     for v in counts {
         // Saturate rather than wrap on overflow of the f64 -> i64 cast.
         *v = (*v as f64 * factor) as i64;
-    }
-}
-
-impl Default for CountVector {
-    fn default() -> Self {
-        Self::empty()
     }
 }
 
@@ -232,11 +177,7 @@ impl IndexMut<usize> for CountVector {
     #[inline]
     fn index_mut(&mut self, idx: usize) -> &mut i64 {
         let len = self.len();
-        assert!(idx < len, "index {idx} out of bounds for len {len}");
-        match self {
-            CountVector::Inline { vals, .. } => &mut vals[idx],
-            CountVector::Spilled(v) => &mut v[idx],
-        }
+        &mut self.vals[..len][idx]
     }
 }
 
@@ -268,14 +209,12 @@ mod tests {
         assert_eq!(CountVector::single(5).as_slice(), &[5]);
         assert_eq!(CountVector::pair(1, 2).as_slice(), &[1, 2]);
         assert_eq!(CountVector::from_slice(&[1, 2, 3]).as_slice(), &[1, 2, 3]);
-        assert!(matches!(
-            CountVector::from_slice(&[1, 2, 3]),
-            CountVector::Spilled(_)
-        ));
-        assert!(matches!(
-            CountVector::from_slice(&[1, 2]),
-            CountVector::Inline { .. }
-        ));
+        assert_eq!(CountVector::from_slice(&[1, 2]), CountVector::pair(1, 2));
+        // A widened vector equals one built at that width: the unused tail
+        // stays zero.
+        let mut widened = CountVector::single(1);
+        widened.merge_sum(&[0, 2]);
+        assert_eq!(widened, CountVector::pair(1, 2));
     }
 
     #[test]
@@ -338,13 +277,16 @@ mod tests {
     }
 
     #[test]
-    fn index_mut_works_inline_and_spilled() {
+    fn index_mut_works_at_every_width() {
         let mut a = CountVector::pair(1, 2);
         a[1] = 20;
         assert_eq!(a.as_slice(), &[1, 20]);
         let mut b = CountVector::from_slice(&[1, 2, 3]);
         b[2] = 30;
         assert_eq!(b.as_slice(), &[1, 2, 30]);
+        let mut c = CountVector::zeros(MAX_ATTRIBUTES);
+        c[MAX_ATTRIBUTES - 1] = 7;
+        assert_eq!(c.get_or_zero(MAX_ATTRIBUTES - 1), 7);
     }
 
     #[test]
@@ -355,10 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_spilled_larger() {
-        assert!(
-            CountVector::from_slice(&[1, 2, 3, 4]).approx_bytes()
-                > CountVector::pair(1, 2).approx_bytes()
-        );
+    fn one_inline_size_for_every_width() {
+        // No heap part: a vector of any width is its inline array plus
+        // the length, padded to the array's alignment.
+        assert_eq!(std::mem::size_of::<CountVector>(), 8 * (MAX_ATTRIBUTES + 1));
     }
 }
