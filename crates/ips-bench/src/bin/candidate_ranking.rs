@@ -6,15 +6,15 @@
 //! the batched path groups candidates by owning instance into one frame
 //! per owner, so the fixed cost is paid once per frame and only the
 //! size-proportional transfer term scales with N. This harness sweeps
-//! batch sizes {1, 16, 128, 512} in both modes, prints per-candidate
-//! latency, writes `BENCH_batch_query.json`, and asserts the headline
-//! claim: at batch 128, batched per-candidate mean is at most 1/5 of the
-//! per-profile mean.
+//! batch sizes {1, 16, 128, 512} in both modes, prices each call's
+//! measured frames offline ([`ips_bench::CostModel`]), prints
+//! per-candidate latency, writes `BENCH_batch_query.json`, and asserts the
+//! headline claim: at batch 128, batched per-candidate mean is at most 1/5
+//! of the per-profile mean.
 
 use std::fmt::Write as _;
 
 use ips_bench::{banner, bar_table, testbed, TestbedOptions, TABLE};
-use ips_cluster::NetworkModel;
 use ips_core::query::ProfileQuery;
 use ips_types::{
     ActionTypeId, CallerId, Clock, CountVector, FeatureId, ProfileId, SlotId, TimeRange,
@@ -84,17 +84,17 @@ fn main() {
                 .collect();
 
             // Batched: one fan-out, one frame per owner.
-            let outcome = tb.client.query_batch(caller, &queries).unwrap();
+            let (outcome, priced) = tb.query_batch(caller, &queries).unwrap();
             assert!(outcome.all_ok(), "batched sub-query failed");
-            batched_total += outcome.latency.total_us() as f64;
+            batched_total += priced.total_us() as f64;
 
             // Per-profile: one call per candidate, sequential (the status
             // quo the batch path replaces).
             let mut sum = 0u64;
             for q in &queries {
-                let (result, breakdown) = tb.client.query(caller, q).unwrap();
+                let (result, priced) = tb.query(caller, q).unwrap();
                 assert!(!result.is_empty(), "candidate profile missing");
-                sum += breakdown.total_us();
+                sum += priced.total_us();
             }
             single_total += sum as f64;
         }
@@ -126,7 +126,7 @@ fn main() {
 
     // JSON artefact for downstream tooling (no serde: the shape is flat).
     let mut json = String::from("{\n  \"bench\": \"batch_query\",\n");
-    let net = NetworkModel::production_default();
+    let net = tb.cost.network;
     let _ = writeln!(
         json,
         "  \"network\": {{\"rtt_us\": {}, \"per_kib_us\": {}}},",

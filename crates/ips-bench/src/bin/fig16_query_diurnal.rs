@@ -8,8 +8,9 @@
 //! *shape*: flat p50, mildly load-sensitive p99, throughput tracking the
 //! curve.
 //!
-//! Latency composition per EXPERIMENTS.md: measured server compute +
-//! modeled network + modeled storage on cache misses.
+//! Latency composition per EXPERIMENTS.md: measured call time + network
+//! and cache-miss storage time priced offline from the call's measured
+//! bytes and store fetch.
 
 use ips_bench::{banner, testbed, TestbedOptions, TABLE};
 use ips_core::query::ProfileQuery;
@@ -62,8 +63,8 @@ fn main() {
             // Keep the 10:1 read:write mix of the production cluster.
             if generator.next_is_read() {
                 let q: ProfileQuery = generator.query(tb.ctl.now());
-                let (_, breakdown) = tb.client.query(caller, &q).unwrap();
-                hist.record(breakdown.total_us());
+                let (_, priced) = tb.query(caller, &q).unwrap();
+                hist.record(priced.total_us());
             } else {
                 let rec = generator.instance(tb.ctl.now());
                 tb.client

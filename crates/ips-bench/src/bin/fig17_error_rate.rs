@@ -130,8 +130,8 @@ fn run_point(inject: f64, degraded: bool) -> Point {
                 10,
             );
             queries += 1;
-            if let Ok((_r, b)) = tb.client.query(CALLER, &q) {
-                lat.record(b.total_us());
+            if let Ok((_r, priced)) = tb.query(CALLER, &q) {
+                lat.record(priced.total_us());
             }
         }
         // Re-evict between rounds so every query keeps exercising the

@@ -5,7 +5,7 @@
 //! because they only touch the head slice. Writes flow through the full
 //! ingestion path (workload → client fan-out → instance write path).
 
-use ips_bench::{banner, testbed, TestbedOptions, TABLE};
+use ips_bench::{banner, testbed, timed, TestbedOptions, TABLE};
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_metrics::{Histogram, TimeSeries};
 use ips_types::{CallerId, Clock, DurationMs};
@@ -42,9 +42,8 @@ fn main() {
                 read_count.set(read_count.get() + 1);
             } else {
                 let rec = generator.instance(tb.ctl.now());
-                let breakdown = tb
-                    .client
-                    .add_profiles(
+                let (wire, measured_us) = timed(|| {
+                    tb.client.add_profiles(
                         caller,
                         TABLE,
                         rec.user,
@@ -53,8 +52,9 @@ fn main() {
                         rec.action_type,
                         &[(rec.feature, rec.counts.clone())],
                     )
-                    .unwrap();
-                hist.record(breakdown.total_us());
+                });
+                let priced = tb.cost.price_write(measured_us, &wire.unwrap());
+                hist.record(priced.total_us());
                 write_count.set(write_count.get() + 1);
             }
         }

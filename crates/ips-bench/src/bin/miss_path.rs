@@ -11,9 +11,9 @@
 //! * **Projection** — queries that touch 1 of 8 slices of a split-persisted
 //!   profile versus queries that decode the full profile. The projected
 //!   miss fetches only the slices its window overlaps (plus the head
-//!   slice), so its client-observed latency — including the modeled
-//!   storage fetch, whose cost scales with bytes read — must come in at
-//!   least 2× below the full decode at p99.
+//!   slice), so its client-observed latency — including the storage fetch
+//!   priced offline from the bytes it read — must come in at least 2×
+//!   below the full decode at p99.
 //!
 //! Writes `BENCH_miss_path.json`. `--smoke` shrinks the workload for CI.
 
@@ -258,18 +258,18 @@ fn main() {
         let user = ProfileId::new(10_000 + u);
         evict_everywhere(user);
         let q = ProfileQuery::top_k(TABLE, user, SlotId::new(1), narrow_range, 100);
-        let (r, breakdown) = tb.client.query(caller, &q).expect("projected query");
+        let (r, priced) = tb.query(caller, &q).expect("projected query");
         assert!(!r.cache_hit, "evicted user must miss");
         assert!(!r.is_empty());
-        projected.record(breakdown.total_us());
+        projected.record(priced.total_us());
         projected_bytes += r.kv_bytes_read;
 
         evict_everywhere(user);
         let q = ProfileQuery::top_k(TABLE, user, SlotId::new(1), full_range, 100);
-        let (r, breakdown) = tb.client.query(caller, &q).expect("full query");
+        let (r, priced) = tb.query(caller, &q).expect("full query");
         assert!(!r.cache_hit, "evicted user must miss");
         assert!(!r.is_empty());
-        full.record(breakdown.total_us());
+        full.record(priced.total_us());
         full_bytes += r.kv_bytes_read;
     }
     latency_row("miss / 1-of-8 slices", &projected.snapshot());

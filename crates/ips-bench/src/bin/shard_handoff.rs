@@ -163,9 +163,9 @@ fn run_arm(warmed: bool, keys: u64) -> ArmResult {
             TimeRange::last_days(1),
             10,
         );
-        let (r, breakdown) = tb.client.query(CALLER, &q).expect("post-scale query");
+        let (r, priced) = tb.query(CALLER, &q).expect("post-scale query");
         assert_eq!(r.len(), 1, "no key may be lost across the scale event");
-        latencies.record(breakdown.total_us());
+        latencies.record(priced.total_us());
     }
     let (loads_after, misses_after) = fleet_stats(&tb);
     let store_loads = loads_after - loads_before;

@@ -7,8 +7,10 @@
 //! harness traces every measured query (per-caller sampling override: the
 //! measurement caller is always sampled, the preload caller never), drains
 //! the collected spans, and derives the decomposition — client dispatch,
-//! serialization, network, cache, KV fetch, compute — from
-//! the span tree instead of hand-threaded breakdown fields. It prints the
+//! serialization, network, cache, KV fetch, compute — from the span tree.
+//! Spans hold measured time only: the `network` and `kv_fetch` stages are
+//! priced offline ([`CostModel`]) from the byte and store-fetch attributes
+//! every `attempt` span carries. It prints the
 //! same 2×2 table, writes `BENCH_table2_trace.json` with the per-stage
 //! percentiles (hit/miss/batch splits) and `BENCH_table2_chrome_trace.json`
 //! with a Perfetto-loadable dump of the first traces.
@@ -19,7 +21,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use ips_bench::{banner, latency_row, testbed, TestbedOptions, TABLE};
+use ips_bench::{banner, latency_row, testbed, CostModel, TestbedOptions, TABLE};
+use ips_cluster::FrameBytes;
 use ips_core::query::ProfileQuery;
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_metrics::Histogram;
@@ -51,6 +54,27 @@ fn query_for(user: ProfileId) -> ProfileQuery {
 /// per-thread ring buffers never wrap).
 fn drain_into(tracer: &Tracer, spans: &mut Vec<SpanRecord>) {
     spans.extend(tracer.drain());
+}
+
+/// A numeric span attribute (0 when absent).
+fn attr_u64(rec: &SpanRecord, key: &str) -> u64 {
+    rec.attr(key).and_then(|v| v.parse().ok()).unwrap_or(0)
+}
+
+/// Price an `attempt` span's measured facts: its frame's network time and,
+/// for a single-query reply that fetched from the store, the fetch.
+fn price_attempt(cost: &CostModel, rec: &SpanRecord) -> (u64, u64) {
+    let bytes = FrameBytes {
+        sent: attr_u64(rec, "sent_bytes") as u32,
+        received: attr_u64(rec, "received_bytes") as u32,
+    };
+    let round_trips = attr_u64(rec, "kv_round_trips") as u32;
+    let fetch = if round_trips == 0 {
+        0
+    } else {
+        cost.fetch_us(round_trips, attr_u64(rec, "kv_bytes"))
+    };
+    (cost.frame_us(bytes), fetch)
 }
 
 fn main() {
@@ -118,10 +142,10 @@ fn main() {
     println!("measuring hit path ({hit_n} queries) ...");
     for i in 0..hit_n {
         let user = generator.sample_user();
-        let (result, breakdown) = tb.client.query(MEASURED, &query_for(user)).unwrap();
+        let (result, priced) = tb.query(MEASURED, &query_for(user)).unwrap();
         if result.cache_hit {
-            client_hit.record(breakdown.total_us());
-            server_hit.record(breakdown.server_us + breakdown.storage_us);
+            client_hit.record(priced.total_us());
+            server_hit.record(priced.measured_us + priced.storage_us);
         }
         if i % 32 == 0 {
             drain_into(&tracer, &mut spans);
@@ -138,10 +162,10 @@ fn main() {
         for ep in tb.deployment.all_endpoints() {
             let _ = ep.instance().table(TABLE).unwrap().cache.evict(user);
         }
-        let (result, breakdown) = tb.client.query(MEASURED, &query_for(user)).unwrap();
+        let (result, priced) = tb.query(MEASURED, &query_for(user)).unwrap();
         if !result.cache_hit && !result.is_empty() {
-            client_miss.record(breakdown.total_us());
-            server_miss.record(breakdown.server_us + breakdown.storage_us);
+            client_miss.record(priced.total_us());
+            server_miss.record(priced.measured_us + priced.storage_us);
             missed += 1;
         }
         // Drain on the *iteration* count, not `missed`: long runs of
@@ -154,6 +178,7 @@ fn main() {
     // A short batched pass so the batch split (client dispatch, one
     // `server` span per frame) appears in the decomposition.
     println!("measuring batched path ({batch_calls} batches of {batch_size}) ...");
+    let mut batch_b = StageBreakdown::new();
     for i in 0..batch_calls {
         let queries: Vec<ProfileQuery> = (0..batch_size)
             .map(|j| {
@@ -161,8 +186,11 @@ fn main() {
                 query_for(ProfileId::new(pid))
             })
             .collect();
-        let outcome = tb.client.query_batch(MEASURED, &queries).unwrap();
+        let (outcome, priced) = tb.query_batch(MEASURED, &queries).unwrap();
         assert!(outcome.all_ok(), "batched sub-query failed");
+        // A batch's frames overlap within a round, so its client total is
+        // priced from the call's wire log rather than summed over spans.
+        batch_b.record("client_total", priced.total_us());
         drain_into(&tracer, &mut spans);
     }
     drain_into(&tracer, &mut spans);
@@ -179,7 +207,6 @@ fn main() {
     }
     let mut hit_b = StageBreakdown::new();
     let mut miss_b = StageBreakdown::new();
-    let mut batch_b = StageBreakdown::new();
     let (mut hit_traces, mut miss_traces, mut batch_traces) = (0u64, 0u64, 0u64);
     let mut chrome_records: Vec<SpanRecord> = Vec::new();
     let mut chrome_trace_count = 0usize;
@@ -204,14 +231,21 @@ fn main() {
             }
             _ => continue,
         };
-        // Client-observed total: the measured root duration plus the
-        // modeled (never-slept) network and KV components inside it.
-        let modeled: u64 = recs
-            .iter()
-            .filter(|r| r.attr("modeled") == Some("true"))
-            .map(|r| r.duration_us())
-            .sum();
-        breakdown.record("client_total", root.duration_us() + modeled);
+        // Price every attempt's measured facts. A single query's attempts
+        // run one after another, so its client total is the measured root
+        // plus their sum.
+        let mut priced = 0;
+        for rec in recs.iter().filter(|r| r.name == "attempt") {
+            let (network_us, fetch_us) = price_attempt(&tb.cost, rec);
+            breakdown.record("network", network_us);
+            if fetch_us > 0 {
+                breakdown.record("kv_fetch", fetch_us);
+            }
+            priced += network_us + fetch_us;
+        }
+        if root.name == "query" {
+            breakdown.record("client_total", root.duration_us() + priced);
+        }
         for rec in recs {
             if rec.parent.is_some() {
                 breakdown.record_span(rec);
@@ -263,7 +297,7 @@ fn main() {
     );
 
     println!();
-    println!("                              (client = server + modeled network)");
+    println!("                              (client = server + priced network)");
     latency_row("server / cache hit", &server_hit.snapshot());
     latency_row("client / cache hit", &client_hit.snapshot());
     latency_row("server / cache miss", &server_miss.snapshot());

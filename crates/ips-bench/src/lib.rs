@@ -2,9 +2,10 @@
 //!
 //! One binary per paper figure/table (see `src/bin/`), plus Criterion
 //! micro-benchmarks (see `benches/`). This library holds the shared
-//! scaffolding: deployment builders, latency recorders keyed to the
-//! simulated clock, and table renderers, so every harness prints its series
-//! in the same shape as the paper's figure.
+//! scaffolding: deployment builders, the offline latency pricer
+//! ([`latency`]) that turns a call's measured bytes and store fetches into
+//! the paper's network and storage time, and table renderers, so every
+//! harness prints its series in the same shape as the paper's figure.
 //!
 //! Experiment index (DESIGN.md §4):
 //!
@@ -25,34 +26,45 @@
 //! | `quota_enforcement` | §V-b — per-tenant QPS protection |
 //! | `shard_handoff` | §IV intro — warmed vs cold scale-up serving cost |
 
+pub mod latency;
+
 use std::sync::Arc;
 
-use ips_cluster::{IpsClusterClient, MultiRegionDeployment, MultiRegionOptions, NetworkModel};
+use ips_cluster::{
+    BatchQueryOutcome, IpsClusterClient, MultiRegionDeployment, MultiRegionOptions, NetworkModel,
+};
+use ips_core::query::{ProfileQuery, QueryResult};
 use ips_core::server::IpsInstanceOptions;
 use ips_kv::KvLatencyModel;
 use ips_metrics::HistogramSnapshot;
-use ips_types::clock::sim_clock;
+use ips_types::clock::{monotonic_micros, sim_clock};
 use ips_types::{
-    DegradedServingConfig, DurationMs, QuotaConfig, SimClock, TableConfig, TableId, Timestamp,
+    CallerId, DegradedServingConfig, DurationMs, QuotaConfig, Result, SimClock, TableConfig,
+    TableId, Timestamp,
 };
+
+pub use latency::{CostModel, Priced};
 
 /// The table id every harness uses.
 pub const TABLE: TableId = TableId(1);
 
-/// A standard two-region deployment with a production-shaped network and
-/// storage model, on a simulated clock. Most harnesses start here.
+/// A standard two-region deployment on a simulated clock, with the cost
+/// model its calls are priced by. Most harnesses start here.
 pub struct Testbed {
     pub deployment: MultiRegionDeployment,
     pub client: IpsClusterClient,
     pub ctl: SimClock,
+    pub cost: CostModel,
 }
 
 /// Options for [`testbed`].
 pub struct TestbedOptions {
     pub regions: usize,
     pub instances_per_region: usize,
+    /// The transport's loss fault (lossless by default).
     pub network: NetworkModel,
-    pub storage: KvLatencyModel,
+    /// Prices the testbed's calls offline.
+    pub cost: CostModel,
     pub table: TableConfig,
     pub quota: QuotaConfig,
     /// Server-side degraded (stale) serving policy.
@@ -66,8 +78,8 @@ impl Default for TestbedOptions {
         Self {
             regions: 2,
             instances_per_region: 2,
-            network: NetworkModel::production_default(),
-            storage: KvLatencyModel::production_default(),
+            network: NetworkModel::zero(),
+            cost: CostModel::PRODUCTION,
             table,
             quota: QuotaConfig {
                 qps_limit: u64::MAX / 2,
@@ -105,7 +117,7 @@ pub fn testbed(options: TestbedOptions) -> Testbed {
     let client = IpsClusterClient::new(
         Arc::clone(&deployment.discovery),
         "region-0",
-        options.storage,
+        KvLatencyModel::zero(),
     );
     client.add_endpoints(deployment.all_endpoints());
     client.refresh();
@@ -113,6 +125,36 @@ pub fn testbed(options: TestbedOptions) -> Testbed {
         deployment,
         client,
         ctl,
+        cost: options.cost,
+    }
+}
+
+/// Run `call`, returning its output and the wall time it took, µs.
+pub fn timed<T>(call: impl FnOnce() -> T) -> (T, u64) {
+    let started = monotonic_micros();
+    let out = call();
+    (out, monotonic_micros().saturating_sub(started))
+}
+
+impl Testbed {
+    /// [`IpsClusterClient::query`], timed and priced.
+    pub fn query(&self, caller: CallerId, query: &ProfileQuery) -> Result<(QueryResult, Priced)> {
+        let (out, measured_us) = timed(|| self.client.query(caller, query));
+        let (result, wire) = out?;
+        let priced = self.cost.price_query(measured_us, &result, &wire);
+        Ok((result, priced))
+    }
+
+    /// [`IpsClusterClient::query_batch`], timed and priced.
+    pub fn query_batch(
+        &self,
+        caller: CallerId,
+        queries: &[ProfileQuery],
+    ) -> Result<(BatchQueryOutcome, Priced)> {
+        let (out, measured_us) = timed(|| self.client.query_batch(caller, queries));
+        let outcome = out?;
+        let priced = self.cost.price_batch(measured_us, &outcome);
+        Ok((outcome, priced))
     }
 }
 
@@ -188,9 +230,23 @@ mod tests {
             TimeRange::last_days(1),
             5,
         );
-        let (r, breakdown) = tb.client.query(CallerId::new(1), &q).unwrap();
+        let (r, priced) = tb.query(CallerId::new(1), &q).unwrap();
         assert_eq!(r.len(), 1);
-        assert!(breakdown.network_us > 0, "network model active");
+        assert!(r.cache_hit);
+        // One attempt, both directions delivered: the pricer charges two
+        // traversals and no store fetch.
+        let (_, wire) = tb.client.query(CallerId::new(1), &q).unwrap();
+        let [frame] = wire.frames() else {
+            panic!("one attempt expected, got {:?}", wire.frames());
+        };
+        assert!(frame.bytes.sent > 0 && frame.bytes.received > 0);
+        assert_eq!(priced.network_us, tb.cost.frame_us(frame.bytes));
+        assert!(priced.network_us > 2 * tb.cost.network.rtt_us);
+        assert_eq!(priced.storage_us, 0);
+        assert!(
+            priced.total_us() > priced.network_us,
+            "measured time is included"
+        );
     }
 
     #[test]

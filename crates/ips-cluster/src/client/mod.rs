@@ -17,33 +17,33 @@
 //!
 //! * [`mod@self`] — the client struct, configuration, discovery refresh and
 //!   ring-based candidate routing;
-//! * [`latency`] — the latency decomposition types and the modeled
-//!   persistent-store component;
+//! * [`outcome`] — what a call reports besides its answer: the measured
+//!   [`WireLog`] and the client counters;
 //! * [`read`] — the query and batched-query orchestrations;
 //! * [`write`] — the all-region write fan-outs;
 //! * [`pipeline`] — the client-side interceptor chain the read/write paths
-//!   compose: deadline charge → breaker routing → retry/failover → trace.
+//!   compose: breaker routing → failover (with the deadline shed) → trace.
 
-mod latency;
+mod outcome;
 pub(crate) mod pipeline;
 mod read;
 #[cfg(test)]
 mod tests;
 mod write;
 
-pub use latency::{BatchQueryOutcome, ClientStats, LatencyBreakdown};
+pub use outcome::{BatchQueryOutcome, ClientStats, WireFrame, WireLog};
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use ips_kv::KvLatencyModel;
 use ips_metrics::Counter;
 use ips_trace::Tracer;
-use ips_types::{CallerId, CircuitBreakerConfig, DurationMs, Priority, ProfileId, RetryPolicy};
+use ips_types::{
+    ArmedDeadline, CallerId, CircuitBreakerConfig, Deadline, DurationMs, Priority, ProfileId,
+};
 
 use crate::discovery::Discovery;
 use crate::health::HealthRegistry;
@@ -72,12 +72,8 @@ pub struct IpsClusterClient {
     /// depend on hash iteration.
     rings: RwLock<BTreeMap<String, RegionRoute>>,
     home_region: String,
-    storage_model: KvLatencyModel,
-    storage_rng: parking_lot::Mutex<SmallRng>,
     /// Failover candidates tried per region before giving up on it.
     max_candidates: usize,
-    /// Retry policy: attempt budget and modeled backoff.
-    policy: RwLock<RetryPolicy>,
     /// Default deadline budget stamped on every request (None = unbounded).
     request_deadline: RwLock<Option<DurationMs>>,
     /// Scheduling priority stamped on every request; servers weight fair
@@ -102,21 +98,23 @@ impl IpsClusterClient {
     /// A client homed in `home_region`. Call [`IpsClusterClient::refresh`]
     /// (after registering endpoints) before first use and periodically
     /// thereafter.
+    ///
+    /// The storage model is ignored: the client models no time, and the
+    /// experiment harnesses price storage fetches offline from each
+    /// result's `kv_round_trips` / `kv_bytes_read`. The parameter remains
+    /// only so existing callers keep compiling.
     #[must_use]
     pub fn new(
         discovery: Arc<Discovery>,
         home_region: impl Into<String>,
-        storage_model: KvLatencyModel,
+        _storage_model: KvLatencyModel,
     ) -> Self {
         Self {
             discovery,
             endpoints: RwLock::new(HashMap::new()),
             rings: RwLock::new(BTreeMap::new()),
             home_region: home_region.into(),
-            storage_model,
-            storage_rng: parking_lot::Mutex::new(SmallRng::seed_from_u64(0xC11E47)),
             max_candidates: 3,
-            policy: RwLock::new(RetryPolicy::default()),
             request_deadline: RwLock::new(None),
             request_priority: RwLock::new(Priority::Normal),
             degraded_reads: RwLock::new(None),
@@ -130,31 +128,21 @@ impl IpsClusterClient {
         }
     }
 
-    /// Bound the total attempts per request. In production this models the
-    /// request deadline: a client that has burned its latency budget on
-    /// dead nodes fails the request even though more replicas exist. Fig
-    /// 17's residual error rate lives exactly in this window.
-    pub fn set_attempt_budget(&self, n: usize) {
-        self.policy.write().attempts = n.max(1);
-    }
-
-    /// Replace the whole retry policy.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.policy.write() = policy;
-    }
-
-    /// The current retry policy.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.policy.read()
-    }
-
-    /// Set (or clear) the per-request deadline budget. Every request is
-    /// stamped with the remaining budget; the client charges real elapsed
-    /// time plus modeled wire and backoff time across failover rounds, and
-    /// servers shed work whose budget expired in transit or in queue.
+    /// Set (or clear) the per-request deadline budget. Each logical
+    /// request arms it once; every attempt is stamped with what measured
+    /// elapsed time has left of it, the client sheds before an attempt once
+    /// it is gone, and servers shed work whose budget expired in queue.
     pub fn set_request_deadline(&self, budget: Option<DurationMs>) {
         *self.request_deadline.write() = budget;
+    }
+
+    /// Arm the configured budget at the start of one logical request
+    /// (None = unbounded). Every attempt, round, region and fallback of
+    /// that request draws down this one deadline.
+    fn arm_deadline(&self) -> Option<ArmedDeadline> {
+        self.request_deadline
+            .read()
+            .map(|budget| Deadline::from_budget(budget).arm())
     }
 
     /// Set the scheduling priority stamped on every request this client

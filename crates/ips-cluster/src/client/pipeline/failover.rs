@@ -1,123 +1,64 @@
-//! Retry/failover interceptor: the owner-then-siblings-then-regions walk
-//! with modeled exponential backoff, bounded by the attempt budget and the
-//! request deadline.
+//! Retry/failover interceptor: one owner-then-siblings-then-regions sweep,
+//! shed client-side once the request deadline has run out.
 
-use std::sync::Arc;
+use ips_types::{ArmedDeadline, IpsError, ProfileId, Result};
 
-use ips_types::{IpsError, ProfileId, Result, RetryPolicy};
-use rand::Rng;
-
-use crate::client::pipeline::deadline::DeadlineCharge;
-use crate::client::IpsClusterClient;
-use crate::rpc::{CallOptions, RpcEndpoint, RpcRequest, RpcResponse, WireCost};
+use crate::client::{IpsClusterClient, WireLog};
+use crate::rpc::{CallOptions, RpcRequest, RpcResponse};
 
 impl IpsClusterClient {
-    /// Modeled exponential backoff before retry number `tries` (1-based),
-    /// with multiplicative jitter. Charged against the deadline and the
-    /// trace, never slept.
-    pub(in crate::client) fn modeled_backoff_us(&self, policy: &RetryPolicy, tries: usize) -> u64 {
-        let base_us = policy.base_backoff.as_millis().saturating_mul(1_000);
-        if base_us == 0 {
-            return 0;
-        }
-        let expo = base_us.saturating_mul(1 << (tries - 1).min(6));
-        if policy.jitter <= 0.0 {
-            return expo;
-        }
-        let factor = {
-            let mut rng = self.storage_rng.lock();
-            rng.gen_range((1.0 - policy.jitter)..=(1.0 + policy.jitter))
-        };
-        (expo as f64 * factor).round() as u64
-    }
-
+    /// Walk `pid`'s candidates in `regions` once, stopping at the first
+    /// success or terminal error. Each attempt's bytes go to `wire` as the
+    /// next round of `lane`: attempts of one walk run one after another.
     pub(in crate::client) fn call_with_failover(
         &self,
         pid: ProfileId,
         request: &RpcRequest,
         regions: &[String],
-    ) -> Result<(RpcResponse, u64)> {
+        deadline: Option<&ArmedDeadline>,
+        wire: &mut WireLog,
+        lane: u32,
+    ) -> Result<RpcResponse> {
         self.attempts.inc();
-        let policy = self.retry_policy();
-        // The deadline decrements across failover rounds: real elapsed time
-        // is tracked by the armed anchor, modeled time (wire transit,
-        // backoff) is charged into the account explicitly.
-        let mut charge = DeadlineCharge::arm(*self.request_deadline.read());
         let degraded = *self.degraded_reads.read();
         let priority = self.request_priority();
+        let mut sweep = Vec::new();
+        for region in regions {
+            sweep.extend(self.candidates_in_region(region, pid));
+        }
         let mut last_err = IpsError::Unavailable("no healthy instance".into());
-        let mut tries = 0usize;
-        // Wire cost accumulates across EVERY attempt, including failed ones
-        // — a lost frame still paid its outbound transit, and the reported
-        // network time must agree with what the attempt spans recorded.
-        let mut wire = WireCost::default();
-        // Walk owner-then-failover candidates per region; if the deadline
-        // allows more attempts than candidates exist (e.g. a lone surviving
-        // node hit by a transient loss), loop back and retry the same nodes
-        // — production clients retry on timeout until the deadline.
-        'deadline: while tries < policy.attempts {
-            let mut attempted_any = false;
-            let mut sweep: Vec<Arc<RpcEndpoint>> = Vec::new();
-            for region in regions {
-                sweep.extend(self.candidates_in_region(region, pid));
+        // Breaker-blocked candidates are demoted to the end of the sweep,
+        // not excluded from it: when every admitted candidate fails, the
+        // walk continues into the blocked ones. A breaker may reorder the
+        // walk but never shrink it — otherwise a stale open breaker could
+        // turn a single crashed node into a client-visible outage.
+        for (tries, ep) in self.demote_blocked(sweep).into_iter().enumerate() {
+            if deadline.is_some_and(ArmedDeadline::is_expired) {
+                last_err = IpsError::DeadlineExceeded;
+                break; // latency budget exhausted: shed
             }
-            if sweep.is_empty() {
-                break; // no candidates at all: fail immediately
+            if tries > 0 {
+                self.retries.inc();
             }
-            // Breaker-blocked candidates are demoted to the end of the
-            // sweep, not excluded from it: when every admitted candidate
-            // fails, the walk continues into the blocked ones. A breaker
-            // may reorder the walk but never shrink it — otherwise a stale
-            // open breaker could turn a single crashed node into a
-            // client-visible outage.
-            let admitted = self.demote_blocked(sweep);
-            for ep in admitted {
-                if tries >= policy.attempts {
-                    break 'deadline; // attempt budget exhausted
+            let opts = CallOptions {
+                deadline: deadline.map(ArmedDeadline::remaining),
+                degraded,
+                priority,
+            };
+            let (result, bytes) = self.attempt_once(&ep, request, &opts);
+            wire.push(lane, wire.next_round(lane), bytes);
+            match result {
+                Ok(response) => {
+                    self.successes.inc();
+                    return Ok(response);
                 }
-                if charge.is_expired() {
-                    last_err = IpsError::DeadlineExceeded;
-                    break 'deadline; // latency budget exhausted: shed
+                Err(e) if e.is_retryable() => last_err = e,
+                Err(e) => {
+                    // Terminal (quota, invalid request, deadline): do not
+                    // mask it by retrying elsewhere.
+                    self.failures.inc();
+                    return Err(e);
                 }
-                attempted_any = true;
-                if tries > 0 {
-                    self.retries.inc();
-                    let backoff_us = self.modeled_backoff_us(&policy, tries);
-                    if backoff_us > 0 {
-                        ips_trace::record_modeled("backoff", backoff_us);
-                        charge.charge(backoff_us);
-                    }
-                }
-                tries += 1;
-                let opts = CallOptions {
-                    deadline: charge.remaining(),
-                    degraded,
-                    priority,
-                };
-                let (result, cost) = self.attempt_once(&ep, request, &opts);
-                wire.accumulate(cost);
-                charge.charge(cost.total_us());
-                match result {
-                    Ok(response) => {
-                        self.successes.inc();
-                        return Ok((response, wire.total_us()));
-                    }
-                    Err(e) if e.is_retryable() => {
-                        last_err = e;
-                    }
-                    Err(e) => {
-                        // Terminal (quota, invalid request, deadline): do
-                        // not mask it by retrying elsewhere.
-                        self.failures.inc();
-                        return Err(e);
-                    }
-                }
-            }
-            if !attempted_any {
-                break; // every admitted candidate was skipped: give up
-            }
-            if policy.attempts == usize::MAX {
-                break; // unbounded budget: one full sweep is the contract
             }
         }
         self.failures.inc();

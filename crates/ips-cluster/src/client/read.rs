@@ -1,27 +1,24 @@
 //! Read orchestration: the single-profile query and the batched
 //! candidate-ranking fan-out. Both compose the pipeline interceptors —
-//! deadline charge, breaker demotion, failover, per-attempt tracing.
+//! the deadline shed, breaker demotion, failover, per-attempt tracing —
+//! and report the bytes every attempt moved.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ips_core::query::{ProfileQuery, QueryResult};
-use ips_types::clock::monotonic_micros;
-use ips_types::{CallerId, IpsError, Result};
+use ips_types::{ArmedDeadline, CallerId, IpsError, Result};
 
-use super::pipeline::deadline::DeadlineCharge;
-use super::{BatchQueryOutcome, IpsClusterClient, LatencyBreakdown};
-use crate::rpc::{CallOptions, RpcEndpoint, RpcRequest, RpcResponse, WireCost};
+use super::{BatchQueryOutcome, IpsClusterClient, WireLog};
+use crate::rpc::{CallOptions, FrameBytes, RpcEndpoint, RpcRequest, RpcResponse};
 
 impl IpsClusterClient {
     /// Query the **local region**, failing over within it and then to other
     /// regions (§III-G: "when a region fails, the other regions are able to
-    /// take over").
-    pub fn query(
-        &self,
-        caller: CallerId,
-        query: &ProfileQuery,
-    ) -> Result<(QueryResult, LatencyBreakdown)> {
+    /// take over"). Returns the result plus the bytes every attempt moved;
+    /// the result's `kv_round_trips` / `kv_bytes_read` describe the store
+    /// fetch a miss performed.
+    pub fn query(&self, caller: CallerId, query: &ProfileQuery) -> Result<(QueryResult, WireLog)> {
         let request = RpcRequest::Query {
             caller,
             query: query.clone(),
@@ -29,14 +26,21 @@ impl IpsClusterClient {
         let mut root = self.root_span("query", caller);
         root.set_attr(ips_trace::attrs::CALLER, caller.to_string());
         root.set_attr(ips_trace::attrs::PRIORITY, self.request_priority().label());
-        let started_us = monotonic_micros();
+        let deadline = self.arm_deadline();
         // Home region first, then the rest.
         let dispatch = ips_trace::child("client_dispatch");
         let regions = self.read_regions();
         drop(dispatch);
-        let outcome = self.call_with_failover(query.profile, &request, &regions);
-        let elapsed_us = monotonic_micros().saturating_sub(started_us);
-        let (response, network_us) = match outcome {
+        let mut wire = WireLog::default();
+        let outcome = self.call_with_failover(
+            query.profile,
+            &request,
+            &regions,
+            deadline.as_ref(),
+            &mut wire,
+            0,
+        );
+        let response = match outcome {
             Ok(out) => out,
             Err(e) => {
                 root.set_error(e.to_string());
@@ -53,24 +57,15 @@ impl IpsClusterClient {
             self.degraded.inc();
             root.set_attr(ips_trace::attrs::DEGRADED, "true");
         }
-        let storage_us = {
-            // Model the persistent-store work the server reported (zero on
-            // a pure hit).
-            let mut rng = self.storage_rng.lock();
-            self.modeled_storage_us(&result, &mut rng)
-        };
-        Ok((
-            result,
-            LatencyBreakdown::from_call(elapsed_us, network_us, storage_us),
-        ))
+        Ok((result, wire))
     }
 
     /// Query many profiles in one fan-out (the candidate-ranking path).
     ///
     /// Sub-queries are grouped by their owning instance on the home
     /// region's consistent-hash ring, one [`RpcRequest::QueryBatch`] frame
-    /// per owner — the whole batch pays one (modeled: slowest-frame) network
-    /// round-trip instead of one per profile. Failover is per sub-query:
+    /// per owner — the whole batch pays one network round trip per owner
+    /// instead of one per profile. Failover is per sub-query:
     /// after each round, the retryable subset is re-grouped against each
     /// profile's next failover candidate (then the next region) and
     /// re-dispatched; terminal errors and exhausted sub-queries stay errors
@@ -87,10 +82,9 @@ impl IpsClusterClient {
         root.set_attr(ips_trace::attrs::CALLER, caller.to_string());
         root.set_attr(ips_trace::attrs::PRIORITY, self.request_priority().label());
         root.set_attr("queries", queries.len().to_string());
-        let started_us = monotonic_micros();
-        // Deadline and degraded opt-in ride every frame; modeled time (wire
-        // per round) is charged against the budget between rounds.
-        let mut charge = DeadlineCharge::arm(*self.request_deadline.read());
+        // Deadline and degraded opt-in ride every frame; one armed budget
+        // covers every round.
+        let deadline = self.arm_deadline();
         let degraded_opt = *self.degraded_reads.read();
         let priority = self.request_priority();
         let dispatch = ips_trace::child("client_dispatch");
@@ -125,7 +119,7 @@ impl IpsClusterClient {
         slots.resize_with(queries.len(), || None);
         let mut pending: Vec<usize> = (0..queries.len()).collect();
         let mut last_err = IpsError::Unavailable("no healthy instance".into());
-        let mut network_us = 0u64;
+        let mut wire = WireLog::default();
 
         let mut round = 0;
         while round < candidates.iter().map(Vec::len).max().unwrap_or(0) {
@@ -134,7 +128,7 @@ impl IpsClusterClient {
             }
             // Client-side shed: a batch whose budget ran out between rounds
             // stops fanning out work nobody is waiting for.
-            if charge.is_expired() {
+            if deadline.as_ref().is_some_and(ArmedDeadline::is_expired) {
                 last_err = IpsError::DeadlineExceeded;
                 break;
             }
@@ -166,13 +160,13 @@ impl IpsClusterClient {
                 break;
             }
             let opts = CallOptions {
-                deadline: charge.remaining(),
+                deadline: deadline.as_ref().map(ArmedDeadline::remaining),
                 degraded: degraded_opt,
                 priority,
             };
-            // One frame per endpoint, sent in endpoint-name order; within a
-            // round the batch's *modeled* network time is the slowest frame.
-            type FrameOutcome = (Vec<usize>, Result<RpcResponse>, WireCost);
+            // One frame per endpoint, sent in endpoint-name order; they
+            // form one round of the wire log.
+            type FrameOutcome = (Vec<usize>, Result<RpcResponse>, FrameBytes);
             let outcomes: Vec<FrameOutcome> = groups
                 .into_values()
                 .map(|(ep, idxs)| {
@@ -184,23 +178,22 @@ impl IpsClusterClient {
                         caller,
                         queries: idxs.iter().map(|&i| queries[i].clone()).collect(),
                     };
-                    let (result, cost) = self.attempt_once(&ep, &request, &opts);
-                    (idxs, result, cost)
+                    let (result, bytes) = self.attempt_once(&ep, &request, &opts);
+                    (idxs, result, bytes)
                 })
                 .collect();
 
-            let mut round_net = 0u64;
             let mut next_pending: Vec<usize> = pending
                 .iter()
                 .copied()
                 .filter(|&i| candidates[i].get(round).is_none())
                 .collect();
             next_pending.extend(deferred);
-            for (idxs, out, cost) in outcomes {
-                // Failed frames paid wire time too: the modeled round still
-                // waits on the slowest frame, lost or not, so the failed
-                // attempt's cost competes in the max.
-                round_net = round_net.max(cost.total_us());
+            let round_no = u32::try_from(round).unwrap_or(u32::MAX);
+            for (idxs, out, bytes) in outcomes {
+                // Failed frames are on the record too: a lost response
+                // still delivered its request.
+                wire.push(0, round_no, bytes);
                 match out {
                     Ok(RpcResponse::QueryBatch(subs)) if subs.len() == idxs.len() => {
                         self.successes.inc();
@@ -236,8 +229,6 @@ impl IpsClusterClient {
                     }
                 }
             }
-            network_us += round_net;
-            charge.charge(round_net);
             next_pending.sort_unstable();
             next_pending.dedup();
             pending = next_pending;
@@ -257,26 +248,10 @@ impl IpsClusterClient {
                 self.degraded.inc();
             }
         }
-        // Misses fetch from the persistent store server-side; the modeled
-        // storage time of the batch is the slowest fetch.
-        let mut storage_us = 0u64;
-        {
-            let mut rng = self.storage_rng.lock();
-            for r in results.iter().flatten() {
-                storage_us = storage_us.max(self.modeled_storage_us(r, &mut rng));
-            }
-        }
         root.set_attr(
             "ok",
             results.iter().filter(|r| r.is_ok()).count().to_string(),
         );
-        Ok(BatchQueryOutcome {
-            results,
-            latency: LatencyBreakdown::from_call(
-                monotonic_micros().saturating_sub(started_us),
-                network_us,
-                storage_us,
-            ),
-        })
+        Ok(BatchQueryOutcome { results, wire })
     }
 }

@@ -1,5 +1,5 @@
-//! Routing, failover, breaker, deadline and latency-decomposition
-//! tests for the unified client.
+//! Routing, failover, breaker, deadline and wire-log tests for the
+//! unified client.
 
 use std::sync::Arc;
 
@@ -12,7 +12,7 @@ use ips_types::{
     ProfileId, SlotId, TableConfig, TableId, TimeRange, Timestamp,
 };
 
-use super::{IpsClusterClient, LatencyBreakdown};
+use super::IpsClusterClient;
 use crate::discovery::Discovery;
 use crate::region::{MultiRegionDeployment, MultiRegionOptions};
 
@@ -391,93 +391,95 @@ fn zero_deadline_sheds_client_side() {
 }
 
 #[test]
-fn from_call_reports_measured_compute_as_server_component() {
-    // Modeled network and storage time are sampled, never slept, so the
-    // wall-clock measurement holds none of it: it is recorded as measured
-    // and the total is the plain sum.
-    let b = LatencyBreakdown::from_call(10, 900, 50);
-    assert_eq!(b.network_us, 900);
-    assert_eq!(b.server_us, 10);
-    assert_eq!(b.storage_us, 50);
-    assert_eq!(b.total_us(), 960);
-}
-
-#[test]
 fn latency_breakdown_does_not_double_count_network() {
-    // The modeled network cost is sampled, not slept: it must show up
-    // under `network_us` only, and the measured compute under `server_us`
-    // must not be reduced by it.
-    let (clock, ctl) = sim_clock(Timestamp::from_millis(
-        DurationMs::from_days(400).as_millis(),
-    ));
-    let options = MultiRegionOptions {
-        instances_per_region: 3,
-        network: crate::rpc::NetworkModel::production_default(),
-        tables: vec![(TABLE, {
-            let mut c = TableConfig::new("t");
-            c.isolation.enabled = false;
-            c
-        })],
-        ..Default::default()
-    };
-    let d = MultiRegionDeployment::build(options, clock).unwrap();
-    let client =
-        IpsClusterClient::new(Arc::clone(&d.discovery), "region-a", KvLatencyModel::zero());
-    client.add_endpoints(d.all_endpoints());
-    client.refresh();
+    // The wire log holds one frame per attempt, each carrying both
+    // directions' bytes once; a failover adds the dead owner's attempt as
+    // its own round, which delivered nothing.
+    let (d, client, ctl) = deployment();
     write(&client, 7, 1, ctl.now());
-    let started_us = ips_types::clock::monotonic_micros();
-    let (_, breakdown) = client.query(CALLER, &top_k(7)).unwrap();
-    let wall_us = ips_types::clock::monotonic_micros().saturating_sub(started_us);
-    assert!(breakdown.network_us > 0, "modeled network must be nonzero");
-    // server_us is the real in-process time of the call: nonzero, and no
-    // more than what this test measured around it.
-    assert!(
-        breakdown.server_us > 0 && breakdown.server_us <= wall_us,
-        "server_us ({}) must be the measured compute (wall {wall_us})",
-        breakdown.server_us
-    );
-    assert_eq!(
-        breakdown.total_us(),
-        breakdown.network_us + breakdown.server_us + breakdown.storage_us
-    );
+    let (_, wire) = client.query(CALLER, &top_k(7)).unwrap();
+    let [frame] = wire.frames() else {
+        panic!("one attempt, one frame: {:?}", wire.frames());
+    };
+    assert_eq!((frame.lane, frame.round), (0, 0));
+    assert!(frame.bytes.sent > 0 && frame.bytes.received > 0);
+
+    for ep in d.all_endpoints() {
+        ep.instance().flush_all().unwrap();
+    }
+    let owner = client.candidates_in_region("region-a", ProfileId::new(7))[0].clone();
+    owner.set_down(true);
+    let (_, wire) = client.query(CALLER, &top_k(7)).unwrap();
+    let rounds: Vec<(u32, u32, bool)> = wire
+        .frames()
+        .iter()
+        .map(|f| (f.lane, f.round, f.bytes.received > 0))
+        .collect();
+    assert_eq!(rounds, vec![(0, 0, false), (0, 1, true)]);
+    assert_eq!(wire.frames()[0].bytes, crate::rpc::FrameBytes::default());
 }
 
 #[test]
 fn miss_latency_includes_storage_component() {
-    let (d, _client, ctl) = deployment();
-    let client = IpsClusterClient::new(
-        Arc::clone(&d.discovery),
-        "region-a",
-        KvLatencyModel::production_default(),
-    );
-    client.add_endpoints(d.all_endpoints());
-    client.refresh();
+    // A miss reports the store fetch it performed (what an offline pricer
+    // charges the miss penalty from); a hit reports none.
+    let (d, client, ctl) = deployment();
     write(&client, 7, 1, ctl.now());
     // Evict from every instance so the next query is a miss.
     for ep in d.all_endpoints() {
-        ep.instance()
-            .table(TABLE)
-            .unwrap()
-            .cache
-            .flush_all()
-            .unwrap();
-        ep.instance()
-            .table(TABLE)
-            .unwrap()
-            .cache
-            .evict(ProfileId::new(7))
-            .unwrap();
+        let table = ep.instance().table(TABLE).unwrap();
+        table.cache.flush_all().unwrap();
+        table.cache.evict(ProfileId::new(7)).unwrap();
     }
-    let (result, breakdown) = client.query(CALLER, &top_k(7)).unwrap();
+    let (result, _) = client.query(CALLER, &top_k(7)).unwrap();
     assert_eq!(result.len(), 1);
     assert!(!result.cache_hit);
-    assert!(
-        breakdown.storage_us > 0,
-        "miss must pay modeled storage time"
-    );
-    // A second query hits the cache: no storage component.
-    let (result, breakdown) = client.query(CALLER, &top_k(7)).unwrap();
+    assert!(result.kv_round_trips > 0 && result.kv_bytes_read > 0);
+    // A second query hits the cache: no store fetch.
+    let (result, _) = client.query(CALLER, &top_k(7)).unwrap();
     assert!(result.cache_hit);
-    assert_eq!(breakdown.storage_us, 0);
+    assert_eq!((result.kv_round_trips, result.kv_bytes_read), (0, 0));
+}
+
+#[test]
+fn batch_query_sends_one_frame_per_owner() {
+    let (_d, client, ctl) = deployment();
+    for pid in 0..40u64 {
+        write(&client, pid, 1, ctl.now());
+    }
+    let queries: Vec<ProfileQuery> = (0..40).map(top_k).collect();
+    let outcome = client.query_batch(CALLER, &queries).unwrap();
+    assert!(outcome.all_ok());
+    let owners: std::collections::BTreeSet<String> = (0..40)
+        .map(|pid| {
+            client.candidates_in_region("region-a", ProfileId::new(pid))[0]
+                .name()
+                .to_string()
+        })
+        .collect();
+    let frames = outcome.wire.frames();
+    assert_eq!(frames.len(), owners.len(), "one frame per owner");
+    assert!(frames.iter().all(|f| f.lane == 0 && f.round == 0));
+    assert!(frames
+        .iter()
+        .all(|f| f.bytes.sent > 0 && f.bytes.received > 0));
+}
+
+#[test]
+fn writes_record_one_lane_per_region() {
+    let (_d, client, ctl) = deployment();
+    let wire = client
+        .add_profile(
+            CALLER,
+            TABLE,
+            ProfileId::new(7),
+            ctl.now(),
+            SLOT,
+            LIKE,
+            FeatureId::new(1),
+            CountVector::single(1),
+        )
+        .unwrap();
+    let lanes: Vec<(u32, u32)> = wire.frames().iter().map(|f| (f.lane, f.round)).collect();
+    assert_eq!(lanes, vec![(0, 0), (1, 0)], "one attempt per region");
 }

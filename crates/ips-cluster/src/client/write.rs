@@ -1,18 +1,17 @@
 //! Write orchestration: the all-region fan-outs (Fig 15: "upstream
 //! applications write data to all IPS instances regardless of region"),
-//! single-profile and batched. Writes carry the deadline and priority but
-//! never the degraded opt-in.
+//! single-profile and batched. Each region is one lane of the call's
+//! [`WireLog`]; one armed deadline covers every region, frame and fallback.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ips_types::clock::monotonic_micros;
 use ips_types::{
-    ActionTypeId, CallerId, CountVector, Deadline, FeatureId, IpsError, ProfileId, Result, SlotId,
-    TableId, Timestamp,
+    ActionTypeId, ArmedDeadline, CallerId, CountVector, FeatureId, IpsError, ProfileId, Result,
+    SlotId, TableId, Timestamp,
 };
 
-use super::{IpsClusterClient, LatencyBreakdown};
+use super::{IpsClusterClient, WireLog};
 use crate::rpc::{CallOptions, ProfileWrite, RpcEndpoint, RpcRequest};
 
 impl IpsClusterClient {
@@ -29,7 +28,7 @@ impl IpsClusterClient {
         slot: SlotId,
         action: ActionTypeId,
         features: &[(FeatureId, CountVector)],
-    ) -> Result<LatencyBreakdown> {
+    ) -> Result<WireLog> {
         let request = RpcRequest::Add {
             caller,
             table,
@@ -47,44 +46,42 @@ impl IpsClusterClient {
         }
         let mut root = self.root_span("add_profiles", caller);
         root.set_attr("regions", regions.len().to_string());
-        self.write_each_region(&mut root, &regions, |region| {
-            let started_us = monotonic_micros();
-            let (_, network_us) =
-                self.call_with_failover(pid, &request, std::slice::from_ref(region))?;
-            Ok(LatencyBreakdown::from_call(
-                monotonic_micros().saturating_sub(started_us),
-                network_us,
-                0,
-            ))
-        })
+        let deadline = self.arm_deadline();
+        let mut wire = WireLog::default();
+        self.write_each_region(&mut root, &regions, |lane, region| {
+            self.call_with_failover(
+                pid,
+                &request,
+                std::slice::from_ref(region),
+                deadline.as_ref(),
+                &mut wire,
+                lane,
+            )
+            .map(drop)
+        })?;
+        Ok(wire)
     }
 
-    /// Write to every region in turn on the calling thread. The *modeled*
-    /// write latency is the slowest region, not the sum — no region ever
-    /// waits on another's wire time. Succeeds if at least one region
-    /// accepted.
+    /// Write to every region in turn on the calling thread, passing each
+    /// its lane (region index) in the call's wire log. No region waits on
+    /// another's outcome, so a pricer charges the slowest lane. Succeeds if
+    /// at least one region accepted.
     fn write_each_region(
         &self,
         root: &mut ips_trace::Span,
         regions: &[String],
-        mut write: impl FnMut(&String) -> Result<LatencyBreakdown>,
-    ) -> Result<LatencyBreakdown> {
+        mut write: impl FnMut(u32, &String) -> Result<()>,
+    ) -> Result<()> {
         let mut any_ok = false;
-        let mut worst = LatencyBreakdown::default();
         let mut last_err = IpsError::Unavailable("no healthy instance".into());
-        for region in regions {
-            match write(region) {
-                Ok(breakdown) => {
-                    any_ok = true;
-                    if breakdown.total_us() > worst.total_us() {
-                        worst = breakdown;
-                    }
-                }
+        for (lane, region) in (0u32..).zip(regions) {
+            match write(lane, region) {
+                Ok(()) => any_ok = true,
                 Err(e) => last_err = e,
             }
         }
         if any_ok {
-            Ok(worst)
+            Ok(())
         } else {
             root.set_error(last_err.to_string());
             Err(last_err)
@@ -94,13 +91,13 @@ impl IpsClusterClient {
     /// Write many profiles in one shot: writes are grouped by owning
     /// instance (per region, via the consistent-hash ring) into
     /// [`RpcRequest::AddBatch`] frames, so a multi-profile ingest pays one
-    /// frame per owner (modeled: the slowest frame) instead of one call
-    /// per profile. A frame that fails falls back to per-profile writes
-    /// with the usual in-region failover. Succeeds if every region
-    /// accepted every write through one path or the other.
-    pub fn add_batch(&self, caller: CallerId, writes: &[ProfileWrite]) -> Result<LatencyBreakdown> {
+    /// frame per owner instead of one call per profile. A frame that fails
+    /// falls back to per-profile writes with the usual in-region failover,
+    /// in later rounds of the region's lane. Succeeds if at least one
+    /// region accepted every write through one path or the other.
+    pub fn add_batch(&self, caller: CallerId, writes: &[ProfileWrite]) -> Result<WireLog> {
         if writes.is_empty() {
-            return Ok(LatencyBreakdown::default());
+            return Ok(WireLog::default());
         }
         let regions = self.regions();
         if regions.is_empty() {
@@ -110,18 +107,23 @@ impl IpsClusterClient {
         }
         let mut root = self.root_span("add_profiles", caller);
         root.set_attr("writes", writes.len().to_string());
-        self.write_each_region(&mut root, &regions, |region| {
-            self.add_batch_in_region(caller, writes, region)
-        })
+        let deadline = self.arm_deadline();
+        let mut wire = WireLog::default();
+        self.write_each_region(&mut root, &regions, |lane, region| {
+            self.add_batch_in_region(caller, writes, region, deadline.as_ref(), &mut wire, lane)
+        })?;
+        Ok(wire)
     }
 
     fn add_batch_in_region(
         &self,
         caller: CallerId,
         writes: &[ProfileWrite],
-        region: &str,
-    ) -> Result<LatencyBreakdown> {
-        let started_us = monotonic_micros();
+        region: &String,
+        deadline: Option<&ArmedDeadline>,
+        wire: &mut WireLog,
+        lane: u32,
+    ) -> Result<()> {
         // Group writes by the profile's owner in this region.
         let mut dispatch = ips_trace::child("client_dispatch");
         dispatch.set_attr("region", region);
@@ -150,14 +152,13 @@ impl IpsClusterClient {
         // Writes carry the deadline and priority too (an expired write is
         // not applied), but never the degraded opt-in.
         let opts = CallOptions {
-            deadline: self.request_deadline.read().map(Deadline::from_budget),
+            deadline: deadline.map(ArmedDeadline::remaining),
             degraded: None,
             priority: self.request_priority(),
         };
         // One frame per owner, sent in endpoint-name order before any
-        // outcome is acted on; the region's modeled network time is the
-        // slowest frame.
-        let outcomes: Vec<(Vec<ProfileWrite>, Result<u64>)> = groups
+        // outcome is acted on: round 0 of the region's lane.
+        let outcomes: Vec<(Vec<ProfileWrite>, Result<()>)> = groups
             .into_values()
             .map(|(ep, group)| {
                 self.attempts.inc();
@@ -165,18 +166,18 @@ impl IpsClusterClient {
                     caller,
                     writes: group.clone(),
                 };
-                let (result, cost) = self.attempt_once(&ep, &request, &opts);
-                let out = result.map(|_| cost.total_us());
+                let (result, bytes) = self.attempt_once(&ep, &request, &opts);
+                wire.push(lane, 0, bytes);
+                let out = result.map(drop);
                 if out.is_ok() {
                     self.successes.inc();
                 }
                 (group, out)
             })
             .collect();
-        let mut network_us = 0u64;
         for (group, out) in outcomes {
             match out {
-                Ok(net) => network_us = network_us.max(net),
+                Ok(()) => {}
                 Err(e) if e.is_retryable() => {
                     // Frame failed in transit or the owner is down: fall back
                     // to per-profile writes with the normal failover walk.
@@ -190,12 +191,14 @@ impl IpsClusterClient {
                             action: w.action,
                             features: w.features.clone(),
                         };
-                        let (_, net) = self.call_with_failover(
+                        self.call_with_failover(
                             w.profile,
                             &request,
-                            std::slice::from_ref(&region.to_string()),
+                            std::slice::from_ref(region),
+                            deadline,
+                            wire,
+                            lane,
                         )?;
-                        network_us = network_us.max(net);
                     }
                 }
                 Err(e) => {
@@ -204,11 +207,7 @@ impl IpsClusterClient {
                 }
             }
         }
-        Ok(LatencyBreakdown::from_call(
-            monotonic_micros().saturating_sub(started_us),
-            network_us,
-            0,
-        ))
+        Ok(())
     }
 
     /// Convenience single-feature write.
@@ -223,7 +222,7 @@ impl IpsClusterClient {
         action: ActionTypeId,
         feature: FeatureId,
         counts: CountVector,
-    ) -> Result<LatencyBreakdown> {
+    ) -> Result<WireLog> {
         self.add_profiles(caller, table, pid, at, slot, action, &[(feature, counts)])
     }
 }

@@ -9,8 +9,9 @@
 //! * [`discovery`] — a TTL-based service registry (Consul substitute):
 //!   instances register on readiness, clients refresh the list periodically;
 //! * [`rpc`] — serialized request/response messages over an in-process
-//!   transport with a configurable network model (RTT, size-proportional
-//!   transfer, jitter, loss) and per-endpoint fault switches;
+//!   transport that reports the bytes each call moved, with a loss fault
+//!   and per-endpoint fault switches (no time is modeled here: the
+//!   experiment harnesses price the bytes offline);
 //! * [`region`] — N-region deployments: one region persists to the master
 //!   KV cluster, the others read their local replicas (weak consistency);
 //! * [`client`] — the unified IPS client: consistent-hash routing,
@@ -27,7 +28,7 @@ pub mod ring;
 pub mod rpc;
 
 pub use autoscale::{Autoscaler, AutoscalerConfig, ScaleDecision, ScaleOrchestrator};
-pub use client::{BatchQueryOutcome, ClientStats, IpsClusterClient, LatencyBreakdown};
+pub use client::{BatchQueryOutcome, ClientStats, IpsClusterClient, WireFrame, WireLog};
 pub use discovery::{Discovery, Registration};
 pub use handoff::{
     HandoffConfig, HandoffCoordinator, HandoffMetrics, HandoffReport, MembershipEpoch,
@@ -36,6 +37,6 @@ pub use health::{BreakerState, EndpointHealth, HealthRegistry};
 pub use region::{MultiRegionDeployment, MultiRegionOptions, Region, RegionStore};
 pub use ring::{transfer_pairs, HashRing};
 pub use rpc::{
-    CallOptions, NetworkModel, ProfileWrite, RpcEndpoint, RpcRequest, RpcResponse, SnapshotAck,
-    SnapshotEntry,
+    CallOptions, FrameBytes, NetworkModel, ProfileWrite, RpcEndpoint, RpcRequest, RpcResponse,
+    SnapshotAck, SnapshotEntry,
 };

@@ -1,5 +1,5 @@
-//! The server side of the RPC fabric: the modeled network path and the
-//! endpoint dispatch table.
+//! The server side of the RPC fabric: the transport (loss fault, measured
+//! frame bytes) and the endpoint dispatch table.
 //!
 //! Dispatch is deliberately thin: the endpoint decodes the envelope into
 //! one [`RequestContext`] (caller, armed deadline, staleness tolerance,
@@ -22,92 +22,40 @@ use ips_types::{IpsError, Result};
 
 use super::{RpcRequest, RpcResponse, SnapshotAck};
 
-// ---- network model ----------------------------------------------------------
+// ---- transport fault --------------------------------------------------------
 
-/// The modeled network path between a client and an endpoint.
+/// The transport's fault model between a client and an endpoint. Serving
+/// code models no time: a call's cost is the bytes it moved
+/// ([`FrameBytes`]), which the experiment harnesses price offline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
-    /// Fixed round-trip overhead in microseconds.
-    pub rtt_us: u64,
-    /// Per-KiB transfer cost (request + response bytes), in microseconds.
-    pub per_kib_us: u64,
-    /// Uniform multiplicative jitter bound.
-    pub jitter: f64,
-    /// Probability a call is lost (times out) in transit.
+    /// Probability that a frame is lost (times out) in transit, drawn once
+    /// per direction.
     pub loss_probability: f64,
 }
 
 impl NetworkModel {
-    /// Matches the paper's latency picture: a small fixed per-hop cost so
-    /// tiny calls stay around a millisecond (Fig 16's flat p50 ~1 ms), plus
-    /// a strong size-proportional term — "the overhead of package
-    /// transmission on network is about 3ms and grows proportionally to the
-    /// response data size" (Table II).
-    #[must_use]
-    pub fn production_default() -> Self {
-        Self {
-            rtt_us: 450,
-            per_kib_us: 1_000,
-            jitter: 0.2,
-            loss_probability: 0.0,
-        }
-    }
-
-    /// A free, lossless network (pure compute benchmarks).
+    /// A lossless network.
     #[must_use]
     pub fn zero() -> Self {
         Self {
-            rtt_us: 0,
-            per_kib_us: 0,
-            jitter: 0.0,
             loss_probability: 0.0,
         }
-    }
-
-    /// Sample the transit time for `bytes` moved, or `None` for a lost call.
-    pub fn sample_us(&self, bytes: usize, rng: &mut SmallRng) -> Option<u64> {
-        if self.loss_probability > 0.0 && rng.gen_bool(self.loss_probability.clamp(0.0, 1.0)) {
-            return None;
-        }
-        // Fractional per-KiB cost: small control messages should not pay a
-        // full KiB of transfer time.
-        let expected =
-            self.rtt_us + (self.per_kib_us as f64 * bytes as f64 / 1024.0).round() as u64;
-        if self.jitter <= 0.0 {
-            return Some(expected);
-        }
-        let factor = rng.gen_range((1.0 - self.jitter)..=(1.0 + self.jitter));
-        Some((expected as f64 * factor).round() as u64)
     }
 }
 
 // ---- endpoint ----------------------------------------------------------------
 
-/// Modeled network time one RPC attempt actually incurred, split by
-/// direction. Returned even when the attempt fails, so retries and region
-/// failover are accounted per attempt — the wire cost a client sums over
-/// attempts agrees with the `network` spans recorded in the trace, instead
-/// of failed traversals silently vanishing from the total.
+/// The bytes one RPC attempt delivered, as measured at the transport.
+/// Returned even when the attempt fails, so every traversal a retry or a
+/// region failover paid for is on the record. A frame that never arrived
+/// (endpoint down, lost in transit) counts zero bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireCost {
-    /// Request-frame transit, µs (0 when the call failed before leaving).
-    pub outbound_us: u64,
-    /// Response-frame transit, µs (0 when no response made it back).
-    pub inbound_us: u64,
-}
-
-impl WireCost {
-    #[must_use]
-    pub fn total_us(&self) -> u64 {
-        self.outbound_us + self.inbound_us
-    }
-
-    /// Fold another attempt's cost into this one (client-side failover
-    /// accumulates across attempts).
-    pub fn accumulate(&mut self, other: WireCost) {
-        self.outbound_us += other.outbound_us;
-        self.inbound_us += other.inbound_us;
-    }
+pub struct FrameBytes {
+    /// Request-frame bytes delivered to the server.
+    pub sent: u32,
+    /// Response-frame bytes delivered back to the client.
+    pub received: u32,
 }
 
 /// One addressable IPS instance: the server side of the RPC fabric.
@@ -116,7 +64,8 @@ pub struct RpcEndpoint {
     region: String,
     instance: Arc<IpsInstance>,
     down: AtomicBool,
-    rng: Mutex<SmallRng>,
+    /// Draws the loss fault; never locked when the network is lossless.
+    loss_rng: Mutex<SmallRng>,
     network: NetworkModel,
 }
 
@@ -137,7 +86,7 @@ impl RpcEndpoint {
             region: region.into(),
             instance,
             down: AtomicBool::new(false),
-            rng: Mutex::new(SmallRng::seed_from_u64(seed)),
+            loss_rng: Mutex::new(SmallRng::seed_from_u64(seed)),
             network,
         })
     }
@@ -167,42 +116,47 @@ impl RpcEndpoint {
         self.down.load(Ordering::SeqCst)
     }
 
-    /// Issue one call: serialize, traverse the modeled network, execute,
-    /// serialize the response back. Returns the response plus the modeled
-    /// network time in microseconds (server compute is measured separately
-    /// by the instance's own histograms and returned in the breakdown the
-    /// client assembles).
-    pub fn call(&self, request: &RpcRequest) -> Result<(RpcResponse, u64)> {
-        let (result, cost) = self.call_traced(request, None);
-        result.map(|resp| (resp, cost.total_us()))
+    /// Issue one call: serialize, cross the transport, execute, serialize
+    /// the response back. Returns the response plus the bytes moved each
+    /// way.
+    pub fn call(&self, request: &RpcRequest) -> Result<(RpcResponse, FrameBytes)> {
+        let (result, bytes) = self.call_traced(request, None);
+        result.map(|resp| (resp, bytes))
     }
 
-    /// [`RpcEndpoint::call`] with trace propagation and per-attempt cost
-    /// accounting. The caller's span context (if any) is stamped into the
-    /// request envelope; the server opens a `server` span under it through
-    /// its instance's tracer. The [`WireCost`] is returned even on failure:
-    /// a lost response still paid for its outbound traversal.
+    /// [`RpcEndpoint::call`] with trace propagation. The caller's span
+    /// context (if any) is stamped into the request envelope; the server
+    /// opens a `server` span under it through its instance's tracer. The
+    /// [`FrameBytes`] are returned even on failure: a lost response still
+    /// delivered its request.
     pub fn call_traced(
         &self,
         request: &RpcRequest,
         ctx: Option<&SpanContext>,
-    ) -> (Result<RpcResponse>, WireCost) {
+    ) -> (Result<RpcResponse>, FrameBytes) {
         self.call_with_options(request, ctx, &super::CallOptions::default())
     }
 
     /// [`RpcEndpoint::call_traced`] with per-call options: the remaining
-    /// deadline budget (armed server-side after subtracting the modeled
-    /// outbound transit, so queue wait and compute decrement it), the
-    /// scheduling priority, and the degraded-serving opt-in.
+    /// deadline budget (armed on arrival, so queue wait and compute
+    /// decrement it), the scheduling priority, and the degraded-serving
+    /// opt-in.
     pub fn call_with_options(
         &self,
         request: &RpcRequest,
         ctx: Option<&SpanContext>,
         opts: &super::CallOptions,
-    ) -> (Result<RpcResponse>, WireCost) {
-        let mut cost = WireCost::default();
-        let result = self.call_inner(request, ctx, opts, &mut cost);
-        (result, cost)
+    ) -> (Result<RpcResponse>, FrameBytes) {
+        let mut bytes = FrameBytes::default();
+        let result = self.call_inner(request, ctx, opts, &mut bytes);
+        (result, bytes)
+    }
+
+    /// Whether the loss fault drops the next frame. A lossless network
+    /// never touches the RNG or its lock.
+    fn lost_in_transit(&self) -> bool {
+        let p = self.network.loss_probability;
+        p > 0.0 && self.loss_rng.lock().gen_bool(p.min(1.0))
     }
 
     fn call_inner(
@@ -210,7 +164,7 @@ impl RpcEndpoint {
         request: &RpcRequest,
         ctx: Option<&SpanContext>,
         opts: &super::CallOptions,
-        cost: &mut WireCost,
+        bytes: &mut FrameBytes,
     ) -> Result<RpcResponse> {
         if self.is_down() {
             return Err(IpsError::Rpc(format!("endpoint {} down", self.name)));
@@ -219,15 +173,10 @@ impl RpcEndpoint {
             let _s = ips_trace::child("serialize");
             request.encode_with(ctx, opts)
         };
-        let outbound = {
-            let mut rng = self.rng.lock();
-            self.network.sample_us(request_bytes.len(), &mut rng)
-        };
-        let Some(outbound_us) = outbound else {
+        if self.lost_in_transit() {
             return Err(IpsError::Rpc("request lost in transit".into()));
-        };
-        cost.outbound_us = outbound_us;
-        ips_trace::record_modeled("network", outbound_us);
+        }
+        bytes.sent = frame_len(&request_bytes);
 
         // In-process "server side": mask the client's ambient scope so the
         // server spans can only join the trace through the wire-propagated
@@ -236,12 +185,11 @@ impl RpcEndpoint {
         let masked = ips_trace::mask();
         let (request, envelope) = RpcRequest::decode_envelope(&request_bytes)?;
         // One request context for the whole server-side pipeline: arm the
-        // wire budget against this process's monotonic clock, after
-        // charging the modeled outbound transit the frame just "paid".
+        // wire budget against this process's monotonic clock on arrival.
         // The caller identity is filled in per request kind by `execute`.
         let mut base = RequestContext::default().with_priority(envelope.priority);
         if let Some(deadline) = envelope.deadline {
-            base = base.with_deadline(deadline.saturating_sub_us(outbound_us).arm());
+            base = base.with_deadline(deadline.arm());
         }
         if let Some(staleness) = envelope.degraded {
             base = base.with_staleness(staleness);
@@ -270,15 +218,10 @@ impl RpcEndpoint {
         drop(server_span);
         drop(masked);
 
-        let inbound = {
-            let mut rng = self.rng.lock();
-            self.network.sample_us(response_bytes.len(), &mut rng)
-        };
-        let Some(inbound_us) = inbound else {
+        if self.lost_in_transit() {
             return Err(IpsError::Rpc("response lost in transit".into()));
-        };
-        cost.inbound_us = inbound_us;
-        ips_trace::record_modeled("network", inbound_us);
+        }
+        bytes.received = frame_len(&response_bytes);
         let (response, _server_ctx) = {
             let _s = ips_trace::child("serialize");
             RpcResponse::decode_traced(&response_bytes)?
@@ -364,4 +307,10 @@ impl RpcEndpoint {
             }
         }
     }
+}
+
+/// A frame's length on the wire, saturated to the `u32` the byte record
+/// carries (frames are far below 4 GiB).
+fn frame_len(frame: &[u8]) -> u32 {
+    u32::try_from(frame.len()).unwrap_or(u32::MAX)
 }

@@ -1,12 +1,14 @@
 //! RPC fabric (Thrift substitute).
 //!
 //! Requests and responses really are serialized through the `ips-codec`
-//! wire format — the byte counts feed the network model — and dispatched to
-//! an in-process [`RpcEndpoint`] wrapping an
-//! [`IpsInstance`](ips_core::server::IpsInstance). The network model
-//! contributes the ~3 ms client/server gap Table II attributes to "package
-//! transmission on network ... grows proportionally to the response data
-//! size".
+//! wire format and dispatched to an in-process [`RpcEndpoint`] wrapping an
+//! [`IpsInstance`](ips_core::server::IpsInstance). Every call reports the
+//! bytes it moved each way ([`FrameBytes`]); nothing on this path models
+//! time. Table II's ~3 ms client/server gap ("package transmission on
+//! network ... grows proportionally to the response data size") is priced
+//! from those bytes offline, by the experiment harnesses. The only
+//! transport behaviour left to configure is the loss fault
+//! ([`NetworkModel`]).
 //!
 //! Both message kinds carry an optional [`SpanContext`] on envelope field
 //! 15, so one client request's trace continues on the server side of the
@@ -22,7 +24,7 @@
 //! * [`frame`] (private) — the frame-level encoders/decoders and the
 //!   envelope fields (trace context, deadline + priority, degraded opt-in);
 //!   every message in both is listed in [`WIRE_MESSAGES`];
-//! * [`endpoint`] (private) — [`NetworkModel`], [`WireCost`] and
+//! * [`endpoint`] (private) — [`NetworkModel`], [`FrameBytes`] and
 //!   [`RpcEndpoint`], whose dispatch builds one
 //!   [`RequestContext`](ips_core::RequestContext) per request and hands it
 //!   to the server-side pipeline.
@@ -33,7 +35,7 @@ mod frame;
 #[cfg(test)]
 mod tests;
 
-pub use endpoint::{NetworkModel, RpcEndpoint, WireCost};
+pub use endpoint::{FrameBytes, NetworkModel, RpcEndpoint};
 
 /// Every RPC wire message, for the `wire_schema.lock` check.
 pub const WIRE_MESSAGES: &[ips_codec::MessageDescriptor] = &[
@@ -164,8 +166,8 @@ pub enum RpcResponse {
 /// one produced by an options-unaware encoder.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CallOptions {
-    /// Remaining deadline budget at send time (already charged for prior
-    /// attempts and modeled backoff by the client).
+    /// Remaining deadline budget at send time (the client's armed budget
+    /// minus the time already measured on this request).
     pub deadline: Option<Deadline>,
     /// Opt in to degraded serving: the staleness the caller tolerates if
     /// the server cannot reach the persistent store.

@@ -7,12 +7,10 @@
 //! do not shrink under compression are stored raw — the same escape hatch
 //! Snappy-framed formats use for incompressible data.
 //!
-//! When `FLAG_TRACE` is set, a fixed 17-byte trace context (trace id u64 LE,
-//! span id u64 LE, sampled u8) follows the checksum: the frame records which
-//! request wrote it, so a flushed blob can be tied back to its trace.
-//! Decoding is backward compatible both ways — old frames (flag clear) parse
-//! unchanged, and [`decode_frame`] transparently skips the context on new
-//! frames for callers that do not care about it.
+//! A frame carries content only: equal payloads encode to equal bytes
+//! whatever request wrote them. Older writers could stamp a fixed 17-byte
+//! trace context after the checksum (`FLAG_TRACE`); nothing writes one any
+//! more, and [`decode_frame`] skips the block so those blobs still read.
 
 use std::fmt;
 
@@ -32,14 +30,6 @@ pub const FRAME_FLAGS: FlagsDescriptor = FlagsDescriptor {
     name: "frame",
     bits: &[("compressed", FLAG_COMPRESSED), ("trace", FLAG_TRACE)],
 };
-
-/// The wire form of a span context carried in a frame header.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrameTraceContext {
-    pub trace_id: u64,
-    pub span_id: u64,
-    pub sampled: bool,
-}
 
 /// Errors from frame decoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,13 +88,6 @@ fn fnv1a(data: &[u8]) -> u64 {
 /// Encode `payload` into a frame, compressing when it helps.
 #[must_use]
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    encode_frame_traced(payload, None)
-}
-
-/// Encode `payload` into a frame, stamping the writing request's trace
-/// context into the header when one is supplied.
-#[must_use]
-pub fn encode_frame_traced(payload: &[u8], trace: Option<&FrameTraceContext>) -> Vec<u8> {
     // The compressed intermediate never outlives this call (it is either
     // copied into the envelope or discarded by the raw fallback), so it is
     // served from the thread-local buffer pool.
@@ -113,39 +96,20 @@ pub fn encode_frame_traced(payload: &[u8], trace: Option<&FrameTraceContext>) ->
     let use_compressed = compressed.len() < payload.len();
     let body: &[u8] = if use_compressed { &compressed } else { payload };
 
-    let mut flags = 0u8;
-    if use_compressed {
-        flags |= FLAG_COMPRESSED;
-    }
-    if trace.is_some() {
-        flags |= FLAG_TRACE;
-    }
-    let mut out = Vec::with_capacity(body.len() + 16 + TRACE_CTX_LEN);
+    let flags = if use_compressed { FLAG_COMPRESSED } else { 0 };
+    let mut out = Vec::with_capacity(body.len() + 16);
     out.push(MAGIC);
     out.push(flags);
     encode_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    if let Some(ctx) = trace {
-        out.extend_from_slice(&ctx.trace_id.to_le_bytes());
-        out.extend_from_slice(&ctx.span_id.to_le_bytes());
-        out.push(u8::from(ctx.sampled));
-    }
     out.extend_from_slice(body);
     crate::pool::give_buf(compressed);
     out
 }
 
 /// Decode a frame back into its payload, verifying the checksum. A trace
-/// context in the header (newer writers) is skipped transparently.
+/// context in the header (older writers) is skipped.
 pub fn decode_frame(frame: &[u8]) -> Result<Vec<u8>, FrameError> {
-    decode_frame_traced(frame).map(|(payload, _)| payload)
-}
-
-/// Decode a frame into its payload plus the writer's trace context, if the
-/// frame carries one.
-pub fn decode_frame_traced(
-    frame: &[u8],
-) -> Result<(Vec<u8>, Option<FrameTraceContext>), FrameError> {
     if frame.len() < 2 {
         return Err(FrameError::Truncated);
     }
@@ -166,24 +130,9 @@ pub fn decode_frame_traced(
     cs.copy_from_slice(&rest[..8]);
     let expected = u64::from_le_bytes(cs);
     let mut body = &rest[8..];
-    let trace = if flags & FLAG_TRACE != 0 {
-        if body.len() < TRACE_CTX_LEN {
-            return Err(FrameError::Truncated);
-        }
-        let mut t = [0u8; 8];
-        t.copy_from_slice(&body[..8]);
-        let mut s = [0u8; 8];
-        s.copy_from_slice(&body[8..16]);
-        let ctx = FrameTraceContext {
-            trace_id: u64::from_le_bytes(t),
-            span_id: u64::from_le_bytes(s),
-            sampled: body[16] != 0,
-        };
-        body = &body[TRACE_CTX_LEN..];
-        Some(ctx)
-    } else {
-        None
-    };
+    if flags & FLAG_TRACE != 0 {
+        body = body.get(TRACE_CTX_LEN..).ok_or(FrameError::Truncated)?;
+    }
     let declared_len = usize::try_from(declared_len).map_err(|_| FrameError::Truncated)?;
 
     let payload = if flags & FLAG_COMPRESSED != 0 {
@@ -201,7 +150,7 @@ pub fn decode_frame_traced(
     if actual != expected {
         return Err(FrameError::ChecksumMismatch { expected, actual });
     }
-    Ok((payload, trace))
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -250,28 +199,31 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn traced_frame_round_trips_context() {
-        let ctx = FrameTraceContext {
-            trace_id: 0xDEAD_BEEF_0042,
-            span_id: 17,
-            sampled: true,
-        };
-        let data = b"profile slice ".repeat(500);
-        let frame = encode_frame_traced(&data, Some(&ctx));
-        let (payload, got) = decode_frame_traced(&frame).unwrap();
-        assert_eq!(payload, data);
-        assert_eq!(got, Some(ctx));
-        // Plain decode skips the context but still yields the payload.
-        assert_eq!(decode_frame(&frame).unwrap(), data);
+    /// `payload` framed the way an older writer did inside a live span:
+    /// `FLAG_TRACE` set and a 17-byte context after the checksum.
+    fn legacy_traced(payload: &[u8]) -> Vec<u8> {
+        let mut frame = encode_frame(payload);
+        let header = 2 + crate::varint::varint_len(payload.len() as u64) + 8;
+        frame[1] |= FLAG_TRACE;
+        let ctx: Vec<u8> = (1..=TRACE_CTX_LEN as u8).collect();
+        frame.splice(header..header, ctx);
+        frame
     }
 
     #[test]
     fn untraced_frame_decodes_with_no_context() {
+        // Writers never stamp a context: the frame holds content only.
         let frame = encode_frame(b"hello");
-        let (payload, ctx) = decode_frame_traced(&frame).unwrap();
-        assert_eq!(payload, b"hello");
-        assert_eq!(ctx, None);
+        assert_eq!(frame[1] & FLAG_TRACE, 0);
+        assert_eq!(decode_frame(&frame).unwrap(), b"hello");
+    }
+
+    #[test]
+    fn traced_frame_decodes_skipping_context() {
+        let data = b"profile slice ".repeat(500);
+        let frame = legacy_traced(&data);
+        assert_eq!(frame[1], FLAG_COMPRESSED | FLAG_TRACE);
+        assert_eq!(decode_frame(&frame).unwrap(), data);
     }
 
     #[test]
@@ -279,30 +231,17 @@ mod tests {
         let data: Vec<u8> = (0..1_000u32)
             .flat_map(|i| i.wrapping_mul(2_654_435_761).to_le_bytes())
             .collect();
-        let ctx = FrameTraceContext {
-            trace_id: 1,
-            span_id: 2,
-            sampled: false,
-        };
-        let frame = encode_frame_traced(&data, Some(&ctx));
-        let (payload, got) = decode_frame_traced(&frame).unwrap();
-        assert_eq!(payload, data);
-        assert_eq!(got, Some(ctx));
+        let frame = legacy_traced(&data);
+        assert_eq!(frame[1], FLAG_TRACE);
+        assert_eq!(decode_frame(&frame).unwrap(), data);
     }
 
     #[test]
     fn traced_frame_truncated_in_context_detected() {
-        let frame = encode_frame_traced(
-            b"x",
-            Some(&FrameTraceContext {
-                trace_id: 9,
-                span_id: 9,
-                sampled: true,
-            }),
-        );
+        let frame = legacy_traced(b"x");
         // Cut inside the 17-byte trace context region.
         let cut = frame.len() - 1 - 10;
-        assert!(decode_frame_traced(&frame[..cut]).is_err());
+        assert!(decode_frame(&frame[..cut]).is_err());
     }
 
     #[test]

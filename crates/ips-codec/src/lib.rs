@@ -32,10 +32,7 @@ pub mod varint;
 pub mod wire;
 
 pub use compress::{compress, compress_into, decompress, CompressError};
-pub use frame::{
-    decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, FrameError,
-    FrameTraceContext, FRAME_FLAGS,
-};
+pub use frame::{decode_frame, encode_frame, FrameError, FRAME_FLAGS};
 pub use message::{FlagsDescriptor, MessageDescriptor};
 pub use pool::PoolStats;
 pub use varint::{

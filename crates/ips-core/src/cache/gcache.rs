@@ -7,7 +7,7 @@
 //! cold entries until usage falls below the low watermark — dirty entries
 //! are flushed before being dropped (write-back).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -112,8 +112,37 @@ struct StaleEntry {
 /// accounted against the cache memory budget; bounded by entry count.
 #[derive(Default)]
 struct StalePool {
-    map: HashMap<ProfileId, StaleEntry>,
-    order: VecDeque<ProfileId>,
+    /// Retained entries, each tagged with its retention sequence number.
+    map: HashMap<ProfileId, (u64, StaleEntry)>,
+    /// Retention order: exactly one slot per retained pid, keyed by its
+    /// sequence number, so a superseded pid leaves the order with its entry.
+    order: BTreeMap<u64, ProfileId>,
+    next_seq: u64,
+}
+
+impl StalePool {
+    /// Retain `entry` as the newest copy of `pid`, then drop the oldest
+    /// retentions until at most `cap` remain.
+    fn insert(&mut self, pid: ProfileId, entry: StaleEntry, cap: usize) {
+        self.remove(pid);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.map.insert(pid, (seq, entry));
+        self.order.insert(seq, pid);
+        while self.map.len() > cap {
+            let Some((_, oldest)) = self.order.pop_first() else {
+                break;
+            };
+            self.map.remove(&oldest);
+        }
+    }
+
+    /// Drop `pid`'s retained copy, if any (fresh data superseded it).
+    fn remove(&mut self, pid: ProfileId) {
+        if let Some((seq, _)) = self.map.remove(&pid) {
+            self.order.remove(&seq);
+        }
+    }
 }
 
 /// A point-in-time view of cache health (drives Fig 18).
@@ -446,7 +475,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
         shard.lru.lock().touch(pid);
         // Fresh data is resident again; the stale copy is superseded.
         if self.config.stale_pool_entries > 0 {
-            self.stale.lock().map.remove(&pid);
+            self.stale.lock().remove(pid);
         }
         entry
     }
@@ -569,23 +598,11 @@ impl<S: ProfileStore + 'static> GCache<S> {
         if cap == 0 {
             return;
         }
-        let mut pool = self.stale.lock();
         let entry = StaleEntry {
             data,
             evicted_at: self.clock.now(),
         };
-        if pool.map.insert(pid, entry).is_none() {
-            pool.order.push_back(pid);
-        }
-        // `order` may hold ids already superseded/removed; skip those.
-        while pool.map.len() > cap {
-            match pool.order.pop_front() {
-                Some(old) => {
-                    pool.map.remove(&old);
-                }
-                None => break,
-            }
-        }
+        self.stale.lock().insert(pid, entry, cap);
     }
 
     /// Serve a profile from the stale pool if one is retained and no staler
@@ -601,7 +618,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
             return None;
         }
         let pool = self.stale.lock();
-        let entry = pool.map.get(&pid)?;
+        let (_, entry) = pool.map.get(&pid)?;
         let staleness = entry.evicted_at.distance(self.clock.now());
         if staleness.as_millis() > max_staleness.as_millis() {
             return None;
@@ -1045,7 +1062,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
             }
             shard.lru.lock().touch(e.pid);
             if self.config.stale_pool_entries > 0 {
-                self.stale.lock().map.remove(&e.pid);
+                self.stale.lock().remove(e.pid);
             }
             report.imported += 1;
         }
@@ -1418,6 +1435,66 @@ mod tests {
         assert!(c
             .read_stale(ProfileId::new(7), DurationMs::from_mins(5), |_| ())
             .is_some());
+    }
+
+    fn stale_pool_cache(stale_entries: usize) -> GCache<Arc<KvNode>> {
+        let node = Arc::new(KvNode::new("kv", KvNodeConfig::default()).unwrap());
+        let persister = Arc::new(ProfilePersister::new(
+            node,
+            TableId::new(1),
+            PersistenceMode::Bulk,
+        ));
+        GCache::new(
+            persister,
+            CacheConfig {
+                memory_budget_bytes: 64 << 20,
+                lru_shards: 2,
+                dirty_shards: 2,
+                stale_pool_entries: stale_entries,
+                ..Default::default()
+            },
+            Arc::new(ips_types::SystemClock),
+        )
+        .unwrap()
+    }
+
+    fn is_stale(c: &GCache<Arc<KvNode>>, pid: u64) -> bool {
+        c.read_stale(ProfileId::new(pid), DurationMs::from_mins(5), |_| ())
+            .is_some()
+    }
+
+    #[test]
+    fn re_evicted_pid_is_the_newest_stale_copy() {
+        let c = stale_pool_cache(2);
+        let (a, b, cc) = (1, 2, 3);
+        for pid in [a, b, cc] {
+            write_row(&c, pid, 1_000, 1);
+        }
+        c.evict(ProfileId::new(a)).unwrap();
+        c.evict(ProfileId::new(b)).unwrap();
+        // Reload A (superseding its stale copy), then evict it again: A is
+        // now the newest retention, so the next overflow drops B.
+        let _ = c.read(ProfileId::new(a), |p| p.feature_count()).unwrap();
+        c.evict(ProfileId::new(a)).unwrap();
+        c.evict(ProfileId::new(cc)).unwrap();
+        assert!(is_stale(&c, a), "the fresh copy of A must survive");
+        assert!(!is_stale(&c, b), "B is the oldest retention");
+        assert!(is_stale(&c, cc));
+        assert_eq!(c.stats().stale_pool_entries, 2);
+    }
+
+    #[test]
+    fn evict_reload_cycles_keep_one_order_slot_per_pid() {
+        let c = stale_pool_cache(4);
+        write_row(&c, 1, 1_000, 1);
+        for _ in 0..50 {
+            c.evict(ProfileId::new(1)).unwrap();
+            let _ = c.read(ProfileId::new(1), |p| p.feature_count()).unwrap();
+        }
+        c.evict(ProfileId::new(1)).unwrap();
+        let pool = c.stale.lock();
+        assert_eq!(pool.map.len(), 1);
+        assert_eq!(pool.order.len(), 1, "one order slot per retained pid");
     }
 
     #[test]

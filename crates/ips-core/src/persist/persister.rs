@@ -17,7 +17,7 @@
 
 use bytes::Bytes;
 
-use ips_codec::{decode_frame, wire_message};
+use ips_codec::{decode_frame, encode_frame, wire_message};
 use ips_kv::Generation;
 use ips_types::{IpsError, PersistenceMode, ProfileId, Result, TableId, TimeRange, Timestamp};
 
@@ -108,7 +108,7 @@ wire_message! {
 
 impl SliceMeta {
     fn encode(&self) -> Vec<u8> {
-        SliceMetaWire::with_encoded(self, super::schema::frame_with_ambient_trace)
+        SliceMetaWire::with_encoded(self, encode_frame)
     }
 
     fn decode(frame: &[u8]) -> Result<Self> {

@@ -6,23 +6,10 @@
 //! read, so the schema can grow.
 
 use ips_codec::wire::{count_field, PackedCounts};
-use ips_codec::{decode_frame, encode_frame_traced, wire_message, FrameTraceContext};
+use ips_codec::{decode_frame, encode_frame, wire_message};
 use ips_types::{ActionTypeId, FeatureId, IpsError, Result, SlotId, Timestamp};
 
 use crate::model::{CountRow, IndexedFeatureStat, InstanceSet, ProfileData, Slice};
-
-/// Frame a storage payload, stamping the ambient request's trace context
-/// into the header when one is live — a flushed blob can then be tied back
-/// to the request that wrote it (`decode_frame` skips the stamp, so readers
-/// are unaffected).
-pub(crate) fn frame_with_ambient_trace(body: &[u8]) -> Vec<u8> {
-    let ctx = ips_trace::current().map(|(_, ctx)| FrameTraceContext {
-        trace_id: ctx.trace.0,
-        span_id: ctx.span.0,
-        sampled: ctx.sampled,
-    });
-    encode_frame_traced(body, ctx.as_ref())
-}
 
 // Every level encodes in id order, so equal content encodes to equal bytes.
 // Every level decodes straight into the model's columns, each allocated
@@ -133,7 +120,7 @@ wire_message! {
 /// (it escapes to the KV layer).
 #[must_use]
 pub fn encode_slice(slice: &Slice) -> Vec<u8> {
-    SliceWire::with_encoded(slice, frame_with_ambient_trace)
+    SliceWire::with_encoded(slice, encode_frame)
 }
 
 /// Deserialize one slice from framed bytes.
@@ -146,7 +133,7 @@ pub fn decode_slice(frame: &[u8]) -> Result<Slice> {
 /// scratch comes from the thread-local pool, like [`encode_slice`].
 #[must_use]
 pub fn encode_profile(profile: &ProfileData) -> Vec<u8> {
-    ProfileWire::with_encoded(profile, frame_with_ambient_trace)
+    ProfileWire::with_encoded(profile, encode_frame)
 }
 
 /// Deserialize a whole profile from framed bytes.

@@ -6,7 +6,8 @@
 //!   totals under any time-dimension configuration;
 //! * the profile wire codec round-trips arbitrary profiles canonically —
 //!   equal content gives equal bytes, frames in the older hash order still
-//!   load, and corrupt frames are rejected without panicking;
+//!   load, encoding inside a live trace span gives the same bytes as
+//!   outside one, and corrupt frames are rejected without panicking;
 //! * query results equal a naive reference implementation;
 //! * a projected (window) load answers window queries exactly like a full
 //!   load, and upgrading the partial entry to full coverage reconstructs
@@ -26,6 +27,8 @@ use ips_core::persist::{decode_profile, encode_profile, ProfilePersister, SliceP
 use ips_core::query::{engine, FilterPredicate, ProfileQuery};
 use ips_core::GCache;
 use ips_kv::{KvNode, KvNodeConfig};
+use ips_trace::{SamplerConfig, Tracer};
+use ips_types::clock::system_clock;
 use ips_types::{
     ActionTypeId, AggregateFunction, CacheConfig, CompactionConfig, CountVector, DurationMs,
     FeatureId, PersistenceMode, ProfileId, ShrinkConfig, SlotId, SystemClock, TableId,
@@ -235,6 +238,25 @@ proptest! {
         for (sa, sb) in a.slices().iter().zip(b.slices()) {
             prop_assert_eq!(encode_slice(sa), encode_slice(sb));
         }
+    }
+
+    #[test]
+    fn encoding_inside_a_live_span_matches_encoding_outside(
+        writes in proptest::collection::vec(arb_write(), 0..200),
+    ) {
+        let mut p = ProfileData::new();
+        apply(&mut p, &writes, DurationMs::from_secs(5));
+        let encode_all = |p: &ProfileData| {
+            let slices: Vec<Vec<u8>> = p.slices().iter().map(encode_slice).collect();
+            (encode_profile(p), slices)
+        };
+        let outside = encode_all(&p);
+        let tracer = Tracer::new(system_clock(), SamplerConfig::always());
+        let span = tracer.root_span("flush", 1);
+        prop_assert!(span.is_sampled() && ips_trace::current().is_some());
+        let inside = encode_all(&p);
+        drop(span);
+        prop_assert_eq!(inside, outside);
     }
 
     #[test]

@@ -1,176 +1,19 @@
-//! Storage service-time model.
+//! The storage-model argument `IpsClusterClient::new` still accepts.
 //!
-//! The paper's latency decomposition (Table II) attributes the cache-miss
-//! penalty to fetching and deserializing the profile from the key-value
-//! store, and the client/server gap (~3 ms) to the network. Our KV substrate
-//! executes in nanoseconds, so experiment harnesses add modeled service time
-//! on top of measured compute time. The model is deliberately simple and
-//! fully documented in EXPERIMENTS.md: a fixed per-op cost plus a
-//! size-proportional transfer term with bounded jitter.
+//! Nothing in the serving path models storage time any more: a query
+//! result reports the fetch it performed (`kv_round_trips`,
+//! `kv_bytes_read`) and the experiment harnesses price it offline
+//! (`ips_bench::latency`). This type carries no parameters; it remains so
+//! existing callers of the client constructor keep compiling.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use ips_types::DurationMs;
-
-/// Parameters for the storage service-time model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct KvLatencyModel {
-    /// Fixed per-operation cost in microseconds (request handling, index
-    /// lookup, commit).
-    pub base_us: u64,
-    /// Transfer cost per KiB of value moved, in microseconds.
-    pub per_kib_us: u64,
-    /// Multiplicative jitter bound: each sample is scaled by a factor drawn
-    /// uniformly from `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
-}
+/// An empty storage model, accepted and ignored by the cluster client.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KvLatencyModel;
 
 impl KvLatencyModel {
-    /// Defaults producing the paper's observed cache-miss penalty: ~2–4 ms
-    /// per profile fetch for typical 10–40 KiB serialized profiles.
-    #[must_use]
-    pub fn production_default() -> Self {
-        Self {
-            base_us: 1_500,
-            per_kib_us: 60,
-            jitter: 0.25,
-        }
-    }
-
-    /// A zero-latency model (disable storage accounting).
+    /// The only value.
     #[must_use]
     pub fn zero() -> Self {
-        Self {
-            base_us: 0,
-            per_kib_us: 0,
-            jitter: 0.0,
-        }
-    }
-
-    /// Deterministic expected service time for an op moving `bytes`.
-    #[must_use]
-    pub fn expected_us(&self, bytes: usize) -> u64 {
-        self.base_us + self.per_kib_us * (bytes as u64).div_ceil(1024)
-    }
-
-    /// Fixed cost of one *additional* round trip issued back-to-back on an
-    /// already-open storage conversation (the split-profile loader's
-    /// meta-then-multi-get sequence): connection setup and queueing are
-    /// amortized, leaving roughly a fifth of the cold per-op cost.
-    #[must_use]
-    pub fn amortized_op_us(&self) -> u64 {
-        self.base_us / 5
-    }
-
-    /// Deterministic expected service time for a profile fetch that issues
-    /// `round_trips` storage ops and moves `bytes` in total. The first op
-    /// pays the full fixed cost, each further op the amortized cost — this
-    /// is what makes one multi-get of N slices far cheaper than N gets.
-    #[must_use]
-    pub fn expected_fetch_us(&self, round_trips: u32, bytes: usize) -> u64 {
-        let extra = u64::from(round_trips.saturating_sub(1)) * self.amortized_op_us();
-        self.expected_us(bytes) + extra
-    }
-
-    /// One sampled service time, in microseconds.
-    #[must_use]
-    pub fn sample_us(&self, bytes: usize, rng: &mut SmallRng) -> u64 {
-        self.sample_fetch_us(1, bytes, rng)
-    }
-
-    /// One sampled multi-op fetch service time, in microseconds.
-    #[must_use]
-    pub fn sample_fetch_us(&self, round_trips: u32, bytes: usize, rng: &mut SmallRng) -> u64 {
-        let expected = self.expected_fetch_us(round_trips, bytes) as f64;
-        if self.jitter <= 0.0 {
-            return expected as u64;
-        }
-        let factor = rng.gen_range((1.0 - self.jitter)..=(1.0 + self.jitter));
-        (expected * factor).round() as u64
-    }
-
-    /// One sampled service time as a duration (millisecond resolution,
-    /// rounded up so sub-millisecond ops still advance a simulated clock).
-    #[must_use]
-    pub fn sample_duration(&self, bytes: usize, rng: &mut SmallRng) -> DurationMs {
-        DurationMs::from_millis(self.sample_us(bytes, rng).div_ceil(1000))
-    }
-
-    /// A seeded RNG for reproducible experiment runs.
-    #[must_use]
-    pub fn seeded_rng(seed: u64) -> SmallRng {
-        SmallRng::seed_from_u64(seed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn expected_scales_with_size() {
-        let m = KvLatencyModel::production_default();
-        let small = m.expected_us(1024);
-        let big = m.expected_us(40 * 1024);
-        assert!(big > small);
-        // 40 KiB profile fetch lands in the paper's 2-4ms miss penalty.
-        assert!((2_000..=4_500).contains(&big), "40KiB fetch = {big}us");
-    }
-
-    #[test]
-    fn fetch_amortizes_extra_round_trips() {
-        let m = KvLatencyModel::production_default();
-        let one = m.expected_fetch_us(1, 8 << 10);
-        let two = m.expected_fetch_us(2, 8 << 10);
-        assert_eq!(one, m.expected_us(8 << 10));
-        assert_eq!(two - one, m.amortized_op_us());
-        // A projected 2-round-trip small fetch beats the old flat 32 KiB
-        // single-op miss model (~3.4 ms) by a wide margin.
-        assert!(m.expected_fetch_us(2, 4 << 10) < m.expected_us(32 << 10));
-        // Zero round trips does not underflow.
-        assert_eq!(m.expected_fetch_us(0, 0), m.base_us);
-    }
-
-    #[test]
-    fn zero_model_is_zero() {
-        let m = KvLatencyModel::zero();
-        let mut rng = KvLatencyModel::seeded_rng(1);
-        assert_eq!(m.sample_us(1 << 20, &mut rng), 0);
-    }
-
-    #[test]
-    fn jitter_stays_in_bounds() {
-        let m = KvLatencyModel {
-            base_us: 1_000,
-            per_kib_us: 0,
-            jitter: 0.25,
-        };
-        let mut rng = KvLatencyModel::seeded_rng(7);
-        for _ in 0..1_000 {
-            let s = m.sample_us(0, &mut rng);
-            assert!((750..=1_250).contains(&s), "sample {s} out of bounds");
-        }
-    }
-
-    #[test]
-    fn sampling_is_reproducible_with_same_seed() {
-        let m = KvLatencyModel::production_default();
-        let mut a = KvLatencyModel::seeded_rng(42);
-        let mut b = KvLatencyModel::seeded_rng(42);
-        for _ in 0..100 {
-            assert_eq!(m.sample_us(4096, &mut a), m.sample_us(4096, &mut b));
-        }
-    }
-
-    #[test]
-    fn duration_rounds_up_sub_millisecond() {
-        let m = KvLatencyModel {
-            base_us: 10,
-            per_kib_us: 0,
-            jitter: 0.0,
-        };
-        let mut rng = KvLatencyModel::seeded_rng(1);
-        assert_eq!(m.sample_duration(0, &mut rng), DurationMs::from_millis(1));
+        Self
     }
 }

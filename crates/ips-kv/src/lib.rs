@@ -17,9 +17,9 @@
 //! * [`replication::ReplicatedKv`] — one master + N read replicas with
 //!   asynchronous, lag-bounded replication, matching the paper's
 //!   master/slave clusters in the multi-region deployment (Fig 15);
-//! * [`latency::KvLatencyModel`] — the service-time model used by the
-//!   experiment harnesses to account for storage time in end-to-end latency
-//!   (Table II's cache-miss penalty).
+//! * [`latency::KvLatencyModel`] — the parameterless storage-model
+//!   argument the cluster client still accepts (storage time is priced
+//!   offline by the experiment harnesses).
 
 pub mod latency;
 pub mod node;

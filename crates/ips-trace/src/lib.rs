@@ -5,10 +5,12 @@
 //! *decomposition* — network overhead vs. cache-hit compute vs. cache-miss
 //! HBase fetch. This crate measures that decomposition instead of asserting
 //! it: every client request opens a root [`Span`], each stage it passes
-//! through (dispatch, serialization, network, cache, KV fetch, compute)
+//! through (dispatch, serialization, attempt, cache, store load, compute)
 //! opens a child span, and the [`SpanContext`] rides the RPC wire so the
 //! server-side spans land in the *same* trace as the client that issued
-//! the call — across endpoints, retries, and region failover.
+//! the call — across endpoints, retries, and region failover. Spans record
+//! measured time only; the network and KV stages the paper reports are
+//! priced offline from the byte attributes on `attempt` spans.
 //!
 //! Design points:
 //!
@@ -297,28 +299,6 @@ pub fn child(name: &'static str) -> Span {
     match current() {
         Some((tracer, ctx)) => tracer.span_with_parent(name, ctx),
         None => Span::disabled(),
-    }
-}
-
-/// Record a *modeled* cost (simulated network / KV latency that was never
-/// actually slept) as a fixed-duration child of the ambient span. The span
-/// is marked `modeled=true` so exporters can distinguish simulated from
-/// measured time.
-pub fn record_modeled(name: &'static str, duration_us: u64) {
-    if let Some((tracer, ctx)) = current() {
-        if ctx.sampled {
-            let start = tracer.clock.monotonic_micros();
-            tracer.collector.record(SpanRecord {
-                trace: ctx.trace,
-                span: tracer.next_span_id(),
-                parent: Some(ctx.span),
-                name,
-                start_us: start,
-                end_us: start.saturating_add(duration_us),
-                error: false,
-                attrs: vec![("modeled", "true".to_string())],
-            });
-        }
     }
 }
 
@@ -724,30 +704,6 @@ mod tests {
         let b_rec = recs.iter().find(|r| r.name == "b").unwrap();
         let c_rec = recs.iter().find(|r| r.name == "c").unwrap();
         assert_eq!(c_rec.parent, Some(b_rec.span), "c parents to b, not a");
-    }
-
-    #[test]
-    fn record_modeled_attaches_fixed_duration_child() {
-        let t = tracer(SamplerConfig::always());
-        {
-            let _root = t.root_span("query", 0);
-            record_modeled("network", 1_234);
-        }
-        let recs = t.drain();
-        let net = recs.iter().find(|r| r.name == "network").unwrap();
-        assert_eq!(net.duration_us(), 1_234);
-        assert_eq!(net.attr("modeled"), Some("true"));
-        assert!(net.parent.is_some());
-    }
-
-    #[test]
-    fn record_modeled_is_noop_when_unsampled() {
-        let t = tracer(SamplerConfig::rate(0.0));
-        {
-            let _root = t.root_span("query", 0);
-            record_modeled("network", 500);
-        }
-        assert!(t.drain().is_empty());
     }
 
     #[test]

@@ -474,46 +474,6 @@ impl Priority {
     }
 }
 
-/// Client retry behaviour for failover across replicas and regions.
-///
-/// The defaults reproduce the pre-deadline behaviour exactly: sweep every
-/// candidate once, no backoff charged.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Maximum attempts across all replicas and regions. `usize::MAX` means
-    /// "one full sweep of every candidate" (the legacy unbounded mode).
-    pub attempts: usize,
-    /// Base backoff charged (as modeled time) between failover rounds;
-    /// doubles each round. Only consumes the request deadline — the client
-    /// never sleeps for it.
-    pub base_backoff: DurationMs,
-    /// Jitter fraction applied to each backoff step (0.0–1.0).
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            attempts: usize::MAX,
-            base_backoff: DurationMs::from_millis(5),
-            jitter: 0.1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Validate ranges.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.attempts == 0 {
-            return Err("retry attempts must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.jitter) {
-            return Err("jitter must be in [0, 1]".into());
-        }
-        Ok(())
-    }
-}
-
 /// Per-endpoint circuit breaker (consecutive-failure trip, half-open probe).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CircuitBreakerConfig {

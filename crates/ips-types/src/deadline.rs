@@ -3,14 +3,14 @@
 //! A [`Deadline`] is a *remaining budget* in microseconds, not an absolute
 //! wall-clock instant. That makes it safe to ship across the wire between
 //! machines whose clocks are not synchronized: the client stamps the budget
-//! it has left, every hop subtracts the time it consumed (real elapsed time,
-//! modeled network transit, modeled backoff — the workspace mixes real and
-//! modeled time deliberately), and whoever holds the budget when it reaches
-//! zero sheds the work instead of computing it.
+//! it has left, every hop subtracts the time it measured itself consuming,
+//! and whoever holds the budget when it reaches zero sheds the work instead
+//! of computing it. No modeled time is ever charged.
 //!
-//! Server-side, a decoded budget is [`armed`](Deadline::arm) against the
-//! process-local monotonic clock to produce an [`ArmedDeadline`] that tracks
-//! real elapsed time (queue wait, compute) from arrival.
+//! Each side [`arms`](Deadline::arm) its budget against the process-local
+//! monotonic clock to get an [`ArmedDeadline`] that tracks real elapsed
+//! time: the client once per logical request (every attempt, round and
+//! region draws it down), the server on arrival (queue wait, compute).
 
 use crate::clock::monotonic_micros;
 

@@ -23,8 +23,7 @@ pub use clock::{Clock, SharedClock, SimClock, SystemClock};
 pub use config::{
     AdmissionConfig, AggregateFunction, CacheConfig, CircuitBreakerConfig, CompactionConfig,
     DegradedServingConfig, IsolationConfig, PersistenceMode, Priority, QuotaConfig, RecoveryMode,
-    RetryPolicy, ShrinkConfig, SortKey, SortOrder, TableConfig, TimeDimensionConfig,
-    TruncateConfig, WalConfig,
+    ShrinkConfig, SortKey, SortOrder, TableConfig, TimeDimensionConfig, TruncateConfig, WalConfig,
 };
 pub use counts::{scale_counts, CountVector, MAX_ATTRIBUTES};
 pub use deadline::{ArmedDeadline, Deadline};

@@ -4,15 +4,18 @@
 //! region-b reads its local replica), runs traffic through the unified
 //! client, then takes the whole home region down and shows queries failing
 //! over to the other region "within minutes" — here, within one discovery
-//! refresh — while the client-observed error rate stays near zero.
+//! refresh — while the client-observed error rate stays near zero. The
+//! first query's latency is priced offline from the bytes it moved
+//! (`ips_bench::CostModel`): serving code measures, it does not model.
 //!
 //! Run with: `cargo run --example cluster_failover`
 
 use std::sync::Arc;
 
-use ips::cluster::{IpsClusterClient, MultiRegionDeployment, MultiRegionOptions, NetworkModel};
+use ips::cluster::{IpsClusterClient, MultiRegionDeployment, MultiRegionOptions};
 use ips::kv::KvLatencyModel;
 use ips::prelude::*;
+use ips_bench::{timed, CostModel};
 
 fn main() -> Result<()> {
     let (clock, ctl) = sim_clock(Timestamp::from_millis(
@@ -25,7 +28,6 @@ fn main() -> Result<()> {
         MultiRegionOptions {
             regions: vec!["region-a".into(), "region-b".into()],
             instances_per_region: 3,
-            network: NetworkModel::production_default(),
             tables: vec![(TableId::new(1), table_cfg)],
             ..Default::default()
         },
@@ -35,7 +37,7 @@ fn main() -> Result<()> {
     let client = IpsClusterClient::new(
         Arc::clone(&deployment.discovery),
         "region-a",
-        KvLatencyModel::production_default(),
+        KvLatencyModel::zero(),
     );
     client.add_endpoints(deployment.all_endpoints());
     client.refresh();
@@ -68,15 +70,17 @@ fn main() -> Result<()> {
             TimeRange::last_days(1),
             5,
         );
-        let (result, breakdown) = client.query(caller, &q)?;
+        let (outcome, measured_us) = timed(|| client.query(caller, &q));
+        let (result, wire) = outcome?;
         if !result.is_empty() {
             hits += 1;
         }
         if user == 0 {
+            let priced = CostModel::PRODUCTION.price_query(measured_us, &result, &wire);
             println!(
                 "  first query: {:.2} ms total ({:.2} ms network)",
-                breakdown.total_us() as f64 / 1_000.0,
-                breakdown.network_us as f64 / 1_000.0
+                priced.total_us() as f64 / 1_000.0,
+                priced.network_us as f64 / 1_000.0
             );
         }
     }

@@ -414,7 +414,7 @@ fn flapping_endpoint_breaker_opens_and_readmits() {
         MultiRegionOptions {
             regions: vec!["r0".into()],
             instances_per_region: 3,
-            network: NetworkModel::production_default(),
+            network: NetworkModel::zero(),
             tables: vec![(TABLE, table_cfg)],
             ..Default::default()
         },

@@ -174,9 +174,6 @@ fn snapshot_stream_resumes_after_dropped_chunks() {
     let added = d.scale_out("region-a", 1).unwrap();
     assert_eq!(added.len(), 1);
     let lossy = NetworkModel {
-        rtt_us: 0,
-        per_kib_us: 0,
-        jitter: 0.0,
         loss_probability: 0.35,
     };
     let endpoints: Vec<Arc<RpcEndpoint>> = d.regions[0]

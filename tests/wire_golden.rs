@@ -2,7 +2,9 @@
 //! `wire_schema.lock` section, plus the absent-field shapes (untraced
 //! envelope, default `CallOptions`, non-degraded and no-fetch
 //! `QueryResult`, `TimeRange::Current`, an error with an empty message), and
-//! a storage frame carrying a writer's trace context.
+//! a storage frame carrying a trace context, as older writers stamped it.
+//! Nothing writes that last shape any more, so it is a read-only case: the
+//! fixture keeps it and only the decode test renders against it.
 //!
 //! Equal values must encode to identical bytes across codec rewrites:
 //! persisted profiles, WAL segments and RPC frames written by an older
@@ -18,7 +20,7 @@ use bytes::Bytes;
 use ips::cluster::rpc::{
     CallOptions, ProfileWrite, RequestEnvelope, RpcRequest, RpcResponse, SnapshotAck, SnapshotEntry,
 };
-use ips::codec::frame::{decode_frame, encode_frame_traced, FrameTraceContext};
+use ips::codec::frame::decode_frame;
 use ips::core::persist::persister::ProfilePersister;
 use ips::core::persist::schema::{decode_profile, decode_slice, encode_profile, encode_slice};
 use ips::core::query::{FeatureEntry, FilterPredicate, ProfileQuery, QueryKind, QueryResult};
@@ -465,14 +467,6 @@ fn render() -> Vec<(String, String)> {
     let bytes = encode_slice(slice);
     assert_eq!(&decode_slice(&bytes).unwrap(), slice);
     out.push(("persist/slice".into(), hex(&bytes)));
-    // The same slice as a writer inside a live span framed it (`FLAG_TRACE`).
-    let ctx = FrameTraceContext {
-        trace_id: span().trace.0,
-        span_id: span().span.0,
-        sampled: true,
-    };
-    let traced = encode_frame_traced(&decode_frame(&bytes).unwrap(), Some(&ctx));
-    out.push(("persist/slice_traced".into(), hex(&traced)));
     out.push((
         "persist/slice_meta".into(),
         hex(&slice_meta_bytes(&profile)),
@@ -486,6 +480,10 @@ fn render() -> Vec<(String, String)> {
 /// `name hex` per line: the committed bytes, shared with the decoder
 /// fuzzing in `wire_schema.rs`.
 const GOLDEN: &str = include_str!("wire_golden.txt");
+
+/// Golden cases no writer produces any more. They stay in the fixture so
+/// their read path stays pinned, and `render()` skips them.
+const READ_ONLY: &[&str] = &["persist/slice_traced"];
 
 /// The read path for storage frames written with a trace context: the
 /// committed bytes decode to the sample slice without any writer involved.
@@ -513,14 +511,23 @@ fn every_wire_message_encodes_to_its_golden_bytes() {
         .iter()
         .map(|(name, hex)| format!("{name} {hex}\n"))
         .collect();
-    if rendered != GOLDEN {
+    let written: String = GOLDEN
+        .lines()
+        .filter(|line| {
+            !READ_ONLY
+                .iter()
+                .any(|name| line.split(' ').next() == Some(name))
+        })
+        .map(|line| format!("{line}\n"))
+        .collect();
+    if rendered != written {
         println!("{rendered}");
-        for (want, got) in GOLDEN.lines().zip(rendered.lines()) {
+        for (want, got) in written.lines().zip(rendered.lines()) {
             assert_eq!(got, want, "golden bytes changed");
         }
         panic!(
-            "tests/wire_golden.txt has {} cases, rendering gives {}",
-            GOLDEN.lines().count(),
+            "tests/wire_golden.txt has {} written cases, rendering gives {}",
+            written.lines().count(),
             rendered.lines().count()
         );
     }
