@@ -6,16 +6,80 @@
 //! after a year. The harness feeds identical event streams to a managed
 //! IPS instance and the naive unbounded store and prints both growth curves
 //! plus the final slice-count/slice-size/profile-size triple.
+//!
+//! Writes `BENCH_memory_growth.json`: per month, the managed profile's slice
+//! count, the bytes the cache budget counts for it (`approx_bytes`), the
+//! heap it holds as loaded from storage (measured by the allocator) and its
+//! encoded frame size, plus their means over the second half-year, where
+//! the profile has plateaued.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
 
 use ips_baseline::NaiveProfileStore;
 use ips_bench::{banner, human_bytes, TABLE};
+use ips_core::persist::{decode_profile, encode_profile};
 use ips_core::server::{IpsInstance, IpsInstanceOptions};
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_types::clock::sim_clock;
 use ips_types::config::TruncateConfig;
 use ips_types::{CallerId, Clock, DurationMs, ProfileId, ShrinkConfig, TableConfig, Timestamp};
+
+/// Counts live heap bytes, so the artefact reports what the allocator
+/// holds rather than what the model estimates.
+struct Counting;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The managed profile at the end of one month.
+struct Sample {
+    slices: usize,
+    approx_bytes: usize,
+    live_bytes: usize,
+    encoded_bytes: usize,
+}
+
+/// Measure a profile: its encoded frame, and the heap it holds once that
+/// frame is loaded back (the single-threaded bin allocates nothing else
+/// while the delta is taken).
+fn sample(profile: &ips_core::model::ProfileData) -> Sample {
+    let frame = encode_profile(profile);
+    let before = LIVE.load(Ordering::Relaxed);
+    let loaded = decode_profile(&frame).unwrap();
+    let live_bytes = (LIVE.load(Ordering::Relaxed) - before) as usize;
+    drop(loaded);
+    Sample {
+        slices: profile.slice_count(),
+        approx_bytes: profile.approx_bytes(),
+        live_bytes,
+        encoded_bytes: frame.len(),
+    }
+}
 
 fn main() {
     banner(
@@ -54,6 +118,7 @@ fn main() {
     println!("month | managed slices | managed size | unmanaged slices | unmanaged size");
     let mut managed_curve = Vec::new();
     let mut naive_curve = Vec::new();
+    let mut samples = Vec::new();
     for month in 1..=12u64 {
         // ~16 events/day for 30 days, in 5-minute-granularity buckets.
         for day in 0..30u64 {
@@ -86,15 +151,17 @@ fn main() {
             instance.tick().unwrap();
         }
         let rt = instance.table(TABLE).unwrap();
-        let (m_slices, m_bytes) = rt
+        let month_sample = rt
             .cache
-            .read(user, |p| (p.slice_count(), p.approx_bytes()))
+            .read(user, sample)
             .unwrap()
             .map(|(v, _)| v)
-            .unwrap_or((0, 0));
+            .unwrap();
+        let (m_slices, m_bytes) = (month_sample.slices, month_sample.approx_bytes);
         let snap = naive.snapshot();
         managed_curve.push(m_bytes);
         naive_curve.push(snap.approx_bytes);
+        samples.push(month_sample);
         println!(
             "{month:>5} | {m_slices:>14} | {:>12} | {:>16} | {:>14}",
             human_bytes(m_bytes as f64),
@@ -128,6 +195,8 @@ fn main() {
     let blowup = naive_final.approx_bytes as f64 / bytes.max(1) as f64;
     println!("unmanaged / managed size ratio after a year: {blowup:.0}x");
 
+    write_artefact(&samples);
+
     // Shape assertions: managed plateaus, unmanaged grows linearly.
     let m_h1 = managed_curve[5] as f64;
     let m_h2 = *managed_curve.last().unwrap() as f64;
@@ -146,4 +215,38 @@ fn main() {
         "management should win by a wide margin, got {blowup:.1}x"
     );
     println!("memory_growth_year: OK");
+}
+
+/// Write `BENCH_memory_growth.json`: every month's sample, and the means
+/// over months 7–12 (the plateau).
+fn write_artefact(samples: &[Sample]) {
+    let plateau = &samples[6..];
+    let mean = |f: fn(&Sample) -> usize| {
+        plateau.iter().map(f).sum::<usize>() as f64 / plateau.len() as f64
+    };
+    let mut json = String::from("{\n  \"bench\": \"memory_growth\",\n");
+    let _ = writeln!(
+        json,
+        "  \"plateau\": {{\"months\": \"7-12\", \"slices\": {:.1}, \"approx_bytes\": {:.0}, \"live_bytes\": {:.0}, \"encoded_bytes\": {:.0}}},",
+        mean(|s| s.slices),
+        mean(|s| s.approx_bytes),
+        mean(|s| s.live_bytes),
+        mean(|s| s.encoded_bytes),
+    );
+    json.push_str("  \"months\": [\n");
+    for (i, s) in samples.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"month\": {}, \"slices\": {}, \"approx_bytes\": {}, \"live_bytes\": {}, \"encoded_bytes\": {}}}",
+            i + 1,
+            s.slices,
+            s.approx_bytes,
+            s.live_bytes,
+            s.encoded_bytes,
+        );
+        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ]\n}\n");
+    std::fs::write("BENCH_memory_growth.json", &json).expect("write BENCH_memory_growth.json");
+    println!("wrote BENCH_memory_growth.json");
 }
