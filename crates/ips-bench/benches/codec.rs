@@ -2,15 +2,26 @@
 //!
 //! Profile encode/decode (bulk and per-slice), the LZ compressor on
 //! profile-like and incompressible data, and the frame envelope.
+//!
+//! `build` writes each slice's features in one contiguous loop, so its
+//! profiles sit in memory in write order. The `shaped` cases build theirs
+//! the way serving does, through `ProfileData::add` at random times and
+//! then compaction, which is the layout a flush walks.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use ips_codec::{compress, decode_frame, decompress, encode_frame};
 use ips_core::model::ProfileData;
 use ips_core::persist::schema::{decode_profile, encode_profile};
 use ips_types::{
-    ActionTypeId, AggregateFunction, CountVector, DurationMs, FeatureId, SlotId, Timestamp,
+    ActionTypeId, AggregateFunction, CompactionConfig, CountVector, DurationMs, FeatureId, SlotId,
+    TimeDimensionConfig, Timestamp,
 };
+
+#[path = "../../ips-core/tests/common/shaped.rs"]
+mod shaped;
 
 fn build(slices: u64, feats: u64) -> ProfileData {
     let mut p = ProfileData::new();
@@ -44,6 +55,27 @@ fn bench_profile_codec(c: &mut Criterion) {
         );
         group.bench_with_input(
             BenchmarkId::new("decode", format!("{slices}x{feats}")),
+            &encoded,
+            |b, bytes| b.iter(|| black_box(decode_profile(black_box(bytes)).unwrap())),
+        );
+    }
+    // Benchmark-shaped profiles: a median one and a hot one.
+    let config = CompactionConfig {
+        time_dimension: TimeDimensionConfig::production_default(),
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(34);
+    for writes in [40u32, 3_000] {
+        let p = shaped::benchmark_shaped_profile(&mut rng, &config, writes..writes + 1);
+        let encoded = encode_profile(&p);
+        group.throughput(Throughput::Bytes(encoded.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new("encode_shaped", format!("{writes}w")),
+            &p,
+            |b, p| b.iter(|| black_box(encode_profile(black_box(p)))),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("decode_shaped", format!("{writes}w")),
             &encoded,
             |b, bytes| b.iter(|| black_box(decode_profile(black_box(bytes)).unwrap())),
         );

@@ -147,6 +147,11 @@ pub struct HandoffCoordinator {
     next_handoff: AtomicU64,
 }
 
+/// Coordinators created so far in this process. A coordinator's handoff
+/// ids carry its serial in their high 32 bits, so two coordinators never
+/// send one id to a target, which remembers the streams it completed.
+static COORDINATORS: AtomicU64 = AtomicU64::new(0);
+
 impl HandoffCoordinator {
     #[must_use]
     pub fn new(discovery: Arc<Discovery>, config: HandoffConfig) -> Self {
@@ -155,7 +160,7 @@ impl HandoffCoordinator {
             config,
             metrics: HandoffMetrics::default(),
             tracer: RwLock::new(None),
-            next_handoff: AtomicU64::new(0),
+            next_handoff: AtomicU64::new(COORDINATORS.fetch_add(1, Ordering::Relaxed) << 32),
         }
     }
 

@@ -67,11 +67,44 @@ impl fmt::Display for CompressError {
 
 impl std::error::Error for CompressError {}
 
+/// The 4 bytes at `at`, little endian.
 #[inline]
-fn hash4(data: &[u8]) -> usize {
-    // Multiplicative hash of the next 4 bytes.
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+fn load32(data: &[u8], at: usize) -> u32 {
+    let mut le = [0u8; 4];
+    le.copy_from_slice(&data[at..at + 4]);
+    u32::from_le_bytes(le)
+}
+
+/// The 8 bytes at `at`, little endian.
+#[inline]
+fn load64(data: &[u8], at: usize) -> u64 {
+    let mut le = [0u8; 8];
+    le.copy_from_slice(&data[at..at + 8]);
+    u64::from_le_bytes(le)
+}
+
+/// Multiplicative hash of 4 bytes.
+#[inline]
+fn hash4(v: u32) -> usize {
     ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
+}
+
+/// How far the bytes at `a` and at `b > a` agree, up to the end of `data`:
+/// eight bytes per step, then byte by byte.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize) -> usize {
+    let mut len = 0;
+    while b + len + 8 <= data.len() {
+        let diff = load64(data, a + len) ^ load64(data, b + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while b + len < data.len() && data[a + len] == data[b + len] {
+        len += 1;
+    }
+    len
 }
 
 fn emit_len(out: &mut Vec<u8>, len: u64, is_copy: bool) {
@@ -111,6 +144,13 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// The caller owns the output buffer, so hot paths can reuse a pooled one;
 /// the match-finder hash table is always served from the thread-local pool
 /// rather than allocated per call.
+///
+/// The table is not cleared per call, which would cost more than
+/// compressing a small payload. Each call stamps its entries with
+/// `base + position`, where `base` starts past every stamp earlier calls
+/// wrote, so an entry is this call's iff it is at least `base`; anything
+/// below reads as empty, exactly as in a fresh table. The table is zeroed
+/// only when the stamps would wrap a `u32`.
 pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
     out.clear();
     out.reserve(input.len() / 2 + 16);
@@ -119,27 +159,35 @@ pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
         return;
     }
 
-    // table[h] = last position whose 4-byte hash was h.
-    crate::pool::with_u32_table(HASH_SIZE, u32::MAX, |table| {
+    // table[h] = base + the last position whose 4-byte hash was h.
+    crate::pool::with_u32_table(HASH_SIZE, |table, cursor| {
+        // Stamps start at 1: a zeroed (fresh or cleared) slot is empty.
+        let mut base = (*cursor).max(1);
+        if u32::try_from(input.len())
+            .ok()
+            .and_then(|len| base.checked_add(len))
+            .is_none()
+        {
+            crate::pool::clear_u32_table(table);
+            base = 1;
+        }
+        // A fixed length lets the compiler drop the bounds checks.
+        let table = &mut table[..HASH_SIZE];
         let mut pos = 0usize;
         let mut lit_start = 0usize;
         // Stop early enough that hash4/extension reads stay in bounds.
         let limit = input.len() - MIN_MATCH;
+        let stamp = |p: usize| base + p as u32;
 
         while pos <= limit {
-            let h = hash4(&input[pos..]);
-            let candidate = table[h] as usize;
-            table[h] = pos as u32;
+            let bytes = load32(input, pos);
+            let h = hash4(bytes);
+            let candidate = table[h].checked_sub(base).map(|c| c as usize);
+            table[h] = stamp(pos);
 
-            if candidate != u32::MAX as usize
-                && candidate < pos
-                && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH]
-            {
+            if let Some(candidate) = candidate.filter(|&c| c < pos && load32(input, c) == bytes) {
                 // Extend the match as far as possible.
-                let mut len = MIN_MATCH;
-                while pos + len < input.len() && input[candidate + len] == input[pos + len] {
-                    len += 1;
-                }
+                let len = MIN_MATCH + match_len(input, candidate + MIN_MATCH, pos + MIN_MATCH);
                 emit_literal(out, &input[lit_start..pos]);
                 emit_copy(out, len, pos - candidate);
                 // Index a couple of positions inside the match so long runs
@@ -147,7 +195,7 @@ pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
                 let end = pos + len;
                 let mut p = pos + 1;
                 while p < end.min(limit) && p < pos + 4 {
-                    table[hash4(&input[p..])] = p as u32;
+                    table[hash4(load32(input, p))] = stamp(p);
                     p += 1;
                 }
                 pos = end;
@@ -157,6 +205,8 @@ pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
             }
         }
         emit_literal(out, &input[lit_start..]);
+        // The next call's stamps start past every position stamped here.
+        *cursor = stamp(input.len());
     });
 }
 
@@ -294,12 +344,48 @@ mod tests {
     #[test]
     fn repeated_compression_reuses_pooled_hash_table() {
         let data = b"pooled table check".repeat(64);
-        let _ = compress(&data);
+        let first = compress(&data);
         let before = crate::pool::stats();
-        let _ = compress(&data);
+        assert_eq!(compress(&data), first);
         let after = crate::pool::stats();
-        assert!(after.table_reuses > before.table_reuses);
+        assert_eq!(after.table_reuses, before.table_reuses + 1);
         assert_eq!(after.table_allocs, before.table_allocs);
+        assert_eq!(after.table_clears, before.table_clears, "no clear per call");
+    }
+
+    /// What `compress` writes for `data` on a thread whose table is fresh.
+    fn compress_fresh(data: &[u8]) -> Vec<u8> {
+        let data = data.to_vec();
+        std::thread::spawn(move || compress(&data)).join().unwrap()
+    }
+
+    #[test]
+    fn stale_entries_and_a_wrapping_cursor_match_a_fresh_table() {
+        let a = b"the quick brown fox jumps over the lazy dog".repeat(40);
+        let b: Vec<u8> = a
+            .iter()
+            .rev()
+            .copied()
+            .chain(a[..300].iter().copied())
+            .collect();
+        // Entries `a` leaves behind must not leak into `b`'s matches.
+        let _ = compress(&a);
+        assert_eq!(compress(&b), compress_fresh(&b));
+
+        // Put the cursor just short of wrapping: the next call clears the
+        // table once and still writes a fresh table's bytes.
+        crate::pool::with_u32_table(HASH_SIZE, |_, cursor| *cursor = u32::MAX - 100);
+        let before = crate::pool::stats();
+        assert_eq!(compress(&b), compress_fresh(&b));
+        assert_eq!(crate::pool::stats().table_clears, before.table_clears + 1);
+        crate::pool::with_u32_table(HASH_SIZE, |_, cursor| {
+            assert_eq!(
+                *cursor,
+                1 + b.len() as u32,
+                "stamps restart after the clear"
+            );
+        });
+        assert_eq!(compress(&a), compress_fresh(&a));
     }
 
     #[test]
@@ -354,7 +440,75 @@ mod tests {
         assert_eq!(round_trip(&data), data);
     }
 
+    /// The compressor as first written: a fresh table per call, one byte
+    /// per step. The optimised one must write exactly its bytes.
+    fn reference_compress(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        if input.len() < MIN_MATCH + 1 {
+            emit_literal(&mut out, input);
+            return out;
+        }
+        let hash = |at: usize| hash4(load32(input, at));
+        let mut table = vec![u32::MAX; HASH_SIZE];
+        let (mut pos, mut lit_start) = (0, 0);
+        let limit = input.len() - MIN_MATCH;
+        while pos <= limit {
+            let h = hash(pos);
+            let candidate = table[h] as usize;
+            table[h] = pos as u32;
+            if candidate != u32::MAX as usize
+                && candidate < pos
+                && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH]
+            {
+                let mut len = MIN_MATCH;
+                while pos + len < input.len() && input[candidate + len] == input[pos + len] {
+                    len += 1;
+                }
+                emit_literal(&mut out, &input[lit_start..pos]);
+                emit_copy(&mut out, len, pos - candidate);
+                let end = pos + len;
+                let mut p = pos + 1;
+                while p < end.min(limit) && p < pos + 4 {
+                    table[hash(p)] = p as u32;
+                    p += 1;
+                }
+                pos = end;
+                lit_start = pos;
+            } else {
+                pos += 1;
+            }
+        }
+        emit_literal(&mut out, &input[lit_start..]);
+        out
+    }
+
     proptest! {
+        #[test]
+        fn writes_the_reference_bytes(
+            seed in any::<u64>(),
+            n in 1usize..300,
+            alphabet in 1u64..20,
+        ) {
+            // Runs and repeats over a small alphabet: long and short
+            // matches, overlapping copies, and tails of every length.
+            let mut data = Vec::new();
+            let mut x = seed;
+            for _ in 0..n {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let byte = ((x >> 33) % alphabet) as u8;
+                if x % 5 == 0 && data.len() > 16 {
+                    let from = (x >> 40) as usize % (data.len() - 8);
+                    let take = 4 + (x >> 20) as usize % 40;
+                    for i in 0..take {
+                        data.push(data[from + i % (data.len() - from)]);
+                    }
+                } else {
+                    data.extend(std::iter::repeat_n(byte, 1 + (x >> 50) as usize % 9));
+                }
+            }
+            prop_assert_eq!(compress(&data), reference_compress(&data));
+        }
+
         #[test]
         fn round_trips_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             prop_assert_eq!(round_trip(&data), data);

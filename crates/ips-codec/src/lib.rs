@@ -17,9 +17,9 @@
 //! * [`frame`] — the envelope stored in the KV layer: magic, flags,
 //!   checksum, optional compression with automatic raw fallback for
 //!   incompressible payloads;
-//! * [`pool`] — thread-local pooled scratch buffers (nested-message
-//!   writers, compressor hash tables, frame intermediates) so steady-state
-//!   encoding does zero heap growth.
+//! * [`pool`] — thread-local pooled scratch (the buffer a message tree is
+//!   written into, the compressor's hash table, frame intermediates) so
+//!   steady-state encoding does zero heap growth.
 //!
 //! The profile⇄bytes schema itself lives next to the data structures in
 //! `ips-core::persist`; this crate is deliberately schema-agnostic.

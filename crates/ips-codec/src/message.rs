@@ -40,6 +40,13 @@
 //! takes an iterator and writes one field per item. Either way each
 //! occurrence on the wire runs the decode statement once.
 //!
+//! A decoder can fill a caller's accumulator instead of building a value:
+//! `decode(bytes, acc: &mut T = init)` adds an `acc: &mut T` parameter
+//! (`init` builds one when the message is decoded alone, as the decoder
+//! fuzzer does), and a nested field written `nested M[expr](..)` hands
+//! `expr` to `M::decode` as its accumulator. A tree of messages can then
+//! decode into one set of columns rather than one value per message.
+//!
 //! The generated unit struct has `encode(w, arg)` (for nesting),
 //! `to_vec(arg)` and `with_encoded(arg, |bytes| ..)` (both over a pooled
 //! scratch writer), and `decode(bytes) -> Result<Out>`.
@@ -115,8 +122,12 @@ macro_rules! wire_message {
         $(#[$meta:meta])*
         $vis:vis struct $name:ident($($lock:literal),+ $(,)?);
         encode($src:tt: $src_ty:ty) { $($enc_prologue:tt)* }
-        decode($bytes:ident) -> $out:ty { $($dec_prologue:tt)* }
-        $( $tag:literal $($kind:ident)+ ($enc:expr) => |$val:pat_param| $dec:expr; )+
+        decode($bytes:ident $(, $acc:ident: &mut $acc_ty:ty = $acc_init:expr)?) -> $out:ty {
+            $($dec_prologue:tt)*
+        }
+        $(
+            $tag:literal $($kind:ident)+ $([$into:expr])? ($enc:expr) => |$val:pat_param| $dec:expr;
+        )+
         finish { $($finish:tt)* }
     ) => {
         $(#[$meta])*
@@ -153,13 +164,16 @@ macro_rules! wire_message {
             }
 
             /// Decode one message body; unknown fields are skipped.
-            $vis fn decode($bytes: &[u8]) -> $crate::message::Result<$out> {
+            $vis fn decode(
+                $bytes: &[u8] $(, $acc: &mut $acc_ty)?
+            ) -> $crate::message::Result<$out> {
                 $($dec_prologue)*
                 let mut reader = $crate::wire::WireReader::new($bytes);
                 while let Some((field, value)) = reader.next_field().map_err(Self::wire_error)? {
                     match field {
                         $( $tag => {
-                            let $val = $crate::wire_message!(@get value, field, [$($kind)+]);
+                            let $val =
+                                $crate::wire_message!(@get value, field, [$($kind)+] $([$into])?);
                             $dec;
                         } )+
                         _ => {}
@@ -168,8 +182,8 @@ macro_rules! wire_message {
                 $($finish)*
             }
 
-            fn decode_and_drop(bytes: &[u8]) -> $crate::message::Result<()> {
-                Self::decode(bytes).map(drop)
+            fn decode_and_drop($bytes: &[u8]) -> $crate::message::Result<()> {
+                Self::decode($bytes $(, &mut $acc_init)?).map(drop)
             }
 
             fn wire_error(e: $crate::wire::WireError) -> $crate::message::IpsError {
@@ -200,11 +214,11 @@ macro_rules! wire_message {
         $w.put_message($tag, |nested| $m::encode(nested, $e))
     };
 
-    (@get $v:ident, $f:ident, [optional $($kind:ident)+]) => {
-        $crate::wire_message!(@get $v, $f, [$($kind)+])
+    (@get $v:ident, $f:ident, [optional $($kind:ident)+] $($into:tt)?) => {
+        $crate::wire_message!(@get $v, $f, [$($kind)+] $($into)?)
     };
-    (@get $v:ident, $f:ident, [repeated $($kind:ident)+]) => {
-        $crate::wire_message!(@get $v, $f, [$($kind)+])
+    (@get $v:ident, $f:ident, [repeated $($kind:ident)+] $($into:tt)?) => {
+        $crate::wire_message!(@get $v, $f, [$($kind)+] $($into)?)
     };
     (@get $v:ident, $f:ident, [varint]) => { $v.as_u64($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [zigzag]) => { $v.as_i64($f).map_err(Self::wire_error)? };
@@ -212,6 +226,9 @@ macro_rules! wire_message {
     (@get $v:ident, $f:ident, [bytes]) => { $v.as_bytes($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [packed]) => { $v.as_packed_u64($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [counts]) => { $v.as_counts($f).map_err(Self::wire_error)? };
+    (@get $v:ident, $f:ident, [nested $m:ident] [$into:expr]) => {
+        $m::decode($v.as_bytes($f).map_err(Self::wire_error)?, $into)?
+    };
     (@get $v:ident, $f:ident, [nested $m:ident]) => {
         $m::decode($v.as_bytes($f).map_err(Self::wire_error)?)?
     };
@@ -255,6 +272,40 @@ mod tests {
         finish {
             Ok((points, ids, counts))
         }
+    }
+
+    crate::wire_message! {
+        /// A leaf that adds its value to the caller's running total.
+        struct TallyWire("tally");
+        encode(v: u64) {}
+        decode(bytes, total: &mut u64 = 0) -> () {}
+        1 varint(v) => |v| *total += v;
+        finish {
+            Ok(())
+        }
+    }
+
+    crate::wire_message! {
+        /// Tallies summed into one accumulator the nested decoders share.
+        struct TalliesWire("tallies");
+        encode(vs: &[u64]) {}
+        decode(bytes) -> u64 {
+            let mut total = 0;
+        }
+        1 repeated nested TallyWire[&mut total](vs.iter().copied()) => |()| {};
+        finish {
+            Ok(total)
+        }
+    }
+
+    #[test]
+    fn nested_decoders_fill_a_shared_accumulator() {
+        let bytes = TalliesWire::to_vec(&[3, 4, 200]);
+        assert_eq!(TalliesWire::decode(&bytes).unwrap(), 207);
+        let mut total = 10;
+        TallyWire::decode(&TallyWire::to_vec(5), &mut total).unwrap();
+        assert_eq!(total, 15);
+        assert!((TallyWire::DESCRIPTOR.decode)(&[0x08, 0x01]).is_ok());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Thread-local pooled scratch buffers for the encode hot path.
 //!
-//! Profile serialization is allocation-heavy by construction: every nested
-//! message in the wire format builds a scratch `Vec<u8>`, the compressor
-//! allocates a 64 KiB hash table per call, and the frame encoder materializes
-//! a compressed intermediate it usually throws away (raw fallback) or copies
-//! into the envelope. None of those buffers outlive one encode call, so the
-//! steady state should reuse them instead of exercising the allocator on
-//! every flush and RPC.
+//! Each encode needs scratch that does not outlive the call: the buffer a
+//! message tree is written into (nested messages are written in place, so
+//! one buffer per tree), the compressor's 64 KiB hash table, and the
+//! compressed intermediate the frame encoder throws away (raw fallback) or
+//! copies into the envelope. The steady state reuses them instead of
+//! exercising the allocator on every flush and RPC.
 //!
 //! The pool is deliberately small and thread-local: no locks, no cross-thread
 //! traffic, bounded retained memory. Buffers above a retention cap are
@@ -14,21 +13,22 @@
 
 use std::cell::{Cell, RefCell};
 
-/// Maximum number of byte buffers retained per thread. Nested-message
-/// encoding recurses (profile → slice → slot → action → feature), so the
-/// pool must hold at least that depth to keep the recursion allocation-free.
-const MAX_POOLED_BUFS: usize = 8;
+/// Maximum number of byte buffers retained per thread: an encode holds at
+/// most a message buffer and a compressed intermediate at once, and an RPC
+/// frame may encode a message inside another's encode.
+const MAX_POOLED_BUFS: usize = 4;
 /// Buffers whose capacity grew beyond this are dropped on return instead of
 /// being retained (bounds per-thread retained memory).
 const MAX_RETAINED_CAP: usize = 256 << 10;
 
 thread_local! {
     static BUF_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-    static U32_TABLE: RefCell<Option<Box<[u32]>>> = const { RefCell::new(None) };
+    static U32_TABLE: RefCell<Option<(Box<[u32]>, u32)>> = const { RefCell::new(None) };
     static BUF_REUSES: Cell<u64> = const { Cell::new(0) };
     static BUF_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static TABLE_REUSES: Cell<u64> = const { Cell::new(0) };
     static TABLE_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static TABLE_CLEARS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Per-thread pool counters, for tests and benchmarks that want to prove the
@@ -43,6 +43,8 @@ pub struct PoolStats {
     pub table_reuses: u64,
     /// Compressor scratch tables freshly allocated.
     pub table_allocs: u64,
+    /// Compressor scratch tables cleared for reuse (cursor wrap).
+    pub table_clears: u64,
 }
 
 /// Snapshot this thread's pool counters.
@@ -53,6 +55,7 @@ pub fn stats() -> PoolStats {
         buf_allocs: BUF_ALLOCS.with(Cell::get),
         table_reuses: TABLE_REUSES.with(Cell::get),
         table_allocs: TABLE_ALLOCS.with(Cell::get),
+        table_clears: TABLE_CLEARS.with(Cell::get),
     }
 }
 
@@ -87,27 +90,35 @@ pub fn give_buf(mut buf: Vec<u8>) {
     });
 }
 
-/// Run `f` with a `len`-wide `u32` scratch table pre-filled with `fill`,
-/// reusing one pooled allocation per thread. The compressor's hash table is
-/// the sole intended user; `len` must be the same on every call from a given
+/// Run `f` with this thread's `len`-wide `u32` scratch table, zeroed when
+/// first allocated, and the cursor kept beside it. The table is *not*
+/// cleared between calls: the compressor, its sole intended user, stamps
+/// entries with positions offset by the cursor, so entries of earlier calls
+/// read as stale, and asks for a clear ([`clear_u32_table`]) only when the
+/// cursor would wrap. `len` must be the same on every call from a given
 /// thread (a mismatch falls back to reallocating).
-pub fn with_u32_table<R>(len: usize, fill: u32, f: impl FnOnce(&mut [u32]) -> R) -> R {
+pub fn with_u32_table<R>(len: usize, f: impl FnOnce(&mut [u32], &mut u32) -> R) -> R {
     U32_TABLE.with(|slot| {
-        let mut table = match slot.borrow_mut().take() {
-            Some(t) if t.len() == len => {
+        let (mut table, mut cursor) = match slot.borrow_mut().take() {
+            Some((t, cursor)) if t.len() == len => {
                 TABLE_REUSES.with(|c| c.set(c.get() + 1));
-                t
+                (t, cursor)
             }
             _ => {
                 TABLE_ALLOCS.with(|c| c.set(c.get() + 1));
-                vec![0u32; len].into_boxed_slice()
+                (vec![0u32; len].into_boxed_slice(), 0)
             }
         };
-        table.fill(fill);
-        let r = f(&mut table);
-        *slot.borrow_mut() = Some(table);
+        let r = f(&mut table, &mut cursor);
+        *slot.borrow_mut() = Some((table, cursor));
         r
     })
+}
+
+/// Zero a scratch table handed out by [`with_u32_table`].
+pub fn clear_u32_table(table: &mut [u32]) {
+    TABLE_CLEARS.with(|c| c.set(c.get() + 1));
+    table.fill(0);
 }
 
 #[cfg(test)]
@@ -165,22 +176,31 @@ mod tests {
 
     #[test]
     fn u32_table_is_reused_and_reset() {
-        with_u32_table(64, u32::MAX, |t| {
-            assert!(t.iter().all(|&v| v == u32::MAX));
+        with_u32_table(64, |t, cursor| {
             t[0] = 7;
+            *cursor = 9;
         });
         let before = stats();
-        with_u32_table(64, u32::MAX, |t| {
-            assert_eq!(t[0], u32::MAX, "table must be re-filled between uses");
+        with_u32_table(64, |t, cursor| {
+            assert_eq!((t[0], *cursor), (7, 9), "the table is kept as left");
+            clear_u32_table(t);
+            assert!(t.iter().all(|&v| v == 0));
         });
         let after = stats();
         assert!(after.table_reuses > before.table_reuses);
+        assert_eq!(after.table_clears, before.table_clears + 1);
     }
 
     #[test]
     fn u32_table_len_mismatch_reallocates() {
-        with_u32_table(16, 0, |t| assert_eq!(t.len(), 16));
-        with_u32_table(32, 0, |t| assert_eq!(t.len(), 32));
+        with_u32_table(16, |t, _| assert_eq!(t.len(), 16));
+        with_u32_table(32, |t, cursor| {
+            assert_eq!(t.len(), 32);
+            assert!(
+                t.iter().all(|&v| v == 0) && *cursor == 0,
+                "fresh tables start zeroed"
+            );
+        });
     }
 
     #[test]

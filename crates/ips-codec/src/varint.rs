@@ -35,9 +35,32 @@ pub fn encode_u64(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
+/// `v` as a LEB128 varint in a stack buffer: the bytes and how many of
+/// them are used.
+#[inline]
+#[must_use]
+pub fn encode_u64_array(mut v: u64) -> ([u8; MAX_VARINT_LEN], usize) {
+    let mut out = [0u8; MAX_VARINT_LEN];
+    let mut n = 0;
+    while v >= 0x80 {
+        out[n] = (v as u8 & 0x7f) | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    out[n] = v as u8;
+    (out, n + 1)
+}
+
 /// Decode a varint from the front of `buf`; returns `(value, bytes_read)`.
 #[inline]
 pub fn decode_u64(buf: &[u8]) -> Result<(u64, usize), DecodeError> {
+    // Most varints on the wire (tags, short lengths, small counts) are one
+    // byte.
+    if let Some(&b) = buf.first() {
+        if b < 0x80 {
+            return Ok((u64::from(b), 1));
+        }
+    }
     let mut v: u64 = 0;
     let mut shift = 0u32;
     for (i, b) in buf.iter().enumerate() {

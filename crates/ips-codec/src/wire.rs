@@ -11,6 +11,11 @@
 //! data — the property that makes split-profile persistence (Fig 13) safe to
 //! evolve.
 //!
+//! A nested message is written in place ([`WireWriter::put_message`]): its
+//! body goes straight into the parent's buffer, and its length prefix is
+//! patched in afterwards as a minimal varint. A message encodes to the same
+//! bytes as encoding each body separately and copying it in.
+//!
 //! Messages are declared with [`crate::wire_message!`]; outside this crate
 //! nothing names [`WireWriter`] or [`WireReader`] directly.
 
@@ -18,7 +23,9 @@ use std::fmt;
 
 use ips_types::{CountVector, MAX_ATTRIBUTES};
 
-use crate::varint::{decode_u64, encode_u64, zigzag_decode, zigzag_encode, DecodeError};
+use crate::varint::{
+    decode_u64, encode_u64, encode_u64_array, zigzag_decode, zigzag_encode, DecodeError,
+};
 
 /// Wire types, stored in the low 3 bits of every tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,34 +133,40 @@ impl WireWriter {
         crate::pool::give_buf(self.buf);
     }
 
+    #[inline]
     fn tag(&mut self, field: u32, wt: WireType) {
         debug_assert!(field > 0, "field number 0 is reserved");
         encode_u64(&mut self.buf, (u64::from(field) << 3) | wt as u64);
     }
 
     /// Write an unsigned varint field.
+    #[inline]
     pub fn put_u64(&mut self, field: u32, v: u64) {
         self.tag(field, WireType::Varint);
         encode_u64(&mut self.buf, v);
     }
 
     /// Write a signed varint field (zigzag).
+    #[inline]
     pub fn put_i64(&mut self, field: u32, v: i64) {
         self.put_u64(field, zigzag_encode(v));
     }
 
     /// Write a bool as a varint field.
+    #[inline]
     pub fn put_bool(&mut self, field: u32, v: bool) {
         self.put_u64(field, u64::from(v));
     }
 
     /// Write a fixed-width 64-bit field (little endian).
+    #[inline]
     pub fn put_fixed64(&mut self, field: u32, v: u64) {
         self.tag(field, WireType::Fixed64);
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Write a length-delimited byte field.
+    #[inline]
     pub fn put_bytes(&mut self, field: u32, v: &[u8]) {
         self.tag(field, WireType::Bytes);
         encode_u64(&mut self.buf, v.len() as u64);
@@ -165,18 +178,29 @@ impl WireWriter {
         self.put_bytes(field, v.as_bytes());
     }
 
-    /// Write a nested message built by `f` as a length-delimited field.
-    /// The nested scratch buffer comes from the thread-local pool, so deep
-    /// message trees (profile → slice → slot → action → feature) encode
-    /// without per-message allocation in the steady state.
+    /// Write a nested message built by `f` as a length-delimited field, in
+    /// place: `f` writes the body straight into this buffer behind a
+    /// one-byte length, and only a body of 128 bytes or more, whose length
+    /// takes more bytes, is shifted right to make room. A message tree
+    /// (profile → slice → slot → action → feature) thus encodes into one
+    /// buffer, with no scratch buffer or copy per level.
+    #[inline]
     pub fn put_message(&mut self, field: u32, f: impl FnOnce(&mut WireWriter)) {
-        let mut nested = WireWriter::pooled();
-        f(&mut nested);
-        self.put_bytes(field, &nested.buf);
-        nested.recycle();
+        self.tag(field, WireType::Bytes);
+        let at = self.buf.len();
+        self.buf.push(0);
+        f(self);
+        let len = self.buf.len() - at - 1;
+        if len < 0x80 {
+            self.buf[at] = len as u8;
+        } else {
+            let (prefix, n) = encode_u64_array(len as u64);
+            self.buf.splice(at..=at, prefix[..n].iter().copied());
+        }
     }
 
     /// Write a packed list of unsigned varints.
+    #[inline]
     pub fn put_packed_u64(&mut self, field: u32, vals: &[u64]) {
         self.put_message(field, |w| {
             for v in vals {
@@ -186,6 +210,7 @@ impl WireWriter {
     }
 
     /// Write a packed list of signed varints (zigzag).
+    #[inline]
     pub fn put_packed_i64(&mut self, field: u32, vals: &[i64]) {
         self.put_message(field, |w| {
             for v in vals {
@@ -222,6 +247,7 @@ pub enum FieldValue<'a> {
 
 impl<'a> FieldValue<'a> {
     /// Interpret as u64; errors on a bytes payload.
+    #[inline]
     pub fn as_u64(&self, field: u32) -> Result<u64, WireError> {
         match self {
             FieldValue::Varint(v) | FieldValue::Fixed64(v) => Ok(*v),
@@ -234,16 +260,19 @@ impl<'a> FieldValue<'a> {
     }
 
     /// Interpret as zigzag-encoded i64.
+    #[inline]
     pub fn as_i64(&self, field: u32) -> Result<i64, WireError> {
         Ok(zigzag_decode(self.as_u64(field)?))
     }
 
     /// Interpret as bool.
+    #[inline]
     pub fn as_bool(&self, field: u32) -> Result<bool, WireError> {
         Ok(self.as_u64(field)? != 0)
     }
 
     /// Interpret as a byte slice; errors on scalar payloads.
+    #[inline]
     pub fn as_bytes(&self, field: u32) -> Result<&'a [u8], WireError> {
         match self {
             FieldValue::Bytes(b) => Ok(b),
@@ -278,6 +307,7 @@ impl<'a> FieldValue<'a> {
 
     /// Decode a packed zigzag count list onto the stack. More than
     /// [`MAX_ATTRIBUTES`] values is malformed: [`WireError::TooManyElements`].
+    #[inline]
     pub fn as_counts(&self, field: u32) -> Result<PackedCounts, WireError> {
         let mut bytes = self.as_bytes(field)?;
         let mut out = PackedCounts::default();
@@ -326,6 +356,20 @@ pub fn count_field(body: &[u8], field: u32) -> usize {
     n
 }
 
+/// The bodies of every occurrence of length-delimited `field` in a message
+/// body, in order. Malformed input ends the walk early; the decode proper
+/// reports it.
+pub fn nested_bodies(body: &[u8], field: u32) -> impl Iterator<Item = &[u8]> {
+    let mut reader = WireReader::new(body);
+    std::iter::from_fn(move || loop {
+        match reader.next_field() {
+            Ok(Some((f, FieldValue::Bytes(b)))) if f == field => return Some(b),
+            Ok(Some(_)) => {}
+            _ => return None,
+        }
+    })
+}
+
 /// Iterates tagged fields over a byte slice.
 pub struct WireReader<'a> {
     buf: &'a [u8],
@@ -334,6 +378,7 @@ pub struct WireReader<'a> {
 
 impl<'a> WireReader<'a> {
     #[must_use]
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
@@ -345,6 +390,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read the next `(field_number, value)` pair, or `None` at end of input.
+    #[inline]
     pub fn next_field(&mut self) -> Result<Option<(u32, FieldValue<'a>)>, WireError> {
         if self.pos >= self.buf.len() {
             return Ok(None);
@@ -450,6 +496,27 @@ mod tests {
         let mut inner2 = WireReader::new(v2.as_bytes(2).unwrap());
         let (_, v3) = inner2.next_field().unwrap().unwrap();
         assert_eq!(v3.as_u64(1).unwrap(), 6);
+    }
+
+    #[test]
+    fn in_place_nesting_matches_copied_bodies_at_every_length_boundary() {
+        for len in [0usize, 1, 127, 128, 129, 16_383, 16_384, 70_000] {
+            let body: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut nested = WireWriter::new();
+            nested.put_u64(1, 7);
+            nested.put_message(2, |w| {
+                w.put_message(3, |inner| inner.buf.extend_from_slice(&body));
+                w.put_u64(4, 9);
+            });
+
+            let mut inner = WireWriter::new();
+            inner.put_bytes(3, &body);
+            inner.put_u64(4, 9);
+            let mut copied = WireWriter::new();
+            copied.put_u64(1, 7);
+            copied.put_bytes(2, &inner.into_bytes());
+            assert_eq!(nested.into_bytes(), copied.into_bytes(), "body of {len} B");
+        }
     }
 
     #[test]

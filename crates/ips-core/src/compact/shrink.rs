@@ -37,20 +37,18 @@ pub fn shrink_profile(profile: &mut ProfileData, config: &ShrinkConfig, now: Tim
     let mut per_slot: HashMap<SlotId, HashMap<FeatureId, FeatureAgg>> = HashMap::new();
     for slice in profile.slices() {
         let slice_fresh = slice.end() > fresh_cutoff;
-        for (slot, set) in slice.iter_slots() {
+        for (slot, _, stats) in slice.stats() {
             let slot_map = per_slot.entry(slot).or_default();
-            for (_, stats) in set.iter() {
-                for (fid, counts) in stats.iter() {
-                    let score = config.score(&counts);
-                    let entry = slot_map.entry(fid).or_insert(FeatureAgg {
-                        score: 0.0,
-                        first_seen: slice.start(),
-                        fresh: false,
-                    });
-                    entry.score += score;
-                    entry.first_seen = entry.first_seen.min(slice.start());
-                    entry.fresh |= slice_fresh;
-                }
+            for (fid, counts) in stats.iter() {
+                let score = config.score(&counts);
+                let entry = slot_map.entry(fid).or_insert(FeatureAgg {
+                    score: 0.0,
+                    first_seen: slice.start(),
+                    fresh: false,
+                });
+                entry.score += score;
+                entry.first_seen = entry.first_seen.min(slice.start());
+                entry.fresh |= slice_fresh;
             }
         }
     }
@@ -105,27 +103,14 @@ pub fn shrink_profile(profile: &mut ProfileData, config: &ShrinkConfig, now: Tim
         keep.insert(*slot, kept);
     }
 
-    // Pass 3: eliminate. Only slices older than the fresh horizon are edited.
+    // Pass 3: eliminate, one pass over each slice's columns. Only slices
+    // older than the fresh horizon are edited.
     let mut removed = 0usize;
     for slice in profile.slices_mut().iter_mut() {
         if slice.end() > fresh_cutoff {
             continue;
         }
-        let mut touched = false;
-        for (slot, set) in slice.iter_slots_mut() {
-            let Some(kept) = keep.get(&slot) else {
-                continue;
-            };
-            for (_, stats) in set.iter_mut() {
-                let before = stats.len();
-                stats.retain(|fid, _| kept.contains(&fid));
-                removed += before - stats.len();
-                touched |= before != stats.len();
-            }
-        }
-        if touched {
-            slice.prune_empty();
-        }
+        removed += slice.retain(|slot, fid, _| keep.get(&slot).is_none_or(|k| k.contains(&fid)));
     }
     // Drop slices emptied entirely by shrink.
     profile.slices_mut().retain(|s| !s.is_empty());

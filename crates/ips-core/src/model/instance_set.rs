@@ -1,123 +1,46 @@
 //! *Instance Set*: user behaviours across action types within one slot.
 //!
 //! The middle level of the in-memory hierarchy (Fig 6): action-type id →
-//! [`IndexedFeatureStat`], as a `Vec` sorted by action-type id.
+//! [`IndexedFeatureStat`]. Like the stat, a set owns no memory: it is the
+//! slot's contiguous stretch of its slice's runs, sorted by action type.
 
-use ips_types::{ActionTypeId, AggregateFunction, CountVector, FeatureId};
+use ips_types::ActionTypeId;
 
 use super::feature_stat::IndexedFeatureStat;
+use super::slice::Slice;
 
-/// Action type → indexed feature stats.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct InstanceSet {
-    actions: Vec<(ActionTypeId, IndexedFeatureStat)>,
+/// Action type → indexed feature stats, borrowed from a [`Slice`].
+#[derive(Clone, Copy, Debug)]
+pub struct InstanceSet<'a> {
+    pub(super) slice: &'a Slice,
+    /// The slot's runs: `slice.runs[lo..hi]`.
+    pub(super) lo: usize,
+    pub(super) hi: usize,
 }
 
-impl InstanceSet {
+impl<'a> InstanceSet<'a> {
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty set with room for `actions` action types.
-    pub(crate) fn with_capacity(actions: usize) -> Self {
-        Self {
-            actions: Vec::with_capacity(actions),
-        }
-    }
-
-    /// Number of action types present.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// Total distinct `(action_type, feature)` pairs.
-    #[must_use]
-    pub fn feature_count(&self) -> usize {
-        self.actions.iter().map(|(_, s)| s.len()).sum()
-    }
-
-    /// Record counts for one feature under one action type.
-    pub fn upsert(
-        &mut self,
-        action: ActionTypeId,
-        fid: FeatureId,
-        counts: &CountVector,
-        agg: AggregateFunction,
-    ) {
-        super::entry(&mut self.actions, action).upsert(fid, counts.as_slice(), agg);
+    pub fn is_empty(self) -> bool {
+        self.lo == self.hi
     }
 
     /// The stats for one action type.
     #[must_use]
-    pub fn get(&self, action: ActionTypeId) -> Option<&IndexedFeatureStat> {
-        super::get(&self.actions, &action)
-    }
-
-    /// Mutable stats for one action type.
-    pub fn get_mut(&mut self, action: ActionTypeId) -> Option<&mut IndexedFeatureStat> {
-        super::get_mut(&mut self.actions, &action)
+    pub fn get(self, action: ActionTypeId) -> Option<IndexedFeatureStat<'a>> {
+        self.iter().find(|(a, _)| *a == action).map(|(_, s)| s)
     }
 
     /// Iterate all `(action, stats)` pairs in ascending action-type order.
-    pub fn iter(&self) -> impl Iterator<Item = (ActionTypeId, &IndexedFeatureStat)> {
-        self.actions.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Iterate mutably (shrink path).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ActionTypeId, &mut IndexedFeatureStat)> {
-        self.actions.iter_mut().map(|(k, v)| (*k, v))
-    }
-
-    /// Merge another, older set into this one.
-    pub fn merge_from(&mut self, other: &InstanceSet, agg: AggregateFunction) {
-        for (action, stats) in other.iter() {
-            super::entry(&mut self.actions, action).merge_from(stats, agg);
-        }
-    }
-
-    /// Append an action type read from storage; see
-    /// [`Self::restore_order`].
-    pub(crate) fn push(&mut self, action: ActionTypeId, stats: IndexedFeatureStat) {
-        self.actions.push((action, stats));
-    }
-
-    /// Sort features and action types appended out of order, summing
-    /// duplicates.
-    pub(crate) fn restore_order(&mut self) {
-        for (_, stats) in &mut self.actions {
-            stats.restore_order();
-        }
-        super::restore_order(&mut self.actions, |acc, stats| {
-            acc.merge_from(&stats, AggregateFunction::Sum);
-        });
-    }
-
-    /// Drop action types whose stat became empty (after shrink).
-    pub fn prune_empty(&mut self) {
-        self.actions.retain(|(_, s)| !s.is_empty());
-    }
-
-    /// Heap held by this set and its stats.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        self.actions.capacity() * std::mem::size_of::<(ActionTypeId, IndexedFeatureStat)>()
-            + self
-                .actions
-                .iter()
-                .map(|(_, s)| s.approx_bytes())
-                .sum::<usize>()
+    pub fn iter(self) -> impl Iterator<Item = (ActionTypeId, IndexedFeatureStat<'a>)> {
+        let runs = self.slice.runs_in(self.lo, self.hi);
+        runs.map(|(_, action, stat)| (action, stat))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use ips_types::{AggregateFunction, CountVector, FeatureId, SlotId, Timestamp};
+
     use super::*;
 
     fn at(n: u32) -> ActionTypeId {
@@ -128,54 +51,77 @@ mod tests {
         FeatureId::new(n)
     }
 
-    /// Record `count` for feature `f` under action type `a`.
-    fn add(s: &mut InstanceSet, a: u32, f: u64, count: i64) {
-        s.upsert(
+    fn slice() -> Slice {
+        Slice::new(Timestamp::ZERO, Timestamp::from_millis(10))
+    }
+
+    /// Record `count` for feature `f` under action type `a` in slot 1.
+    fn add(s: &mut Slice, a: u32, f: u64, count: i64) {
+        let counts = CountVector::single(count);
+        s.add(
+            SlotId::new(1),
             at(a),
             fid(f),
-            &CountVector::single(count),
+            &counts,
             AggregateFunction::Sum,
         );
     }
 
+    fn set(s: &Slice) -> InstanceSet<'_> {
+        s.slot(SlotId::new(1)).unwrap()
+    }
+
     #[test]
     fn upsert_creates_action_types_on_demand() {
-        let mut s = InstanceSet::new();
+        let mut s = slice();
         add(&mut s, 2, 10, 2);
         add(&mut s, 1, 10, 1);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.feature_count(), 2);
-        assert_eq!(s.get(at(1)).unwrap().get(fid(10)).unwrap().as_slice(), &[1]);
-        assert_eq!(s.get(at(2)).unwrap().get(fid(10)).unwrap().as_slice(), &[2]);
-        let order: Vec<_> = s.iter().map(|(a, _)| a).collect();
+        let set = set(&s);
+        assert_eq!(set.iter().count(), 2);
+        assert_eq!(set.iter().map(|(_, s)| s.len()).sum::<usize>(), 2);
+        assert_eq!(
+            set.get(at(1)).unwrap().get(fid(10)).unwrap().as_slice(),
+            &[1]
+        );
+        assert_eq!(
+            set.get(at(2)).unwrap().get(fid(10)).unwrap().as_slice(),
+            &[2]
+        );
+        let order: Vec<_> = set.iter().map(|(a, _)| a).collect();
         assert_eq!(order, vec![at(1), at(2)], "iteration is in id order");
     }
 
     #[test]
     fn merge_from_is_per_action_type() {
-        let mut a = InstanceSet::new();
+        let (mut a, mut b) = (slice(), slice());
         add(&mut a, 1, 1, 1);
-        let mut b = InstanceSet::new();
         add(&mut b, 1, 1, 4);
         add(&mut b, 3, 9, 7);
-        a.merge_from(&b, AggregateFunction::Sum);
-        assert_eq!(a.get(at(1)).unwrap().get(fid(1)).unwrap().as_slice(), &[5]);
-        assert_eq!(a.get(at(3)).unwrap().get(fid(9)).unwrap().as_slice(), &[7]);
+        a.absorb(&b, AggregateFunction::Sum);
+        let set = set(&a);
+        assert_eq!(
+            set.get(at(1)).unwrap().get(fid(1)).unwrap().as_slice(),
+            &[5]
+        );
+        assert_eq!(
+            set.get(at(3)).unwrap().get(fid(9)).unwrap().as_slice(),
+            &[7]
+        );
     }
 
     #[test]
     fn prune_empty_removes_hollow_actions() {
-        let mut s = InstanceSet::new();
+        let mut s = slice();
         add(&mut s, 1, 1, 1);
-        s.get_mut(at(1)).unwrap().retain(|_, _| false);
-        assert_eq!(s.len(), 1);
-        s.prune_empty();
-        assert_eq!(s.len(), 0);
+        add(&mut s, 2, 1, 1);
+        assert_eq!(s.retain(|_, _, c| c.get_or_zero(0) > 1), 2);
+        assert!(s.slot(SlotId::new(1)).is_none());
+        assert!(s.is_empty());
     }
 
     #[test]
     fn approx_bytes_counts_nested() {
-        let mut s = InstanceSet::new();
+        let mut s = slice();
         let base = s.approx_bytes();
         add(&mut s, 1, 1, 1);
         assert!(s.approx_bytes() > base);

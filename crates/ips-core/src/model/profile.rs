@@ -61,12 +61,6 @@ impl ProfileData {
 
     /// Record one observation at `at`, bucketing new head slices to
     /// `head_granularity`-aligned intervals.
-    ///
-    /// Routing rules (§II-B write API):
-    /// * newer than the head slice → new head slice;
-    /// * covered by an existing slice → fold into it;
-    /// * in a gap between slices, or older than the tail → splice a new
-    ///   slice at the right position.
     #[allow(clippy::too_many_arguments, reason = "one observation's full key")]
     pub fn add(
         &mut self,
@@ -78,67 +72,36 @@ impl ProfileData {
         agg: AggregateFunction,
         head_granularity: DurationMs,
     ) {
+        let i = self.slice_for(at, head_granularity);
+        self.slices[i].add(slot, action, fid, counts, agg);
+    }
+
+    /// The index of the slice covering `at`, splicing one in when none does
+    /// (§II-B write API):
+    /// * newer than the head slice → a new head slice;
+    /// * covered by an existing slice → that slice;
+    /// * in a gap between slices, or older than the tail → a new slice at
+    ///   the right position, its aligned interval clamped into the gap.
+    fn slice_for(&mut self, at: Timestamp, head_granularity: DurationMs) -> usize {
         let g = head_granularity.as_millis().max(1);
         let aligned_start = Timestamp::from_millis(at.as_millis() / g * g);
         let aligned_end = Timestamp::from_millis(aligned_start.as_millis() + g);
-
-        // Fast path: most writes land in the current head slice.
-        if let Some(head) = self.slices.first_mut() {
-            if head.covers(at) {
-                head.add(slot, action, fid, counts, agg);
-                return;
-            }
-            if at >= head.end() {
-                // Newer than everything: new head slice. Clamp its start so
-                // it never overlaps the previous head.
-                let start = aligned_start.max(head.end());
-                let mut s = Slice::new(start, aligned_end.max(Timestamp(start.0 + 1)));
-                s.add(slot, action, fid, counts, agg);
-                self.slices.insert(0, s);
-                return;
-            }
-        } else {
-            let mut s = Slice::new(aligned_start, aligned_end);
-            s.add(slot, action, fid, counts, agg);
-            self.slices.push(s);
-            return;
+        // Newest first: the first slice that does not start after `at`. Most
+        // writes land in or after the head slice, at index 0.
+        let i = match self.slices.first() {
+            Some(head) if head.start() <= at => 0,
+            _ => self.slices.partition_point(|s| s.start() > at),
+        };
+        if self.slices.get(i).is_some_and(|s| s.covers(at)) {
+            return i;
         }
-
-        // Slow path: late-arriving data. Find the covering slice or the gap.
-        // `slices` is newest-first, so scan until the interval is older.
-        for i in 0..self.slices.len() {
-            let s = &self.slices[i];
-            if s.covers(at) {
-                self.slices[i].add(slot, action, fid, counts, agg);
-                return;
-            }
-            if at >= s.end() {
-                // Falls in the gap between slices[i-1] and slices[i]; clamp
-                // the new slice inside the gap.
-                let gap_hi = if i == 0 {
-                    // Can't happen: the head branch above handled at >= head.end().
-                    aligned_end
-                } else {
-                    self.slices[i - 1].start()
-                };
-                let start = aligned_start.max(s.end());
-                let end = aligned_end.min(gap_hi).max(Timestamp(start.0 + 1));
-                let mut ns = Slice::new(start, end);
-                ns.add(slot, action, fid, counts, agg);
-                self.slices.insert(i, ns);
-                return;
-            }
-        }
-
-        // Older than the tail: append at the end, clamped below the tail.
-        // (`slices` is non-empty here — the empty case returned above — but
-        // degrade to the aligned end rather than carry a panic path.)
-        let tail_start = self.slices.last().map_or(aligned_end, Slice::start);
-        let start = aligned_start;
-        let end = aligned_end.min(tail_start).max(Timestamp(start.0 + 1));
-        let mut ns = Slice::new(start, end);
-        ns.add(slot, action, fid, counts, agg);
-        self.slices.push(ns);
+        let older = self.slices.get(i);
+        let newer = i.checked_sub(1).map(|n| &self.slices[n]);
+        let start = older.map_or(aligned_start, |s| aligned_start.max(s.end()));
+        let end = newer.map_or(aligned_end, |s| aligned_end.min(s.start()));
+        self.slices
+            .insert(i, Slice::new(start, end.max(Timestamp(start.0 + 1))));
+        i
     }
 
     /// Indices of slices overlapping the closed-open window `[lo, hi)`,
@@ -158,22 +121,16 @@ impl ProfileData {
     }
 
     /// Validate the time-order invariant: newest-first, non-overlapping.
-    /// Used by tests and debug assertions.
+    /// (Every slice's own range is non-empty by construction.) Used by
+    /// tests, debug assertions and decode.
     pub fn check_invariants(&self) -> Result<(), String> {
         for w in self.slices.windows(2) {
             if w[1].end() > w[0].start() {
+                let range = |s: &Slice| s.start()..s.end();
+                let (newer, older) = (range(&w[0]), range(&w[1]));
                 return Err(format!(
-                    "slices overlap or misordered: [{:?},{:?}) then [{:?},{:?})",
-                    w[0].start(),
-                    w[0].end(),
-                    w[1].start(),
-                    w[1].end()
+                    "slices overlap or misordered: {newer:?} then {older:?}"
                 ));
-            }
-        }
-        for s in &self.slices {
-            if s.start() >= s.end() {
-                return Err("degenerate slice range".into());
             }
         }
         Ok(())

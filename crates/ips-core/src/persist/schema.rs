@@ -5,17 +5,17 @@
 //! `ips-codec`. Field numbers are stable; unknown fields are skipped on
 //! read, so the schema can grow.
 
-use ips_codec::wire::{count_field, PackedCounts};
+use ips_codec::wire::{count_field, nested_bodies, PackedCounts};
 use ips_codec::{decode_frame, encode_frame, wire_message};
 use ips_types::{ActionTypeId, FeatureId, IpsError, Result, SlotId, Timestamp};
 
 use crate::model::{CountRow, IndexedFeatureStat, InstanceSet, ProfileData, Slice};
 
 // Every level encodes in id order, so equal content encodes to equal bytes.
-// Every level decodes straight into the model's columns, each allocated
-// once at its exact size (`count_field`); rows are appended in wire order,
-// and a frame written before encoding was canonical is sorted once in
-// `Slice::from_decoded`.
+// A slice decodes straight into its three columns: the slot and action
+// decoders thread the slice under construction down as an accumulator,
+// feature rows are appended in wire order, and a frame written before
+// encoding was canonical is sorted once in `Slice::finish_decode`.
 
 wire_message! {
     /// A whole profile (bulk mode, Fig 12): the last compaction time and
@@ -46,58 +46,56 @@ wire_message! {
     encode(slice: &Slice) {}
     decode(body) -> Slice {
         let (mut start, mut end) = (None, None);
-        let mut slots = Vec::with_capacity(count_field(body, 3));
+        let mut slice = Slice::decoding(column_sizes(body));
     }
     1 fixed64(slice.start().as_millis()) => |v| start = Some(Timestamp::from_millis(v));
     2 fixed64(slice.end().as_millis()) => |v| end = Some(Timestamp::from_millis(v));
-    3 repeated nested SlotWire(slice.iter_slots()) => |slot| slots.extend(slot);
+    3 repeated nested SlotWire[&mut slice](slice.iter_slots()) => |()| {};
     finish {
         let start = start.ok_or_else(|| IpsError::Codec("slice missing start".into()))?;
         let end = end.ok_or_else(|| IpsError::Codec("slice missing end".into()))?;
         if start >= end {
             return Err(IpsError::Codec("slice has degenerate range".into()));
         }
-        Ok(Slice::from_decoded(start, end, slots))
+        Ok(slice.finish_decode(start, end))
     }
 }
 
 wire_message! {
-    /// One slot of a slice and its action types. Decodes to `None` when
-    /// the id or every action is missing.
+    /// One slot of a slice and its action types, appended to the slice
+    /// being decoded; dropped when the id or every action is missing.
     pub(super) struct SlotWire("slice.3");
-    encode((slot, set): (SlotId, &InstanceSet)) {}
-    decode(body) -> Option<(SlotId, InstanceSet)> {
+    encode((slot, set): (SlotId, InstanceSet<'_>)) {}
+    decode(body, slice: &mut Slice = Slice::decoding((0, 0))) -> () {
         let mut id = None;
-        let mut set = InstanceSet::with_capacity(count_field(body, 2));
+        let first = slice.run_count();
     }
     1 varint(u64::from(slot.raw())) => |v| id = Some(SlotId::new(v as u32));
-    2 repeated nested ActionWire(set.iter()) => |action| {
-        if let Some((action, stats)) = action {
-            set.push(action, stats);
-        }
-    };
+    2 repeated nested ActionWire[&mut *slice](set.iter()) => |()| {};
     finish {
-        Ok(id.filter(|_| !set.is_empty()).map(|id| (id, set)))
+        slice.close_slot(first, id);
+        Ok(())
     }
 }
 
 wire_message! {
-    /// One action type of a slot and its feature stats. Decodes to `None`
-    /// when the id or every feature is missing.
+    /// One action type of a slot and its feature rows, appended to the
+    /// slice being decoded; dropped when the id or every feature is missing.
     pub(super) struct ActionWire("slice.3.2");
-    encode((action, stats): (ActionTypeId, &IndexedFeatureStat)) {}
-    decode(body) -> Option<(ActionTypeId, IndexedFeatureStat)> {
+    encode((action, stats): (ActionTypeId, IndexedFeatureStat<'_>)) {}
+    decode(body, slice: &mut Slice = Slice::decoding((0, 0))) -> () {
         let mut id = None;
-        let mut stats = IndexedFeatureStat::with_capacity(count_field(body, 2));
+        slice.open_run();
     }
     1 varint(u64::from(action.raw())) => |v| id = Some(ActionTypeId::new(v as u32));
     2 repeated nested FeatureWire(stats.iter()) => |(fid, counts)| {
         if let Some(fid) = fid {
-            stats.push(fid, counts.as_slice());
+            slice.push_row(fid, counts.as_slice());
         }
     };
     finish {
-        Ok(id.filter(|_| !stats.is_empty()).map(|id| (id, stats)))
+        slice.close_run(id);
+        Ok(())
     }
 }
 
@@ -113,6 +111,15 @@ wire_message! {
     finish {
         Ok((fid, counts))
     }
+}
+
+/// The `(stats, rows)` a slice body holds, counted over the slot and
+/// action headers alone, so decode sizes the slice's columns exactly, once.
+fn column_sizes(body: &[u8]) -> (usize, usize) {
+    let actions = nested_bodies(body, 3).flat_map(|slot| nested_bodies(slot, 2));
+    actions.fold((0, 0), |(runs, rows), action| {
+        (runs + 1, rows + count_field(action, 2))
+    })
 }
 
 /// Serialize one slice to framed (compressed, checksummed) bytes. The wire

@@ -43,14 +43,16 @@ pub fn merged_features(
 ) -> (impl Iterator<Item = FeatureEntry> + '_, usize) {
     let mut merge = WindowMerge::new(profile, slot, action, lo, hi);
     let window = merge.window();
-    // One factor per slice of the window; none without decay.
-    let factors: Vec<f64> = match decay {
-        DecayFunction::None => Vec::new(),
-        _ => window
-            .iter()
-            .map(|s| decay_factor(decay, decay_base, now.distance(s.end().min(now))))
-            .collect(),
-    };
+    // One factor per slice of the window, computed only for the slices that
+    // hold rows of the slot; none without decay.
+    let mut factors: Vec<f64> = Vec::new();
+    if decay != DecayFunction::None {
+        factors.resize(window.len(), 1.0);
+        for i in merge.run_slices() {
+            let age = now.distance(window[i].end().min(now));
+            factors[i] = decay_factor(decay, decay_base, age);
+        }
+    }
     let features = std::iter::from_fn(move || {
         // The first row is the newest: it seeds the counts and `last_seen`,
         // and later rows fold in as the older side.

@@ -4,7 +4,8 @@
 //! merged candidates, streamed from the merge. A buffer of at most `2k`
 //! candidates is cut back to the best `k` in linear time whenever it fills,
 //! so memory stays O(k) and the work is O(n) on average before one final
-//! sort of `k` items. Callers supply a total order (ties break on feature
+//! sort of `k` items. After a cut, a candidate that does not beat the k-th
+//! best kept so far costs one comparison and is never buffered. Callers supply a total order (ties break on feature
 //! id), so results are deterministic.
 
 use std::cmp::Ordering;
@@ -23,10 +24,17 @@ pub fn top_k_by<T>(
     let limit = k.saturating_mul(2);
     // Cap the preallocation: k may be "give me everything" (usize::MAX-ish).
     let mut kept = Vec::with_capacity(limit.min(4_096));
+    let mut cut = false;
     for item in items {
         if kept.len() == limit {
-            kept.select_nth_unstable_by(k, best_first);
+            kept.select_nth_unstable_by(k - 1, best_first);
             kept.truncate(k);
+            cut = true;
+        }
+        // After a cut, `kept[k - 1]` is the k-th best item seen: one that
+        // does not beat it can never make the top k.
+        if cut && best_first(&item, &kept[k - 1]) != Ordering::Less {
+            continue;
         }
         kept.push(item);
     }

@@ -51,7 +51,7 @@ pub use pipeline::{FairAdmission, RequestContext, RequestKind, ServerPipeline};
 pub use runtime::{TableMetrics, TableRuntime};
 pub use snapshot::SnapshotImportAck;
 
-use snapshot::SnapshotProgress;
+use snapshot::SnapshotStreams;
 
 pub(crate) type DynStore = Arc<dyn ProfileStore>;
 
@@ -99,9 +99,9 @@ pub struct IpsInstance {
     pub degraded_serves: Counter,
     shutting_down: AtomicBool,
     tracer: RwLock<Option<Arc<Tracer>>>,
-    /// In-progress snapshot imports (shard handoff warm-up), keyed by
-    /// handoff id: resume cursor plus cumulative import accounting.
-    pub(crate) snapshots: Mutex<HashMap<u64, SnapshotProgress>>,
+    /// Snapshot import streams (shard handoff warm-up), keyed by handoff
+    /// id: resume cursor plus cumulative import accounting.
+    pub(crate) snapshots: Mutex<SnapshotStreams>,
 }
 
 impl IpsInstance {
@@ -122,7 +122,7 @@ impl IpsInstance {
             degraded_serves: Counter::new(),
             shutting_down: AtomicBool::new(false),
             tracer: RwLock::new(None),
-            snapshots: Mutex::new(HashMap::new()),
+            snapshots: Mutex::new(SnapshotStreams::default()),
         })
     }
 

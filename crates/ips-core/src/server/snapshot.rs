@@ -1,5 +1,7 @@
 //! Shard-handoff snapshot export/import (scale events).
 
+use std::collections::{HashMap, VecDeque};
+
 use ips_types::{ProfileId, Result, TableId};
 
 use crate::cache::{ExportBatch, ExportedEntry, ImportReport};
@@ -15,6 +17,53 @@ pub(crate) struct SnapshotProgress {
     /// chunks above it are gaps (refused — the source resumes from here).
     pub(crate) next_seq: u64,
     pub(crate) report: ImportReport,
+}
+
+/// Completed handoff streams an instance remembers: enough to outlast the
+/// source's retries of a final chunk whose ACK was lost.
+const COMPLETED_STREAMS: usize = 64;
+
+/// Import progress of every handoff stream this instance has seen: the open
+/// ones, and the most recent completed ones, so a replayed final chunk is
+/// ACKed with the completed cursor instead of opening a fresh stream that
+/// would send the source back to chunk 0.
+#[derive(Default)]
+pub(crate) struct SnapshotStreams {
+    open: HashMap<u64, SnapshotProgress>,
+    /// Oldest first, at most [`COMPLETED_STREAMS`].
+    done: VecDeque<(u64, SnapshotProgress)>,
+}
+
+impl SnapshotStreams {
+    /// The progress of `handoff`, opening it when unseen.
+    fn progress(&mut self, handoff: u64) -> SnapshotProgress {
+        match self.done.iter().find(|(id, _)| *id == handoff) {
+            Some((_, done)) => *done,
+            None => *self.open.entry(handoff).or_default(),
+        }
+    }
+
+    /// Record an applied chunk; `last` closes the stream.
+    fn applied(
+        &mut self,
+        handoff: u64,
+        seq: u64,
+        last: bool,
+        report: ImportReport,
+    ) -> SnapshotProgress {
+        let prog = self.open.entry(handoff).or_default();
+        prog.next_seq = prog.next_seq.max(seq + 1);
+        prog.report.absorb(report);
+        let prog = *prog;
+        if last && prog.next_seq == seq + 1 {
+            self.open.remove(&handoff);
+            if self.done.len() == COMPLETED_STREAMS {
+                self.done.pop_front();
+            }
+            self.done.push_back((handoff, prog));
+        }
+        prog
+    }
 }
 
 /// The ACK an instance returns for one applied (or replayed) snapshot
@@ -50,8 +99,10 @@ impl IpsInstance {
     /// side). Chunks must arrive in sequence per handoff id: a replayed
     /// chunk is ACKed without re-applying, a gapped chunk is refused by
     /// returning the resume cursor unchanged — either way the source learns
-    /// `next_seq` and resumes from the right offset. `last` tears down the
-    /// progress slot once the stream is fully applied.
+    /// `next_seq` and resumes from the right offset. `last` completes the
+    /// stream; a completed stream stays known, so the final chunk, resent
+    /// because its ACK was lost, is ACKed again with the whole stream's
+    /// accounting. Handoff ids must be unique across sources.
     pub fn import_snapshot_chunk(
         &self,
         table: TableId,
@@ -94,33 +145,22 @@ impl IpsInstance {
             },
         )?;
         let rt = inst.table(table)?;
-        let expected = {
-            let mut snaps = inst.snapshots.lock();
-            snaps.entry(handoff).or_default().next_seq
+        let prog = inst.snapshots.lock().progress(handoff);
+        // A duplicate (below the cursor) or a gap (above it): nothing to
+        // apply, and the ACK tells the source where to resume.
+        let prog = if seq == prog.next_seq {
+            // The generation probes inside import run store round trips; do
+            // the work outside the progress lock (the source streams
+            // sequentially, so per-handoff chunk application does not race
+            // itself).
+            let report = rt.cache.import_entries(entries)?;
+            inst.snapshots.lock().applied(handoff, seq, last, report)
+        } else {
+            prog
         };
-        if seq != expected {
-            let snaps = inst.snapshots.lock();
-            let prog = snaps.get(&handoff).copied().unwrap_or_default();
-            return Ok(SnapshotImportAck {
-                next_seq: prog.next_seq,
-                report: prog.report,
-            });
-        }
-        // The generation probes inside import run store round trips; do the
-        // work outside the progress lock (the source streams sequentially,
-        // so per-handoff chunk application does not race itself).
-        let report = rt.cache.import_entries(entries)?;
-        let mut snaps = inst.snapshots.lock();
-        let prog = snaps.entry(handoff).or_default();
-        prog.next_seq = prog.next_seq.max(seq + 1);
-        prog.report.absorb(report);
-        let ack = SnapshotImportAck {
+        Ok(SnapshotImportAck {
             next_seq: prog.next_seq,
             report: prog.report,
-        };
-        if last && ack.next_seq == seq + 1 {
-            snaps.remove(&handoff);
-        }
-        Ok(ack)
+        })
     }
 }

@@ -589,3 +589,49 @@ fn standard_pipeline_stage_order_is_the_documented_contract() {
         "DESIGN.md §13 ordering contract"
     );
 }
+
+/// The ACK of a handoff's final chunk can be lost after the chunk applied.
+/// The source then resends that chunk: it must be ACKed with the completed
+/// cursor and the whole stream's accounting, not read as a new stream,
+/// which would send the source back to chunk 0 and report nothing imported.
+#[test]
+fn resent_final_snapshot_chunk_is_acked_as_complete() {
+    let (clock, ctl) = sim_clock(Timestamp::from_millis(
+        DurationMs::from_days(400).as_millis(),
+    ));
+    let store: DynStore = Arc::new(KvNode::new("kv", KvNodeConfig::default()).unwrap());
+    let instance = |name: &str| {
+        let options = IpsInstanceOptions {
+            name: name.into(),
+            ..IpsInstanceOptions::default()
+        };
+        let instance = IpsInstance::new(Arc::clone(&store), options, Arc::clone(&clock));
+        let mut cfg = TableConfig::new("test");
+        cfg.isolation.enabled = false;
+        instance.create_table(TABLE, cfg).unwrap();
+        instance
+    };
+    let (source, target) = (instance("source"), instance("target"));
+    for pid in 0..4 {
+        add(&source, pid, 10 + pid, 1, ctl.now());
+    }
+    let batch = source.export_hot(TABLE, |_| true, 100, u64::MAX).unwrap();
+    assert_eq!(batch.entries.len(), 4);
+    let (first, second) = batch.entries.split_at(2);
+    let send = |seq: u64, entries: &[crate::cache::ExportedEntry]| {
+        target
+            .import_snapshot_chunk(TABLE, 7, seq, seq == 1, entries.to_vec())
+            .unwrap()
+    };
+
+    assert_eq!(send(0, first).next_seq, 1);
+    let ack = send(1, second);
+    assert_eq!((ack.next_seq, ack.report.imported), (2, 4));
+    // That ACK is lost in transit: the source resends the final chunk.
+    let replayed = send(1, second);
+    assert_eq!(replayed.next_seq, 2, "the stream stays complete");
+    assert_eq!(
+        replayed.report.imported, 4,
+        "with the whole stream's accounting"
+    );
+}
