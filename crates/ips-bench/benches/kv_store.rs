@@ -64,7 +64,6 @@ fn bench_wal(c: &mut Criterion) {
         "durable",
         KvNodeConfig {
             wal_path: Some(path.clone()),
-            wal_sync: false,
             ..Default::default()
         },
     )

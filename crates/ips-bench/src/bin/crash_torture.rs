@@ -36,7 +36,6 @@ fn torture_config() -> KvNodeConfig {
     KvNodeConfig {
         shards: 4,
         wal_path: None,
-        wal_sync: true,
         wal: WalConfig {
             segment_bytes: 512,
             sync_every_append: true,
@@ -366,16 +365,15 @@ fn checkpoint_sweep(ops: u64) -> SweepResult {
     r
 }
 
-/// Roomy segments and no per-append fsync: the bulk-load shape whose
-/// recovery time the checkpoint is supposed to cut.
+/// Roomy segments: the bulk-load shape whose recovery time the checkpoint
+/// is supposed to cut. Appends still fsync, so every write is replayable.
 fn replay_config() -> KvNodeConfig {
     KvNodeConfig {
         shards: 4,
         wal_path: None,
-        wal_sync: true,
         wal: WalConfig {
             segment_bytes: 64 * 1024,
-            sync_every_append: false,
+            sync_every_append: true,
             recovery_mode: RecoveryMode::Strict,
         },
     }

@@ -31,7 +31,6 @@ fn torture_config(recovery_mode: RecoveryMode) -> KvNodeConfig {
     KvNodeConfig {
         shards: 4,
         wal_path: None,
-        wal_sync: true,
         wal: WalConfig {
             segment_bytes: 512,
             sync_every_append: true,
