@@ -103,8 +103,8 @@ impl ProfileStore for DelayedStore {
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> ips_types::Result<Generation> {
         self.inner.xset(key, value, held)
     }
-    fn delete(&self, key: &[u8]) -> ips_types::Result<bool> {
-        self.inner.delete(key)
+    fn xdelete(&self, key: &[u8], held: Generation) -> ips_types::Result<bool> {
+        self.inner.xdelete(key, held)
     }
 }
 

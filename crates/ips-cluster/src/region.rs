@@ -61,22 +61,23 @@ impl ProfileStore for RegionStore {
     fn xget(&self, key: &[u8]) -> Result<(Option<Bytes>, Generation)> {
         match self.replica_idx {
             None => self.kv.xget_master(key),
-            // Replicas expose plain reads; generation 0 keeps conditional
-            // writes (which this region never issues) inert.
-            Some(idx) => Ok((self.kv.get_replica(idx, key)?, 0)),
+            // A replica keeps each value's master generation, so the
+            // persister can tell which of a profile's layouts is newer.
+            Some(idx) => self.kv.xget_replica(idx, key),
         }
     }
 
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> Result<Generation> {
         match self.replica_idx {
             None => self.kv.xset(key, value, held),
-            Some(_) => Ok(0),
+            // Dropped, so the generation the caller holds stays current.
+            Some(_) => Ok(held),
         }
     }
 
-    fn delete(&self, key: &[u8]) -> Result<bool> {
+    fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
         match self.replica_idx {
-            None => self.kv.delete(key),
+            None => self.kv.xdelete(key, held),
             Some(_) => Ok(false),
         }
     }
@@ -403,6 +404,52 @@ mod tests {
             replica_store.get(b"k2").unwrap(),
             Some(Bytes::from_static(b"v2"))
         );
+    }
+
+    #[test]
+    fn replica_region_loads_the_newer_layout_of_a_shrunk_profile() {
+        use ips_core::model::ProfileData;
+        use ips_core::persist::{encode_profile, LoadOutcome, ProfilePersister};
+        use ips_types::{
+            ActionTypeId, AggregateFunction, CountVector, FeatureId, PersistenceMode, ProfileId,
+            SlotId,
+        };
+
+        let profile = |slices: u64| {
+            let mut p = ProfileData::new();
+            for s in 0..slices {
+                for f in 0..10 {
+                    p.add(
+                        Timestamp::from_millis(1_000 + s * 10_000),
+                        SlotId::new(1),
+                        ActionTypeId::new(1),
+                        FeatureId::new(f),
+                        &CountVector::single(1),
+                        AggregateFunction::Sum,
+                        DurationMs::from_secs(1),
+                    );
+                }
+            }
+            p
+        };
+        let (d, _ctl) = build();
+        let mode = PersistenceMode::Split {
+            threshold_bytes: encode_profile(&profile(6)).len(),
+        };
+        let pid = ProfileId::new(7);
+        let home =
+            |mode| ProfilePersister::new(Arc::clone(&d.regions[0].store), TableId::new(1), mode);
+        let g = home(mode).save(pid, &mut profile(6), 0).unwrap();
+        // Shrunk below the threshold and saved bulk by a persister that never
+        // saw the split layout (a handoff target, say), so the meta stays.
+        home(mode).save(pid, &mut profile(1), g).unwrap();
+        d.pump_replication(1024);
+
+        let remote = ProfilePersister::new(Arc::clone(&d.regions[1].store), TableId::new(1), mode);
+        match remote.load(pid).unwrap() {
+            LoadOutcome::Loaded { profile, .. } => assert_eq!(profile.slice_count(), 1),
+            LoadOutcome::Missing => panic!("replicated profile missing"),
+        }
     }
 
     #[test]

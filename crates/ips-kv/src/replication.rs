@@ -120,7 +120,14 @@ impl ReplicatedKv {
 
     /// Delete through the master and queue for replication.
     pub fn delete(&self, key: &[u8]) -> Result<bool> {
-        let existed = self.master.delete(key)?;
+        self.xdelete(key, Generation::MAX)
+    }
+
+    /// Conditional delete through the master (see
+    /// [`crate::VersionedStore::xdelete`]); a removal is queued for
+    /// replication.
+    pub fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
+        let existed = self.master.xdelete(key, held)?;
         if existed {
             for q in &self.queues {
                 q.push(RepOp::Delete {
@@ -145,13 +152,20 @@ impl ReplicatedKv {
     /// Read from replica `idx` (a region's local slave cluster). Per the
     /// configured mode, a missing key may fall through to the master.
     pub fn get_replica(&self, idx: usize, key: &[u8]) -> Result<Option<Bytes>> {
+        Ok(self.xget_replica(idx, key)?.0)
+    }
+
+    /// Versioned read from replica `idx`, falling through like
+    /// [`ReplicatedKv::get_replica`]. A replica keeps the generation each
+    /// value had on the master, so generations from either compare.
+    pub fn xget_replica(&self, idx: usize, key: &[u8]) -> Result<(Option<Bytes>, Generation)> {
         let Some(replica) = self.replicas.get(idx) else {
-            return self.master.get(key);
+            return self.master.xget(key);
         };
-        match replica.get(key)? {
-            Some(v) => Ok(Some(v)),
-            None if self.read_mode == ReplicaReadMode::MasterOnMiss => self.master.get(key),
-            None => Ok(None),
+        match replica.xget(key)? {
+            (Some(v), generation) => Ok((Some(v), generation)),
+            (None, _) if self.read_mode == ReplicaReadMode::MasterOnMiss => self.master.xget(key),
+            (None, _) => Ok((None, 0)),
         }
     }
 
