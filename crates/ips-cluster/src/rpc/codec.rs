@@ -137,7 +137,7 @@ wire_message! {
             } => (Some(1), Some((*attr as u64, *min)), None),
             QueryKind::Filter {
                 predicate: FilterPredicate::FeatureIn(fids),
-            } => (Some(2), None, Some(fids.iter().map(|f| f.raw()).collect::<Vec<u64>>())),
+            } => (Some(2), None, Some(fids.iter().map(|f| f.raw()))),
             QueryKind::Filter {
                 predicate: FilterPredicate::All,
             } => (Some(3), None, None),
@@ -164,7 +164,9 @@ wire_message! {
     9 optional varint(predicate) => |v| predicate = v;
     10 optional varint(min_attribute.map(|(attr, _)| attr)) => |v| attr = v as usize;
     11 optional zigzag(min_attribute.map(|(_, min)| min)) => |v| min = v;
-    12 optional packed(fids.as_deref()) => |v| fids = v;
+    12 optional packed(fids) => |v| {
+        fids = v.map(|f| f.map(FeatureId::new).map_err(Self::wire_error)).collect::<Result<_>>()?
+    };
     13 nested DecayWire(q.decay) => |d| decay = d;
     14 fixed64(q.decay_factor.to_bits()) => |v| decay_factor = f64::from_bits(v);
     finish {
@@ -174,7 +176,7 @@ wire_message! {
             2 => QueryKind::Filter {
                 predicate: match predicate {
                     1 => FilterPredicate::MinAttribute { attr, min },
-                    2 => FilterPredicate::FeatureIn(fids.into_iter().map(FeatureId::new).collect()),
+                    2 => FilterPredicate::FeatureIn(fids),
                     3 => FilterPredicate::All,
                     other => return Err(IpsError::Codec(format!("bad predicate {other}"))),
                 },

@@ -270,7 +270,7 @@ fn garbage_rejected() {
 fn feature_with_counts(counts: usize) -> Vec<u8> {
     let mut feature = WireWriter::new();
     feature.put_u64(1, 7);
-    feature.put_packed_i64(2, &vec![1; counts]);
+    feature.put_packed(2, vec![1i64; counts]);
     feature.into_bytes()
 }
 

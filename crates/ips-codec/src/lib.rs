@@ -38,4 +38,6 @@ pub use pool::PoolStats;
 pub use varint::{
     decode_u64, encode_u64, zigzag_decode, zigzag_encode, DecodeError as VarintError,
 };
-pub use wire::{FieldValue, PackedCounts, WireError, WireReader, WireType, WireWriter};
+pub use wire::{
+    FieldValue, Packed, PackedCounts, PackedValue, WireError, WireReader, WireType, WireWriter,
+};

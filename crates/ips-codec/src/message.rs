@@ -32,13 +32,24 @@
 //! | `zigzag` | `i64` | `i64` |
 //! | `fixed64` | `u64` | `u64` |
 //! | `bytes` | `&[u8]` | `&[u8]` |
-//! | `packed` | `&[u64]` | `Vec<u64>` |
+//! | `packed` | an iterator of `T` | [`Packed<T>`](crate::wire::Packed) (borrowed, decoded as iterated) |
 //! | `counts` | `&[i64]` | [`PackedCounts`](crate::wire::PackedCounts) (bounded, on the stack) |
 //! | `nested M` | `M`'s encode argument | `M`'s decode output |
+//!
+//! A `packed` element `T` is `u64`, or `i64` zigzag-mapped
+//! ([`PackedValue`](crate::wire::PackedValue)); the decoder's
+//! [`Packed`](crate::wire::Packed) yields `Result<T, WireError>` per
+//! element, so a column decodes straight into its destination, in one pass.
 //!
 //! `optional` takes an `Option` and writes nothing for `None`; `repeated`
 //! takes an iterator and writes one field per item. Either way each
 //! occurrence on the wire runs the decode statement once.
+//!
+//! `read` before the other modifiers makes a line decode-only: it has no
+//! encode expression (`3 read repeated nested M => |m| ..;`) and writes
+//! nothing. This is how a field stops being written yet stays readable:
+//! values already stored still decode, and its tag stays in the message's
+//! `fields` in `wire_schema.lock`, so it is never retired or reused.
 //!
 //! A decoder can fill a caller's accumulator instead of building a value:
 //! `decode(bytes, acc: &mut T = init)` adds an `acc: &mut T` parameter
@@ -116,6 +127,20 @@ pub const fn assert_valid_tags(message: &MessageDescriptor) {
 /// }
 /// assert_eq!(Pair::decode(&Pair::to_vec((2, 3))).unwrap(), 5);
 /// ```
+///
+/// A `read` line takes no encode expression, so a decode-only field cannot
+/// be written by mistake:
+///
+/// ```compile_fail
+/// ips_codec::wire_message! {
+///     struct Pair("pair");
+///     encode((a, b): (u64, u64)) {}
+///     decode(bytes) -> u64 { let mut sum = 0; }
+///     1 read varint(a) => |v| sum += v;
+///     2 varint(b) => |v| sum += v;
+///     finish { Ok(sum) }
+/// }
+/// ```
 #[macro_export]
 macro_rules! wire_message {
     (
@@ -126,7 +151,7 @@ macro_rules! wire_message {
             $($dec_prologue:tt)*
         }
         $(
-            $tag:literal $($kind:ident)+ $([$into:expr])? ($enc:expr) => |$val:pat_param| $dec:expr;
+            $tag:literal $($kind:ident)+ $([$into:expr])? $(($enc:expr))? => |$val:pat_param| $dec:expr;
         )+
         finish { $($finish:tt)* }
     ) => {
@@ -145,7 +170,7 @@ macro_rules! wire_message {
             /// Write this message's fields into `w`.
             $vis fn encode(w: &mut $crate::wire::WireWriter, $src: $src_ty) {
                 $($enc_prologue)*
-                $( $crate::wire_message!(@put w, $tag, [$($kind)+], $enc); )+
+                $( $crate::wire_message!(@put w, $tag, [$($kind)+] $(, $enc)?); )+
             }
 
             /// Encode into a pooled scratch buffer and hand the bytes to
@@ -194,6 +219,7 @@ macro_rules! wire_message {
         const _: () = $crate::message::assert_valid_tags(&$name::DESCRIPTOR);
     };
 
+    (@put $w:ident, $tag:literal, [read $($kind:ident)+]) => {};
     (@put $w:ident, $tag:literal, [optional $($kind:ident)+], $e:expr) => {
         if let Some(x) = $e {
             $crate::wire_message!(@put $w, $tag, [$($kind)+], x);
@@ -208,12 +234,15 @@ macro_rules! wire_message {
     (@put $w:ident, $tag:literal, [zigzag], $e:expr) => { $w.put_i64($tag, $e) };
     (@put $w:ident, $tag:literal, [fixed64], $e:expr) => { $w.put_fixed64($tag, $e) };
     (@put $w:ident, $tag:literal, [bytes], $e:expr) => { $w.put_bytes($tag, $e) };
-    (@put $w:ident, $tag:literal, [packed], $e:expr) => { $w.put_packed_u64($tag, $e) };
-    (@put $w:ident, $tag:literal, [counts], $e:expr) => { $w.put_packed_i64($tag, $e) };
+    (@put $w:ident, $tag:literal, [packed], $e:expr) => { $w.put_packed($tag, $e) };
+    (@put $w:ident, $tag:literal, [counts], $e:expr) => { $w.put_packed($tag, $e.iter().copied()) };
     (@put $w:ident, $tag:literal, [nested $m:ident], $e:expr) => {
         $w.put_message($tag, |nested| $m::encode(nested, $e))
     };
 
+    (@get $v:ident, $f:ident, [read $($kind:ident)+] $($into:tt)?) => {
+        $crate::wire_message!(@get $v, $f, [$($kind)+] $($into)?)
+    };
     (@get $v:ident, $f:ident, [optional $($kind:ident)+] $($into:tt)?) => {
         $crate::wire_message!(@get $v, $f, [$($kind)+] $($into)?)
     };
@@ -224,7 +253,7 @@ macro_rules! wire_message {
     (@get $v:ident, $f:ident, [zigzag]) => { $v.as_i64($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [fixed64]) => { $v.as_u64($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [bytes]) => { $v.as_bytes($f).map_err(Self::wire_error)? };
-    (@get $v:ident, $f:ident, [packed]) => { $v.as_packed_u64($f).map_err(Self::wire_error)? };
+    (@get $v:ident, $f:ident, [packed]) => { $v.as_packed($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [counts]) => { $v.as_counts($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [nested $m:ident] [$into:expr]) => {
         $m::decode($v.as_bytes($f).map_err(Self::wire_error)?, $into)?
@@ -266,7 +295,9 @@ mod tests {
         1 repeated nested PointWire(points.iter().map(|&(x, y)| (x, y, None))) => |(x, y, _)| {
             points.push((x, y))
         };
-        2 packed(ids) => |v| ids = v;
+        2 packed(ids.iter().copied()) => |v| {
+            ids = v.collect::<Result<_, _>>().map_err(Self::wire_error)?
+        };
         3 counts(counts) => |v| counts = v;
         4 fixed64(7) => |v| assert_eq!(v, 7);
         finish {
@@ -296,6 +327,35 @@ mod tests {
         finish {
             Ok(total)
         }
+    }
+
+    crate::wire_message! {
+        /// A successor of `PointWire` that writes `x` as field 4 and still
+        /// reads it from field 1, where older values hold it.
+        struct PointV2Wire("point_v2");
+        encode(x: u64) {}
+        decode(bytes) -> u64 {
+            let mut x = 0;
+        }
+        1 read varint => |v| x = v;
+        4 varint(x) => |v| x = v;
+        finish {
+            Ok(x)
+        }
+    }
+
+    #[test]
+    fn read_lines_decode_but_never_encode() {
+        let mut manual = WireWriter::new();
+        manual.put_u64(4, 9);
+        assert_eq!(PointV2Wire::to_vec(9), manual.into_bytes());
+        let old = PointWire::to_vec((7, 0, None));
+        assert_eq!(PointV2Wire::decode(&old).unwrap(), 7);
+        assert_eq!(
+            PointV2Wire::DESCRIPTOR.fields,
+            [1, 4],
+            "read tags stay locked"
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! nothing names [`WireWriter`] or [`WireReader`] directly.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 use ips_types::{CountVector, MAX_ATTRIBUTES};
 
@@ -199,22 +200,12 @@ impl WireWriter {
         }
     }
 
-    /// Write a packed list of unsigned varints.
+    /// Write a packed list of varints, one per value `vals` yields.
     #[inline]
-    pub fn put_packed_u64(&mut self, field: u32, vals: &[u64]) {
+    pub fn put_packed<T: PackedValue>(&mut self, field: u32, vals: impl IntoIterator<Item = T>) {
         self.put_message(field, |w| {
             for v in vals {
-                encode_u64(&mut w.buf, *v);
-            }
-        });
-    }
-
-    /// Write a packed list of signed varints (zigzag).
-    #[inline]
-    pub fn put_packed_i64(&mut self, field: u32, vals: &[i64]) {
-        self.put_message(field, |w| {
-            for v in vals {
-                encode_u64(&mut w.buf, zigzag_encode(*v));
+                encode_u64(&mut w.buf, v.to_varint());
             }
         });
     }
@@ -284,40 +275,25 @@ impl<'a> FieldValue<'a> {
         }
     }
 
-    /// Decode a packed list of unsigned varints.
-    pub fn as_packed_u64(&self, field: u32) -> Result<Vec<u64>, WireError> {
-        let mut bytes = self.as_bytes(field)?;
-        let mut out = Vec::new();
-        while !bytes.is_empty() {
-            let (v, n) = decode_u64(bytes)?;
-            out.push(v);
-            bytes = &bytes[n..];
-        }
-        Ok(out)
-    }
-
-    /// Decode a packed list of zigzag-encoded signed varints.
-    pub fn as_packed_i64(&self, field: u32) -> Result<Vec<i64>, WireError> {
-        Ok(self
-            .as_packed_u64(field)?
-            .into_iter()
-            .map(zigzag_decode)
-            .collect())
+    /// A packed list of varints, read in place as it is iterated.
+    #[inline]
+    pub fn as_packed<T: PackedValue>(&self, field: u32) -> Result<Packed<'a, T>, WireError> {
+        Ok(Packed {
+            bytes: self.as_bytes(field)?,
+            value: PhantomData,
+        })
     }
 
     /// Decode a packed zigzag count list onto the stack. More than
     /// [`MAX_ATTRIBUTES`] values is malformed: [`WireError::TooManyElements`].
     #[inline]
     pub fn as_counts(&self, field: u32) -> Result<PackedCounts, WireError> {
-        let mut bytes = self.as_bytes(field)?;
         let mut out = PackedCounts::default();
-        while !bytes.is_empty() {
-            let (v, n) = decode_u64(bytes)?;
+        for v in self.as_packed(field)? {
             *out.vals
                 .get_mut(out.len)
-                .ok_or(WireError::TooManyElements(field))? = zigzag_decode(v);
+                .ok_or(WireError::TooManyElements(field))? = v?;
             out.len += 1;
-            bytes = &bytes[n..];
         }
         Ok(out)
     }
@@ -356,18 +332,90 @@ pub fn count_field(body: &[u8], field: u32) -> usize {
     n
 }
 
-/// The bodies of every occurrence of length-delimited `field` in a message
-/// body, in order. Malformed input ends the walk early; the decode proper
-/// reports it.
-pub fn nested_bodies(body: &[u8], field: u32) -> impl Iterator<Item = &[u8]> {
-    let mut reader = WireReader::new(body);
-    std::iter::from_fn(move || loop {
-        match reader.next_field() {
-            Ok(Some((f, FieldValue::Bytes(b)))) if f == field => return Some(b),
-            Ok(Some(_)) => {}
-            _ => return None,
+/// A value a packed list holds: `u64` as is, `i64` zigzag-mapped so small
+/// magnitudes of either sign take one byte.
+pub trait PackedValue: Copy {
+    fn to_varint(self) -> u64;
+    fn from_varint(v: u64) -> Self;
+}
+
+impl PackedValue for u64 {
+    #[inline]
+    fn to_varint(self) -> u64 {
+        self
+    }
+
+    #[inline]
+    fn from_varint(v: u64) -> Self {
+        v
+    }
+}
+
+impl PackedValue for i64 {
+    #[inline]
+    fn to_varint(self) -> u64 {
+        zigzag_encode(self)
+    }
+
+    #[inline]
+    fn from_varint(v: u64) -> Self {
+        zigzag_decode(v)
+    }
+}
+
+/// A packed list of varints, borrowed from its field's bytes and decoded
+/// as it is iterated: each item is a value, or one `Err` for a malformed
+/// varint, after which the iteration ends. Nothing is collected.
+#[derive(Clone, Debug)]
+pub struct Packed<'a, T> {
+    bytes: &'a [u8],
+    value: PhantomData<T>,
+}
+
+impl<T> Default for Packed<'_, T> {
+    fn default() -> Self {
+        Self {
+            bytes: &[],
+            value: PhantomData,
         }
-    })
+    }
+}
+
+impl<T> Packed<'_, T> {
+    /// How many values are left: one per byte that ends a varint. Exact for
+    /// a well-formed list, and never more than its length in bytes, so it
+    /// is a safe capacity for the column the list decodes into.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.bytes.iter().filter(|&&b| b < 0x80).count()
+    }
+
+    /// Are there no bytes left?
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+}
+
+impl<T: PackedValue> Iterator for Packed<'_, T> {
+    type Item = Result<T, WireError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.bytes.is_empty() {
+            return None;
+        }
+        match decode_u64(self.bytes) {
+            Ok((v, n)) => {
+                self.bytes = &self.bytes[n..];
+                Some(Ok(T::from_varint(v)))
+            }
+            Err(e) => {
+                self.bytes = &[];
+                Some(Err(e.into()))
+            }
+        }
+    }
 }
 
 /// Iterates tagged fields over a byte slice.
@@ -522,18 +570,40 @@ mod tests {
     #[test]
     fn packed_lists() {
         let mut w = WireWriter::new();
-        w.put_packed_u64(1, &[1, 128, 16_384]);
-        w.put_packed_i64(2, &[-1, 0, 1, i64::MIN, i64::MAX]);
+        w.put_packed(1, [1u64, 128, 16_384]);
+        w.put_packed(2, [-1i64, 0, 1, i64::MIN, i64::MAX]);
         let bytes = w.into_bytes();
 
         let mut r = WireReader::new(&bytes);
         let (_, v) = r.next_field().unwrap().unwrap();
-        assert_eq!(v.as_packed_u64(1).unwrap(), vec![1, 128, 16_384]);
+        let list = v.as_packed::<u64>(1).unwrap();
+        assert_eq!(list.len(), 3);
+        assert_eq!(
+            list.collect::<Result<Vec<_>, _>>().unwrap(),
+            [1, 128, 16_384]
+        );
         let (_, v) = r.next_field().unwrap().unwrap();
         assert_eq!(
-            v.as_packed_i64(2).unwrap(),
-            vec![-1, 0, 1, i64::MIN, i64::MAX]
+            v.as_packed::<i64>(2)
+                .unwrap()
+                .collect::<Result<Vec<_>, _>>(),
+            Ok(vec![-1, 0, 1, i64::MIN, i64::MAX])
         );
+    }
+
+    #[test]
+    fn a_malformed_packed_list_yields_one_error_then_ends() {
+        // 5, then a varint cut off mid-way.
+        let mut list = FieldValue::Bytes(&[0x05, 0x80, 0x80])
+            .as_packed::<u64>(1)
+            .unwrap();
+        assert_eq!(list.len(), 1, "only one byte ends a varint");
+        assert_eq!(list.next(), Some(Ok(5)));
+        assert_eq!(
+            list.next(),
+            Some(Err(WireError::Varint(DecodeError::Truncated)))
+        );
+        assert_eq!(list.next(), None);
     }
 
     #[test]

@@ -30,6 +30,12 @@ impl<'a> CountRow<'a> {
     }
 }
 
+impl AsRef<[i64]> for CountRow<'_> {
+    fn as_ref(&self) -> &[i64] {
+        self.0
+    }
+}
+
 impl Deref for CountRow<'_> {
     type Target = [i64];
     fn deref(&self) -> &[i64] {
@@ -59,6 +65,12 @@ impl<'a> IndexedFeatureStat<'a> {
     #[must_use]
     pub fn is_empty(self) -> bool {
         self.fids.is_empty()
+    }
+
+    /// Attributes per row: the widest count vector the stat has recorded.
+    #[must_use]
+    pub fn width(self) -> usize {
+        self.width
     }
 
     /// The counts of the `i`-th feature in id order.
@@ -165,14 +177,11 @@ mod tests {
 
     #[test]
     fn out_of_order_pushes_sort_once_and_sum_duplicates() {
-        let mut s = Slice::decoding((1, 4));
-        s.open_run();
-        for (n, c) in [(9u64, 1i64), (3, 2), (9, 4), (1, 8)] {
-            s.push_row(fid(n), &[c]);
-        }
-        s.close_run(Some(ActionTypeId::new(1)));
-        s.close_slot(0, Some(SlotId::new(1)));
-        let s = s.finish_decode(Timestamp::ZERO, Timestamp::from_millis(10));
+        let key = |n| (SlotId::new(1), ActionTypeId::new(1), fid(n));
+        let rows = [(9u64, 1i64), (3, 2), (9, 4), (1, 8)]
+            .map(|(n, c)| (key(n), CountVector::single(c)))
+            .to_vec();
+        let s = Slice::from_rows((Timestamp::ZERO, Timestamp::from_millis(10)), rows);
         let rows: Vec<_> = stat(&s).iter().map(|(f, c)| (f.raw(), c[0])).collect();
         assert_eq!(rows, vec![(1, 8), (3, 2), (9, 5)]);
     }

@@ -11,7 +11,10 @@
 
 use std::mem::size_of;
 
-use ips_types::{ActionTypeId, AggregateFunction, CountVector, FeatureId, SlotId, Timestamp};
+use ips_types::{
+    ActionTypeId, AggregateFunction, CountVector, FeatureId, IpsError, Result, SlotId, Timestamp,
+    MAX_ATTRIBUTES,
+};
 
 use super::feature_stat::{CountRow, IndexedFeatureStat};
 use super::instance_set::InstanceSet;
@@ -44,7 +47,7 @@ impl Run {
 }
 
 /// A row's place in canonical order.
-type RowKey = (SlotId, ActionTypeId, FeatureId);
+pub(crate) type RowKey = (SlotId, ActionTypeId, FeatureId);
 
 /// `slot`'s bit in [`Slice::slot_mask`].
 fn slot_bit(slot: SlotId) -> u16 {
@@ -345,16 +348,101 @@ impl Slice {
             .map(|s| s.end)
             .max()
             .unwrap_or(Timestamp(start.0 + 1));
-        let mut rows: Vec<_> = slices.iter().flat_map(|s| s.rows_in_order()).collect();
-        // Stable: rows of one key stay newest first.
-        rows.sort_by_key(|&(key, _)| key);
+        let rows = slices.iter().flat_map(|s| s.rows_in_order()).collect();
         let runs = slices.iter().map(|s| s.runs.len()).sum();
-        let stride = slices.iter().map(|s| s.stride).max().unwrap_or(0);
-        let mut merged = Self::with_room((start, end), (runs, rows.len()), stride);
-        for (key, row) in rows {
-            merged.push_sorted(key, &row, agg);
+        Self::from_unsorted((start, end), rows, runs, agg)
+    }
+
+    /// A slice over `[start, end)` holding `rows`, given in any order, with
+    /// the rows of one key summed as replaying their writes would: the read
+    /// path for nested (Fig 6 tree) slice bodies, which older writers did
+    /// not always emit in canonical order.
+    pub(crate) fn from_rows(
+        range: (Timestamp, Timestamp),
+        rows: Vec<(RowKey, CountVector)>,
+    ) -> Self {
+        Self::from_unsorted(range, rows, 0, AggregateFunction::Sum)
+    }
+
+    /// `rows` folded with `agg` into exactly sized columns, in one stable
+    /// sort and one pass; of two rows with one key, the earlier is the
+    /// newer side. `runs` is a capacity hint for the stats.
+    fn from_unsorted<R: AsRef<[i64]>>(
+        range: (Timestamp, Timestamp),
+        mut rows: Vec<(RowKey, R)>,
+        runs: usize,
+        agg: AggregateFunction,
+    ) -> Self {
+        rows.sort_by_key(|(key, _)| *key);
+        let stride = rows.iter().map(|(_, row)| row.as_ref().len()).max();
+        let stride = stride.unwrap_or(0) as u32;
+        let mut slice = Self::with_room(range, (runs, rows.len()), stride);
+        for (key, row) in &rows {
+            slice.push_sorted(*key, row.as_ref(), agg);
         }
-        merged.trimmed()
+        slice.trimmed()
+    }
+
+    /// A slice over `[start, end)` built straight from its decoded columns,
+    /// in canonical order. `runs` yields each stat's `(slot, action, rows,
+    /// width)`; then, stat by stat, `row` fills each row's `width` counts
+    /// and returns its feature id, given the previous id in the stat. `rows`
+    /// is the number of feature ids the input holds: every column reserves
+    /// exactly what the runs declare, and never more than that. A stat out
+    /// of order, empty, wider than [`MAX_ATTRIBUTES`] or past `rows`, or a
+    /// feature id out of order, is an error.
+    pub(crate) fn from_columns(
+        (start, end): (Timestamp, Timestamp),
+        (runs, rows): (usize, usize),
+        stats: impl Iterator<Item = Result<(SlotId, ActionTypeId, usize, usize)>>,
+        mut row: impl FnMut(Option<FeatureId>, &mut [i64]) -> Result<FeatureId>,
+    ) -> Result<Self> {
+        let bad = |what: &str| IpsError::Codec(format!("slice columns: {what}"));
+        let mut slice = Self::new(start, end);
+        slice.runs.reserve_exact(runs);
+        let (mut stride, mut total) = (0, 0);
+        for stat in stats {
+            let (slot, action, n, width) = stat?;
+            if slice.runs.last().is_some_and(|r| r.key() >= (slot, action)) {
+                return Err(bad("stats out of order"));
+            }
+            if n == 0 || n > rows - total {
+                return Err(bad("a stat is empty or runs past the feature ids"));
+            }
+            if width > MAX_ATTRIBUTES {
+                return Err(bad("a stat is wider than MAX_ATTRIBUTES"));
+            }
+            total += n;
+            stride = stride.max(width);
+            let end = u32::try_from(total).map_err(|_| bad("more rows than u32 holds"))?;
+            let width = width as u32;
+            slice.runs.push(Run {
+                slot,
+                action,
+                end,
+                width,
+            });
+            slice.slot_mask |= slot_bit(slot);
+        }
+        slice.stride = stride as u32;
+        slice.fids.reserve_exact(total);
+        slice.counts.reserve_exact(total * stride);
+        for i in 0..slice.runs.len() {
+            let (rows, width) = (slice.rows(i), slice.runs[i].width as usize);
+            // Attributes past `width` stay zero: the row's padding.
+            let mut counts = [0; MAX_ATTRIBUTES];
+            let mut prev = None;
+            for _ in rows {
+                let fid = row(prev, &mut counts[..width])?;
+                if prev.is_some_and(|p| p >= fid) {
+                    return Err(bad("feature ids out of order"));
+                }
+                slice.fids.push(fid);
+                slice.counts.extend_from_slice(&counts[..stride]);
+                prev = Some(fid);
+            }
+        }
+        Ok(slice)
     }
 
     /// Keep only the rows `keep` accepts (shrink path), compacting the
@@ -413,52 +501,12 @@ impl Slice {
         }
     }
 
-    /// An empty slice for the decoder to fill, with room for `(stats,
-    /// rows)`. [`Self::finish_decode`] gives it its range.
-    pub(crate) fn decoding(room: (usize, usize)) -> Self {
-        Self::with_room((Timestamp::ZERO, Timestamp(1)), room, 0)
-    }
-
-    /// Number of runs so far: where a decoded slot's runs begin.
-    pub(crate) fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Open a run for a decoded action's rows.
-    pub(crate) fn open_run(&mut self) {
-        let end = self.fids.len();
-        self.runs
-            .push(Run::new(SlotId::new(0), ActionTypeId::new(0), end));
-    }
-
-    /// Append a decoded row to the open run.
-    pub(crate) fn push_row(&mut self, fid: FeatureId, row: &[i64]) {
-        let last = self.runs.len() - 1;
-        self.widen(last, row.len());
-        self.push_padded(fid, row);
-        self.runs[last].end += 1;
-    }
-
-    /// Close the open run as `action`'s, or drop it and its rows when the
-    /// id is missing or no row arrived.
-    pub(crate) fn close_run(&mut self, action: Option<ActionTypeId>) {
-        let last = self.runs.len() - 1;
-        match action {
-            Some(action) if !self.rows(last).is_empty() => self.runs[last].action = action,
-            _ => self.truncate_runs(last),
-        }
-    }
-
-    /// Label the runs decoded since `first` with their slot, or drop them
-    /// when the id is missing.
-    pub(crate) fn close_slot(&mut self, first: usize, slot: Option<SlotId>) {
-        match slot {
-            Some(slot) => {
-                self.runs[first..].iter_mut().for_each(|r| r.slot = slot);
-                self.slot_mask |= slot_bit(slot);
-            }
-            None => self.truncate_runs(first),
-        }
+    /// Each column's capacity, the counts' in rows: what a decode reserved.
+    #[cfg(test)]
+    pub(crate) fn column_capacities(&self) -> [usize; 3] {
+        let stride = (self.stride as usize).max(1);
+        let counts = self.counts.capacity() / stride;
+        [self.runs.capacity(), self.fids.capacity(), counts]
     }
 
     fn truncate_runs(&mut self, runs: usize) {
@@ -466,25 +514,6 @@ impl Slice {
         self.runs.truncate(runs);
         self.fids.truncate(rows);
         self.counts.truncate(rows * self.stride as usize);
-    }
-
-    /// The decoded slice, covering `[start, end)`. A frame written before
-    /// encoding was canonical is put in `(slot, action, fid)` order here,
-    /// summing duplicates as replaying its writes would.
-    pub(crate) fn finish_decode(self, start: Timestamp, end: Timestamp) -> Self {
-        let runs_ordered = self.runs.windows(2).all(|w| w[0].key() < w[1].key());
-        let mut last = None;
-        let rows_ordered = self
-            .rows_in_order()
-            .all(|(key, _)| last.replace(key) < Some(key));
-        if runs_ordered && rows_ordered {
-            return Self { start, end, ..self };
-        }
-        Self {
-            start,
-            end,
-            ..Self::merge(&[&self], AggregateFunction::Sum)
-        }
     }
 }
 

@@ -1,21 +1,23 @@
 //! Wire schema for profiles and slices.
 //!
-//! Encodes the in-memory hierarchy (profile → slices → slots → actions →
-//! feature stats) into the tag/varint wire format, framed and compressed by
-//! `ips-codec`. Field numbers are stable; unknown fields are skipped on
-//! read, so the schema can grow.
+//! Encodes a profile (its slices, each as its three in-memory columns) into
+//! the tag/varint wire format, framed and compressed by `ips-codec`. Field
+//! numbers are stable; unknown fields are skipped on read, so the schema
+//! can grow.
 
-use ips_codec::wire::{count_field, nested_bodies, PackedCounts};
+use ips_codec::wire::{count_field, Packed, PackedCounts, PackedValue, WireError};
 use ips_codec::{decode_frame, encode_frame, wire_message};
-use ips_types::{ActionTypeId, FeatureId, IpsError, Result, SlotId, Timestamp};
+use ips_types::{ActionTypeId, CountVector, FeatureId, IpsError, Result, SlotId, Timestamp};
 
-use crate::model::{CountRow, IndexedFeatureStat, InstanceSet, ProfileData, Slice};
+use crate::model::{IndexedFeatureStat, ProfileData, RowKey, Slice};
 
 // Every level encodes in id order, so equal content encodes to equal bytes.
-// A slice decodes straight into its three columns: the slot and action
-// decoders thread the slice under construction down as an accumulator,
-// feature rows are appended in wire order, and a frame written before
-// encoding was canonical is sorted once in `Slice::finish_decode`.
+//
+// A slice body is its three in-memory columns as packed varint lists
+// (fields 4–6) plus its range (7–8), and decodes in one pass over each
+// column straight into the slice's columns. Bodies written before that hold
+// the Fig 6 tree instead (fields 1–3: slot → action → feature messages);
+// those lines are `read` only, so every stored value still loads.
 
 wire_message! {
     /// A whole profile (bulk mode, Fig 12): the last compaction time and
@@ -41,85 +43,192 @@ wire_message! {
 }
 
 wire_message! {
-    /// One time slice: its `[start, end)` range and its slots.
+    /// One time slice: its `[start, end)` range and its rows. Field 4 holds
+    /// each `(slot, action)` stat as `(slot, action, rows, width)`; field 5
+    /// the feature ids, each stat's ascending and delta-coded from 0; field
+    /// 6 the counts, row-major at each stat's width, zigzag-coded; fields 7
+    /// and 8 the start and the range's length.
     pub(super) struct SliceWire("slice");
     encode(slice: &Slice) {}
     decode(body) -> Slice {
-        let (mut start, mut end) = (None, None);
-        let mut slice = Slice::decoding(column_sizes(body));
+        let (mut start, mut end, mut span) = (None, None, None);
+        let (mut nested, mut rows) = (false, Vec::new());
+        let (mut runs, mut fids, mut counts) = Default::default();
     }
-    1 fixed64(slice.start().as_millis()) => |v| start = Some(Timestamp::from_millis(v));
-    2 fixed64(slice.end().as_millis()) => |v| end = Some(Timestamp::from_millis(v));
-    3 repeated nested SlotWire[&mut slice](slice.iter_slots()) => |()| {};
+    1 read fixed64 => |v| start = Some(v);
+    2 read fixed64 => |v| end = Some(v);
+    3 read repeated nested SlotWire[&mut rows] => |()| nested = true;
+    4 packed(slice.stats().flat_map(run_of)) => |v| runs = v;
+    5 packed(slice.stats().flat_map(|(_, _, stat)| fid_deltas(stat))) => |v| fids = v;
+    6 packed(slice.stats().flat_map(|(_, _, stat)| counts_of(stat))) => |v| counts = v;
+    7 varint(slice.start().as_millis()) => |v| start = Some(v);
+    8 varint(slice.end().as_millis() - slice.start().as_millis()) => |v| span = Some(v);
     finish {
-        let start = start.ok_or_else(|| IpsError::Codec("slice missing start".into()))?;
-        let end = end.ok_or_else(|| IpsError::Codec("slice missing end".into()))?;
+        let start = start.ok_or_else(|| codec("slice missing start"))?;
+        let end = match span {
+            Some(span) => start.checked_add(span).ok_or_else(|| codec("slice end overflows"))?,
+            None => end.ok_or_else(|| codec("slice missing end"))?,
+        };
         if start >= end {
-            return Err(IpsError::Codec("slice has degenerate range".into()));
+            return Err(codec("slice has degenerate range"));
         }
-        Ok(slice.finish_decode(start, end))
+        let range = (Timestamp::from_millis(start), Timestamp::from_millis(end));
+        if !nested {
+            return decode_columns(range, runs, fids, counts);
+        }
+        if !(runs.is_empty() && fids.is_empty() && counts.is_empty()) {
+            return Err(codec("slice holds both a nested and a packed body"));
+        }
+        Ok(Slice::from_rows(range, rows))
     }
 }
 
-wire_message! {
-    /// One slot of a slice and its action types, appended to the slice
-    /// being decoded; dropped when the id or every action is missing.
-    pub(super) struct SlotWire("slice.3");
-    encode((slot, set): (SlotId, InstanceSet<'_>)) {}
-    decode(body, slice: &mut Slice = Slice::decoding((0, 0))) -> () {
-        let mut id = None;
-        let first = slice.run_count();
+/// A stat's run entry: `(slot, action, rows, width)`.
+fn run_of((slot, action, stat): (SlotId, ActionTypeId, IndexedFeatureStat<'_>)) -> [u64; 4] {
+    let (rows, width) = (stat.len() as u64, stat.width() as u64);
+    [u64::from(slot.raw()), u64::from(action.raw()), rows, width]
+}
+
+/// A stat's feature ids, each as its distance from the one before (the
+/// first from 0).
+fn fid_deltas(stat: IndexedFeatureStat<'_>) -> impl Iterator<Item = u64> + '_ {
+    let mut prev = 0;
+    stat.fids.iter().map(move |fid| {
+        let delta = fid.raw() - prev;
+        prev = fid.raw();
+        delta
+    })
+}
+
+/// A stat's counts, row by row at its width.
+fn counts_of(stat: IndexedFeatureStat<'_>) -> impl Iterator<Item = i64> + '_ {
+    stat.iter()
+        .flat_map(|(_, row)| row.as_slice().iter().copied())
+}
+
+fn codec(what: &str) -> IpsError {
+    IpsError::Codec(what.into())
+}
+
+/// The next value of a packed column; running out is an error.
+#[inline]
+fn next<T: PackedValue>(column: &mut Packed<'_, T>, name: &str) -> Result<T> {
+    match column.next() {
+        Some(Ok(v)) => Ok(v),
+        other => Err(column_error(other, name)),
     }
-    1 varint(u64::from(slot.raw())) => |v| id = Some(SlotId::new(v as u32));
-    2 repeated nested ActionWire[&mut *slice](set.iter()) => |()| {};
+}
+
+/// What a packed column that ran out or held a bad varint reports.
+#[cold]
+fn column_error<T>(got: Option<std::result::Result<T, WireError>>, name: &str) -> IpsError {
+    match got {
+        Some(Err(e)) => IpsError::Codec(format!("slice {name} column: {e}")),
+        _ => IpsError::Codec(format!("slice {name} column truncated")),
+    }
+}
+
+/// A slot or action id, which must fit 32 bits.
+fn id32(v: u64, name: &str) -> Result<u32> {
+    u32::try_from(v).map_err(|_| IpsError::Codec(format!("slice {name} id {v} overflows u32")))
+}
+
+/// The next run entry of the runs column.
+fn next_run(runs: &mut Packed<'_, u64>) -> Result<(SlotId, ActionTypeId, usize, usize)> {
+    let slot = SlotId::new(id32(next(runs, "runs")?, "slot")?);
+    let action = ActionTypeId::new(id32(next(runs, "runs")?, "action")?);
+    let mut size = || next(runs, "runs").map(|v| usize::try_from(v).unwrap_or(usize::MAX));
+    Ok((slot, action, size()?, size()?))
+}
+
+/// A slice from its packed columns, each read once, front to back, into
+/// the slice's own columns, sized from the columns' bytes. A column that
+/// runs short or has bytes left over is an error.
+fn decode_columns(
+    range: (Timestamp, Timestamp),
+    mut runs: Packed<'_, u64>,
+    mut fids: Packed<'_, u64>,
+    mut counts: Packed<'_, i64>,
+) -> Result<Slice> {
+    let sizes = (runs.len() / 4, fids.len());
+    let stats = std::iter::from_fn(|| (!runs.is_empty()).then(|| next_run(&mut runs)));
+    let slice = Slice::from_columns(range, sizes, stats, |prev, row| {
+        let delta = next(&mut fids, "fid")?;
+        let fid = match prev {
+            Some(prev) => prev.raw().checked_add(delta),
+            None => Some(delta),
+        };
+        for count in row {
+            *count = next(&mut counts, "count")?;
+        }
+        fid.map(FeatureId::new)
+            .ok_or_else(|| codec("slice fid delta overflows u64"))
+    })?;
+    if !fids.is_empty() || !counts.is_empty() {
+        return Err(codec("slice columns have bytes left over"));
+    }
+    Ok(slice)
+}
+
+/// Rows of a nested slice body, each labelled with its slot and action as
+/// their messages finish decoding.
+type NestedRows = Vec<(RowKey, CountVector)>;
+
+wire_message! {
+    /// One slot of a nested slice body (read only). Its rows join the
+    /// slice's, or are dropped when the id is missing.
+    pub(super) struct SlotWire("slice.3");
+    encode(_: ()) {}
+    decode(body, rows: &mut NestedRows = Vec::new()) -> () {
+        let (mut id, first) = (None, rows.len());
+    }
+    1 read varint => |v| id = Some(SlotId::new(id32(v, "slot")?));
+    2 read repeated nested ActionWire[&mut *rows] => |()| {};
     finish {
-        slice.close_slot(first, id);
+        match id {
+            Some(slot) => rows[first..].iter_mut().for_each(|((s, _, _), _)| *s = slot),
+            None => rows.truncate(first),
+        }
         Ok(())
     }
 }
 
 wire_message! {
-    /// One action type of a slot and its feature rows, appended to the
-    /// slice being decoded; dropped when the id or every feature is missing.
+    /// One action type of a nested slot (read only). Its rows join the
+    /// slot's, or are dropped when the id is missing.
     pub(super) struct ActionWire("slice.3.2");
-    encode((action, stats): (ActionTypeId, IndexedFeatureStat<'_>)) {}
-    decode(body, slice: &mut Slice = Slice::decoding((0, 0))) -> () {
-        let mut id = None;
-        slice.open_run();
+    encode(_: ()) {}
+    decode(body, rows: &mut NestedRows = Vec::new()) -> () {
+        let (mut id, first) = (None, rows.len());
     }
-    1 varint(u64::from(action.raw())) => |v| id = Some(ActionTypeId::new(v as u32));
-    2 repeated nested FeatureWire(stats.iter()) => |(fid, counts)| {
+    1 read varint => |v| id = Some(ActionTypeId::new(id32(v, "action")?));
+    2 read repeated nested FeatureWire => |(fid, counts)| {
         if let Some(fid) = fid {
-            slice.push_row(fid, counts.as_slice());
+            rows.push(((SlotId::new(0), ActionTypeId::new(0), fid), counts.to_vector()));
         }
     };
     finish {
-        slice.close_run(id);
+        match id {
+            Some(action) => rows[first..].iter_mut().for_each(|((_, a, _), _)| *a = action),
+            None => rows.truncate(first),
+        }
         Ok(())
     }
 }
 
 wire_message! {
-    /// One feature row: its id and counts (bounded, decoded on the stack).
+    /// One feature row of a nested action (read only): its id and counts
+    /// (bounded, decoded on the stack).
     pub(super) struct FeatureWire("slice.3.2.2");
-    encode((fid, counts): (FeatureId, CountRow<'_>)) {}
+    encode(_: ()) {}
     decode(body) -> (Option<FeatureId>, PackedCounts) {
         let (mut fid, mut counts) = (None, PackedCounts::default());
     }
-    1 varint(fid.raw()) => |v| fid = Some(FeatureId::new(v));
-    2 counts(counts.as_slice()) => |c| counts = c;
+    1 read varint => |v| fid = Some(FeatureId::new(v));
+    2 read counts => |c| counts = c;
     finish {
         Ok((fid, counts))
     }
-}
-
-/// The `(stats, rows)` a slice body holds, counted over the slot and
-/// action headers alone, so decode sizes the slice's columns exactly, once.
-fn column_sizes(body: &[u8]) -> (usize, usize) {
-    let actions = nested_bodies(body, 3).flat_map(|slot| nested_bodies(slot, 2));
-    actions.fold((0, 0), |(runs, rows), action| {
-        (runs + 1, rows + count_field(action, 2))
-    })
 }
 
 /// Serialize one slice to framed (compressed, checksummed) bytes. The wire
@@ -152,7 +261,9 @@ pub fn decode_profile(frame: &[u8]) -> Result<ProfileData> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ips_types::{AggregateFunction, CountVector, DurationMs};
+    use ips_codec::{FieldValue, WireReader, WireWriter};
+    use ips_types::{AggregateFunction, DurationMs, MAX_ATTRIBUTES};
+    use proptest::prelude::*;
 
     fn ts(t: u64) -> Timestamp {
         Timestamp::from_millis(t)
@@ -251,5 +362,191 @@ mod tests {
         // (compression worked) — verify via a no-compression comparison.
         let raw_len = ProfileWire::to_vec(&p).len();
         assert!(framed.len() < raw_len, "{} !< {raw_len}", framed.len());
+    }
+
+    /// A packed slice body as plain values (fields 4–8), so a test can
+    /// corrupt one of them and write the body back.
+    #[derive(Clone, Debug, Default)]
+    struct PackedBody {
+        runs: Vec<u64>,
+        fids: Vec<u64>,
+        counts: Vec<i64>,
+        start: u64,
+        span: u64,
+    }
+
+    fn values<T: PackedValue>(value: FieldValue<'_>, field: u32) -> Vec<T> {
+        let list = value.as_packed::<T>(field).unwrap();
+        list.map(std::result::Result::unwrap).collect()
+    }
+
+    impl PackedBody {
+        fn parse(body: &[u8]) -> Self {
+            let mut out = Self::default();
+            let mut reader = WireReader::new(body);
+            while let Some((field, value)) = reader.next_field().unwrap() {
+                match field {
+                    4 => out.runs = values(value, field),
+                    5 => out.fids = values(value, field),
+                    6 => out.counts = values(value, field),
+                    7 => out.start = value.as_u64(field).unwrap(),
+                    8 => out.span = value.as_u64(field).unwrap(),
+                    other => panic!("a packed slice body has no field {other}"),
+                }
+            }
+            out
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut w = WireWriter::new();
+            w.put_packed(4, self.runs.iter().copied());
+            w.put_packed(5, self.fids.iter().copied());
+            w.put_packed(6, self.counts.iter().copied());
+            w.put_u64(7, self.start);
+            w.put_u64(8, self.span);
+            w.into_bytes()
+        }
+
+        /// The index in `fids` of the first row of the first stat with two
+        /// rows or more.
+        fn two_row_stat(&self) -> Option<usize> {
+            let mut row = 0;
+            for run in self.runs.chunks(4) {
+                if run[2] >= 2 {
+                    return Some(row);
+                }
+                row += run[2] as usize;
+            }
+            None
+        }
+    }
+
+    /// Every malformation the columns decoder must reject, each applied
+    /// alone to `body`.
+    fn corruptions(body: &PackedBody) -> Vec<(&'static str, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut case = |name, corrupt: &dyn Fn(&mut PackedBody)| {
+            let mut bad = body.clone();
+            corrupt(&mut bad);
+            out.push((name, bad.encode()));
+        };
+        case("runs column truncated", &|b| {
+            b.runs.pop();
+        });
+        case("fids column truncated", &|b| {
+            b.fids.pop();
+        });
+        case("counts column truncated", &|b| {
+            b.counts.pop();
+        });
+        case("a trailing fid", &|b| b.fids.push(1));
+        case("a trailing count", &|b| b.counts.push(1));
+        case("a stat of no rows", &|b| b.runs[2] = 0);
+        case("a stat past the fids", &|b| b.runs[2] += 1);
+        case("a stat past the fids, far", &|b| b.runs[2] = u64::MAX);
+        case("a stat too wide", &|b| {
+            b.runs[3] = MAX_ATTRIBUTES as u64 + 1
+        });
+        case("a slot id past u32", &|b| {
+            b.runs[0] = u64::from(u32::MAX) + 1
+        });
+        case("an action id past u32", &|b| b.runs[1] += 1 << 32);
+        case("the range overflows", &|b| b.start = u64::MAX - b.span + 1);
+        if let Some(row) = body.two_row_stat() {
+            case("a fid delta overflows", &|b| {
+                b.fids[row] = u64::MAX;
+                b.fids[row + 1] = 1;
+            });
+        }
+        out
+    }
+
+    fn slice_of(start: u64, span: u64, rows: &[(u32, u32, u64, Vec<i64>)]) -> Slice {
+        let mut slice = Slice::new(ts(start), ts(start + span));
+        for (slot, action, fid, counts) in rows {
+            slice.add(
+                SlotId::new(*slot),
+                ActionTypeId::new(*action),
+                FeatureId::new(*fid),
+                &CountVector::from_slice(counts),
+                AggregateFunction::Sum,
+            );
+        }
+        slice
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn malformed_packed_bodies_are_rejected(
+            rows in proptest::collection::vec(
+                (
+                    0u32..4,
+                    0u32..3,
+                    0u64..40,
+                    proptest::collection::vec(any::<i64>(), 1..MAX_ATTRIBUTES + 1),
+                ),
+                1..40,
+            ),
+            start in 0u64..1 << 50,
+            span in 1u64..1 << 40,
+        ) {
+            let slice = slice_of(start, span, &rows);
+            let body = SliceWire::to_vec(&slice);
+            let packed = PackedBody::parse(&body);
+            prop_assert_eq!(packed.encode(), body.clone(), "the test writes the encoder's bytes");
+            let decoded = SliceWire::decode(&body).unwrap();
+            prop_assert_eq!(&decoded, &slice);
+            for capacity in decoded.column_capacities() {
+                prop_assert!(capacity <= body.len(), "{capacity} > {} B", body.len());
+            }
+            for (name, bad) in corruptions(&packed) {
+                let outcome = std::panic::catch_unwind(|| SliceWire::decode(&bad));
+                prop_assert!(
+                    matches!(outcome, Ok(Err(IpsError::Codec(_)))),
+                    "{name}: {outcome:?}"
+                );
+            }
+        }
+    }
+
+    /// A nested body of one slot holding one action holding one feature.
+    fn nested_body(slot: u64, action: u64) -> WireWriter {
+        let mut w = WireWriter::new();
+        w.put_fixed64(1, 0);
+        w.put_fixed64(2, 10);
+        w.put_message(3, |s| {
+            s.put_u64(1, slot);
+            s.put_message(2, |a| {
+                a.put_u64(1, action);
+                a.put_message(2, |f| {
+                    f.put_u64(1, 7);
+                    f.put_packed(2, [1i64]);
+                });
+            });
+        });
+        w
+    }
+
+    #[test]
+    fn nested_ids_past_u32_are_rejected_not_truncated() {
+        assert_eq!(
+            SliceWire::decode(nested_body(1, 2).as_slice())
+                .unwrap()
+                .feature_count(),
+            1
+        );
+        for (slot, action) in [(1 << 32, 2), (1, (1 << 32) + 2)] {
+            let body = nested_body(slot, action).into_bytes();
+            assert!(SliceWire::decode(&body).is_err(), "{slot} {action}");
+        }
+    }
+
+    #[test]
+    fn a_body_both_nested_and_packed_is_rejected() {
+        let mut w = nested_body(1, 2);
+        w.put_packed(5, [7u64]);
+        assert!(SliceWire::decode(&w.into_bytes()).is_err());
     }
 }

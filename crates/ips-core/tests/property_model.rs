@@ -107,7 +107,7 @@ fn encode_descending(profile: &ProfileData) -> Vec<u8> {
                             for (fid, counts) in features.into_iter().rev() {
                                 aw.put_message(2, |fw| {
                                     fw.put_u64(1, fid.raw());
-                                    fw.put_packed_i64(2, &counts);
+                                    fw.put_packed(2, counts.iter().copied());
                                 });
                             }
                         });

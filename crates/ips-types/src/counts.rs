@@ -181,6 +181,12 @@ impl IndexMut<usize> for CountVector {
     }
 }
 
+impl AsRef<[i64]> for CountVector {
+    fn as_ref(&self) -> &[i64] {
+        self.as_slice()
+    }
+}
+
 impl fmt::Debug for CountVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()

@@ -3,9 +3,9 @@
 //!
 //! `wire_golden.rs` pins one small sample per message. This test pins
 //! volume: profiles of 30+ slices built through `ProfileData::add` and
-//! compaction, with nested bodies of 128 B and more (so every nesting level
-//! writes multi-byte length prefixes) and frames large enough that the
-//! compressor emits copies. A change to the in-memory layout or to the
+//! compaction, with slice columns of 128 B and more (so the in-place
+//! nested writer takes its multi-byte length-prefix path) and frames large
+//! enough that the compressor emits copies. A change to the in-memory layout or to the
 //! writer must leave all three hashes where they are.
 
 use std::ops::Range;
@@ -60,20 +60,17 @@ fn profiles() -> Vec<ProfileData> {
         .collect()
 }
 
-/// Length of the longest nested body at each depth of a slice body:
-/// `[slot, action, feature]`.
-fn longest_nested(body: &[u8], depth: usize, out: &mut [usize; 3]) {
+/// Length of the longest packed column (runs, fids, counts: fields 4–6)
+/// of a slice body.
+fn longest_column(body: &[u8]) -> usize {
     let mut reader = WireReader::new(body);
+    let mut longest = 0;
     while let Some((field, value)) = reader.next_field().unwrap() {
-        let child = match (depth, field) {
-            (0, 3) | (1, 2) | (2, 2) => value.as_bytes(field).unwrap(),
-            _ => continue,
-        };
-        out[depth] = out[depth].max(child.len());
-        if depth < 2 {
-            longest_nested(child, depth + 1, out);
+        if (4..=6).contains(&field) {
+            longest = longest.max(value.as_bytes(field).unwrap().len());
         }
     }
+    longest
 }
 
 fn queries(profile: ProfileId) -> Vec<ProfileQuery> {
@@ -121,7 +118,7 @@ fn encoders_produce_pinned_bytes_for_shaped_profiles() {
     let profiles = profiles();
     let (mut profile_hash, mut slice_hash, mut batch_hash) =
         (Fnv::default(), Fnv::default(), Fnv::default());
-    let mut longest = [0usize; 3];
+    let mut longest = 0;
     let mut batch = Vec::new();
     let now = Timestamp::from_millis(DurationMs::from_days(30).as_millis());
     for (i, profile) in profiles.iter().enumerate() {
@@ -129,7 +126,7 @@ fn encoders_produce_pinned_bytes_for_shaped_profiles() {
         profile_hash.add(&encode_profile(profile));
         for slice in profile.slices() {
             let frame = encode_slice(slice);
-            longest_nested(&decode_frame(&frame).unwrap(), 0, &mut longest);
+            longest = longest.max(longest_column(&decode_frame(&frame).unwrap()));
             slice_hash.add(&frame);
         }
         for query in queries(ProfileId::new(i as u64)) {
@@ -145,17 +142,40 @@ fn encoders_produce_pinned_bytes_for_shaped_profiles() {
     }
     let response = RpcResponse::QueryBatch(batch).encode();
     batch_hash.add(&response);
-    assert!(longest[0] >= 128, "slot bodies: {longest:?}");
+    assert!(longest >= 128, "longest column body: {longest} B");
     assert!(response.len() >= 4_096, "{}", response.len());
 
     let got = [profile_hash.0, slice_hash.0, batch_hash.0];
     let want = [
-        0x30b9_e98b_f5b2_09b1,
-        0x4568_b257_00c9_1ea1,
+        0x7352_fe73_2d72_e440,
+        0xd35f_1c56_02db_4163,
         0x6ed2_112e_3b78_c39b,
     ];
     assert_eq!(
         got, want,
         "encode_profile, encode_slice and the query_batch response changed bytes: {got:#018x?}"
     );
+}
+
+/// The framed sizes of the codec bench's shaped profiles (a median 40-write
+/// one and a hot 3,000-write one, drawn in that order from seed 34) stay
+/// under ceilings set by the packed slice columns. The nested slice bodies
+/// before them framed to 767 B and 21,795 B; a codec change that gives
+/// those bytes back fails here, not only in the hashes above.
+#[test]
+fn codec_bench_profiles_frame_under_their_size_ceilings() {
+    let config = CompactionConfig {
+        time_dimension: TimeDimensionConfig::production_default(),
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(34);
+    for (writes, ceiling) in [(40u32, 640), (3_000, 13_500)] {
+        let profile = shaped::benchmark_shaped_profile(&mut rng, &config, writes..writes + 1);
+        let framed = encode_profile(&profile).len();
+        println!("{writes} writes: {framed} B framed");
+        assert!(
+            framed <= ceiling,
+            "{writes}-write profile frames to {framed} B, over its {ceiling} B ceiling"
+        );
+    }
 }

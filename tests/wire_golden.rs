@@ -3,8 +3,10 @@
 //! envelope, default `CallOptions`, non-degraded and no-fetch
 //! `QueryResult`, `TimeRange::Current`, an error with an empty message), and
 //! a storage frame carrying a trace context, as older writers stamped it.
-//! Nothing writes that last shape any more, so it is a read-only case: the
-//! fixture keeps it and only the decode test renders against it.
+//! Nothing writes that last shape any more, nor the nested (Fig 6 tree)
+//! profile and slice bodies that preceded the packed slice columns, so
+//! those are read-only cases: the fixture keeps them and only the decode
+//! tests read them.
 //!
 //! Equal values must encode to identical bytes across codec rewrites:
 //! persisted profiles, WAL segments and RPC frames written by an older
@@ -483,26 +485,50 @@ const GOLDEN: &str = include_str!("wire_golden.txt");
 
 /// Golden cases no writer produces any more. They stay in the fixture so
 /// their read path stays pinned, and `render()` skips them.
-const READ_ONLY: &[&str] = &["persist/slice_traced"];
+const READ_ONLY: &[&str] = &[
+    "persist/profile_nested",
+    "persist/slice_nested",
+    "persist/slice_traced",
+];
+
+/// The committed bytes of golden case `name`.
+fn golden(name: &str) -> Vec<u8> {
+    let hex = GOLDEN
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("golden fixture has no `{name}`"));
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The read path for the nested (Fig 6 tree) storage bodies that values
+/// written before the packed slice columns hold: the committed bytes
+/// decode to the sample profile and its first slice.
+#[test]
+fn nested_storage_goldens_decode() {
+    let profile = sample_profile();
+    assert_eq!(
+        decode_profile(&golden("persist/profile_nested")).unwrap(),
+        profile
+    );
+    assert_eq!(
+        &decode_slice(&golden("persist/slice_nested")).unwrap(),
+        &profile.slices()[0]
+    );
+}
 
 /// The read path for storage frames written with a trace context: the
 /// committed bytes decode to the sample slice without any writer involved.
 #[test]
 fn traced_storage_frame_golden_decodes() {
-    let hex = GOLDEN
-        .lines()
-        .find_map(|line| line.strip_prefix("persist/slice_traced "))
-        .expect("golden fixture has a traced storage frame");
-    let bytes: Vec<u8> = (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-        .collect();
+    let bytes = golden("persist/slice_traced");
     assert_eq!(bytes[1] & 0x02, 0x02, "FLAG_TRACE is set");
-    let profile = sample_profile();
-    let slice = &profile.slices()[0];
-    let untraced = decode_frame(&encode_slice(slice)).unwrap();
+    let untraced = decode_frame(&golden("persist/slice_nested")).unwrap();
     assert_eq!(decode_frame(&bytes).unwrap(), untraced);
-    assert_eq!(&decode_slice(&bytes).unwrap(), slice);
+    let profile = sample_profile();
+    assert_eq!(&decode_slice(&bytes).unwrap(), &profile.slices()[0]);
 }
 
 #[test]
