@@ -41,10 +41,14 @@ const HERD_READERS: usize = 64;
 /// on the in-flight slot.
 const HERD_STORE_DELAY: Duration = Duration::from_millis(2);
 /// Features written per slice in the projection arm — sized so a full
-/// profile lands well above 100 KiB and the byte-proportional part of the
-/// storage model (60 µs/KiB) dominates the fixed per-fetch cost, separating
-/// full decodes from projected ones.
-const FEATURES_PER_SLICE: u64 = 1_600;
+/// profile lands well above [`MIN_FULL_BYTES`] stored and the
+/// byte-proportional part of the storage model (60 µs/KiB) dominates the
+/// fixed per-fetch cost, separating full decodes from projected ones. A
+/// storage format that packs rows tighter needs more of them.
+const FEATURES_PER_SLICE: u64 = 3_200;
+/// The stored size a full profile must exceed for the projection claim to
+/// be about fetch volume rather than fixed per-fetch costs; checked.
+const MIN_FULL_BYTES: u64 = 100 << 10;
 const SLICES_PER_PROFILE: u64 = 8;
 
 /// An in-memory KV with a fixed delay on every read verb, standing in for a
@@ -280,6 +284,11 @@ fn main() {
     println!(
         "avg kv bytes/miss: projected={avg_projected_bytes} full={avg_full_bytes} \
          p99 ratio={p99_ratio:.2}x"
+    );
+    assert!(
+        avg_full_bytes > MIN_FULL_BYTES,
+        "a full profile must store more than {MIN_FULL_BYTES} B (got {avg_full_bytes} B): \
+         raise FEATURES_PER_SLICE"
     );
     assert!(
         avg_projected_bytes * 2 < avg_full_bytes,
