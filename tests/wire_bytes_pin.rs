@@ -5,8 +5,9 @@
 //! volume: profiles of 30+ slices built through `ProfileData::add` and
 //! compaction, with slice columns of 128 B and more (so the in-place
 //! nested writer takes its multi-byte length-prefix path) and frames large
-//! enough that the compressor emits copies. A change to the in-memory layout or to the
-//! writer must leave all three hashes where they are.
+//! enough that the compressor emits copies. A change to the in-memory
+//! layout or to the writer must leave all three hashes where they are; only
+//! a deliberate storage-format change re-pins the profile and slice hashes.
 
 use std::ops::Range;
 
