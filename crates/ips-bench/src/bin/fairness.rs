@@ -85,9 +85,6 @@ struct DelayedStore {
 }
 
 impl ProfileStore for DelayedStore {
-    fn set(&self, key: Bytes, value: Bytes) -> ips_types::Result<Generation> {
-        self.inner.set(key, value)
-    }
     fn get(&self, key: &[u8]) -> ips_types::Result<Option<Bytes>> {
         std::thread::sleep(self.delay);
         self.inner.get(key)

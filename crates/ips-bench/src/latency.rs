@@ -103,8 +103,8 @@ impl CostModel {
     }
 
     /// Fixed cost of one *additional* round trip issued back to back on an
-    /// already-open store conversation (the split-profile loader's
-    /// meta-then-multi-get sequence): setup and queueing are amortized,
+    /// already-open store conversation (the loader's head-then-multi-get
+    /// sequence): setup and queueing are amortized,
     /// leaving about a fifth of the cold per-op cost.
     #[must_use]
     pub fn amortized_op_us(&self) -> u64 {

@@ -41,16 +41,6 @@ impl RegionStore {
 }
 
 impl ProfileStore for RegionStore {
-    fn set(&self, key: Bytes, value: Bytes) -> Result<Generation> {
-        match self.replica_idx {
-            None => self.kv.set(key, value),
-            // Non-persisting regions do not write (Fig 15: only one region
-            // persists). The write "succeeds" — durability is the master
-            // region's job; this region's copy converges via replication.
-            Some(_) => Ok(0),
-        }
-    }
-
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         match self.replica_idx {
             None => self.kv.get_master(key),
@@ -61,8 +51,9 @@ impl ProfileStore for RegionStore {
     fn xget(&self, key: &[u8]) -> Result<(Option<Bytes>, Generation)> {
         match self.replica_idx {
             None => self.kv.xget_master(key),
-            // A replica keeps each value's master generation, so the
-            // persister can tell which of a profile's layouts is newer.
+            // A replica keeps each value's master generation, so a
+            // generation held from either region compares with the head's
+            // here (a handoff import checks its entry's against it).
             Some(idx) => self.kv.xget_replica(idx, key),
         }
     }
@@ -70,7 +61,9 @@ impl ProfileStore for RegionStore {
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> Result<Generation> {
         match self.replica_idx {
             None => self.kv.xset(key, value, held),
-            // Dropped, so the generation the caller holds stays current.
+            // Non-persisting regions do not write (Fig 15: only one region
+            // persists); their copy converges via replication. The write
+            // is dropped, so the generation the caller holds stays current.
             Some(_) => Ok(held),
         }
     }
@@ -374,7 +367,7 @@ mod tests {
         let (d, _ctl) = build();
         let store = &d.regions[0].store;
         let g = store
-            .set(Bytes::from_static(b"k"), Bytes::from_static(b"v"))
+            .xset(Bytes::from_static(b"k"), Bytes::from_static(b"v"), 0)
             .unwrap();
         assert!(g > 0);
         assert_eq!(
@@ -388,7 +381,7 @@ mod tests {
         let (d, _ctl) = build();
         let replica_store = &d.regions[1].store;
         let g = replica_store
-            .set(Bytes::from_static(b"k"), Bytes::from_static(b"v"))
+            .xset(Bytes::from_static(b"k"), Bytes::from_static(b"v"), 0)
             .unwrap();
         assert_eq!(g, 0, "non-persisting write is a no-op");
         assert_eq!(d.kv.get_master(b"k").unwrap(), None);
@@ -396,7 +389,7 @@ mod tests {
         // Master write becomes visible in the replica region after pumping.
         d.regions[0]
             .store
-            .set(Bytes::from_static(b"k2"), Bytes::from_static(b"v2"))
+            .xset(Bytes::from_static(b"k2"), Bytes::from_static(b"v2"), 0)
             .unwrap();
         assert_eq!(replica_store.get(b"k2").unwrap(), None, "lag window");
         d.pump_replication(1024);
@@ -439,10 +432,12 @@ mod tests {
         let pid = ProfileId::new(7);
         let home =
             |mode| ProfilePersister::new(Arc::clone(&d.regions[0].store), TableId::new(1), mode);
-        let g = home(mode).save(pid, &mut profile(6), 0).unwrap();
-        // Shrunk below the threshold and saved bulk by a persister that never
-        // saw the split layout (a handoff target, say), so the meta stays.
-        home(mode).save(pid, &mut profile(1), g).unwrap();
+        let held = home(mode).save(pid, &mut profile(6), 0).unwrap();
+        // Shrunk below the threshold and saved inline by a persister that
+        // holds only the generation (a handoff target, say).
+        home(mode)
+            .save(pid, &mut profile(1), held.generation)
+            .unwrap();
         d.pump_replication(1024);
 
         let remote = ProfilePersister::new(Arc::clone(&d.regions[1].store), TableId::new(1), mode);

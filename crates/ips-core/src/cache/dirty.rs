@@ -61,9 +61,9 @@ impl<S: ProfileStore + 'static> GCache<S> {
         if !entry.dirty {
             return Ok(());
         }
-        entry.generation = self
+        entry.held = self
             .persister
-            .save(pid, &mut entry.data, entry.generation)?;
+            .save(pid, &mut entry.data, entry.held.clone())?;
         entry.dirty = false;
         self.flushes.inc();
         Ok(())

@@ -20,7 +20,7 @@ use super::stale::StalePool;
 /// per-miss constant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadCost {
-    /// Storage round trips (meta read, multi-get, bulk read).
+    /// Storage round trips (head read, multi-get).
     pub round_trips: u32,
     /// Payload bytes read from the store.
     pub bytes_read: u64,
@@ -761,7 +761,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2, "window slice plus the forced head slice");
         assert!(!hit);
-        assert_eq!(cost.round_trips, 2, "meta read + one multi-get");
+        assert_eq!(cost.round_trips, 2, "head read + one multi-get");
         assert!(cost.bytes_read > 0);
         assert_eq!(c.store_loads.get(), store_loads_before + 1);
 
@@ -773,7 +773,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 8);
         assert!(hit, "upgrade happens on a resident entry");
-        assert_eq!(cost.round_trips, 1, "one multi-get, no meta re-read");
+        assert_eq!(cost.round_trips, 1, "one multi-get, no head re-read");
         assert_eq!(c.store_loads.get(), store_loads_before + 2);
 
         // Now fully covered: further full reads touch no storage.
@@ -903,11 +903,11 @@ mod tests {
         assert_eq!(c.stats().stale_pool_entries, 0);
     }
 
-    /// A store wrapper whose `xget` (the meta read that starts every split
-    /// load) can be parked on a gate, letting the test hold a leader
-    /// mid-load while a herd piles onto the in-flight slot. Its `xset` (the
-    /// write every save ends with) can be parked the same way, holding a
-    /// write-back mid-save.
+    /// A store wrapper whose `xget` (the head read that starts every load)
+    /// can be parked on a gate, letting the test hold a leader mid-load
+    /// while a herd piles onto the in-flight slot. Its `xset` (every write
+    /// a save makes) can be parked the same way, holding a write-back
+    /// mid-save.
     struct GatedStore {
         inner: Arc<KvNode>,
         gate_open: Mutex<bool>,
@@ -945,9 +945,6 @@ mod tests {
     }
 
     impl ProfileStore for GatedStore {
-        fn set(&self, key: bytes::Bytes, value: bytes::Bytes) -> Result<Generation> {
-            self.inner.set(key, value)
-        }
         fn get(&self, key: &[u8]) -> Result<Option<bytes::Bytes>> {
             self.inner.get(key)
         }
@@ -1042,7 +1039,7 @@ mod tests {
         assert_eq!(
             store.gated_xgets.load(Ordering::Relaxed),
             1,
-            "exactly one meta read reached the store"
+            "exactly one head read reached the store"
         );
         assert_eq!(c.store_loads.get(), store_loads_before + 1);
         assert_eq!(

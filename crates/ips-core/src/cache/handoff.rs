@@ -91,7 +91,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
             batch.bytes += guard.accounted_bytes as u64;
             batch.entries.push(ExportedEntry {
                 pid: *pid,
-                generation: guard.generation,
+                generation: guard.held.generation,
                 data: guard.data.clone(),
             });
         }

@@ -112,7 +112,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
                 cost: ReadCost::default(),
             },
             Ok(SliceLoadOutcome::Loaded(l)) => LoadResult::Ready {
-                entry: self.insert(pid, l.profile, l.generation, l.missing).0,
+                entry: self.insert(pid, l.profile, l.held, l.missing).0,
                 cost: ReadCost {
                     round_trips: l.round_trips,
                     bytes_read: l.bytes_read,

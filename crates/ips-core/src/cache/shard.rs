@@ -12,11 +12,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ips_kv::Generation;
 use ips_types::{ProfileId, Result};
 
 use crate::model::ProfileData;
-use crate::persist::{ProfileStore, SliceRefInfo};
+use crate::persist::{Held, ProfileStore, SliceRefInfo};
 
 use super::gcache::GCache;
 use super::inflight::InflightLoad;
@@ -28,13 +27,13 @@ pub(super) struct CacheEntry {
     /// Holds writes not yet saved. This flag is the only record of
     /// dirtiness: the pid is queued for flush when it turns on.
     pub(super) dirty: bool,
-    /// The storage generation held for the next conditional save (Fig 14).
-    pub(super) generation: Generation,
+    /// The stored head held for the next conditional save (Fig 14).
+    pub(super) held: Held,
     /// Referenced slices a projected load skipped: non-empty means the
     /// entry is *partial*. Partial entries are upgraded in place when a
     /// query needs more slices, and must be completed before they may go
     /// dirty (a flush writes the full slice set, so saving a partial
-    /// profile would drop the unloaded slices from the stored meta).
+    /// profile would drop the unloaded slices from the stored head).
     pub(super) missing: Vec<SliceRefInfo>,
     /// Bytes this entry is accounted at in its shard.
     pub(super) accounted_bytes: usize,
@@ -102,7 +101,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
         &self,
         pid: ProfileId,
         data: ProfileData,
-        generation: Generation,
+        held: impl Into<Held>,
         missing: Vec<SliceRefInfo>,
     ) -> (EntryRef, bool) {
         let shard = self.shard(pid);
@@ -110,7 +109,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
         let entry = Arc::new(Mutex::new(CacheEntry {
             data,
             dirty: false,
-            generation,
+            held: held.into(),
             missing,
             accounted_bytes: bytes,
             detached: false,

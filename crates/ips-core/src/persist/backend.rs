@@ -1,9 +1,10 @@
 //! The storage backend abstraction the persistence layer writes through.
 //!
-//! `ips-core` only needs the paper's four verbs — `set`/`get` for bulk mode
-//! and `xget`/`xset` for the versioned split mode — so the cluster layer can
-//! plug in a bare node, a replicated group, or a region-routed view without
-//! this crate knowing.
+//! `ips-core` only needs reads (`get`, `get_many`), the versioned pair of
+//! Fig 14 (`xget`/`xset`, which also writes slice values create-only at
+//! generation 0) and conditional deletes, so the cluster layer can plug in
+//! a bare node, a replicated group, or a region-routed view without this
+//! crate knowing.
 
 use bytes::Bytes;
 
@@ -12,13 +13,12 @@ use ips_types::Result;
 
 /// Storage verbs used by [`super::ProfilePersister`].
 pub trait ProfileStore: Send + Sync {
-    fn set(&self, key: Bytes, value: Bytes) -> Result<Generation>;
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>>;
     /// Batched read: many keys in one round trip, results in input order.
     /// The default loops over [`ProfileStore::get`] so existing backends
     /// stay correct; backends with a native multi-get should override it to
-    /// amortize per-op service cost (the split-profile loader depends on
-    /// that to fetch all projected slices in one call).
+    /// amortize per-op service cost (the loader depends on that to fetch
+    /// all projected slices in one call).
     fn get_many(&self, keys: &[Bytes]) -> Result<Vec<Option<Bytes>>> {
         keys.iter().map(|k| self.get(k)).collect()
     }
@@ -40,9 +40,6 @@ pub trait ProfileStore: Send + Sync {
 }
 
 impl ProfileStore for KvNode {
-    fn set(&self, key: Bytes, value: Bytes) -> Result<Generation> {
-        KvNode::set(self, key, value)
-    }
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         KvNode::get(self, key)
     }
@@ -66,9 +63,6 @@ impl ProfileStore for KvNode {
 /// Writes go to the master; reads use the master too (the local-replica read
 /// path is provided by the cluster layer's region view).
 impl ProfileStore for ReplicatedKv {
-    fn set(&self, key: Bytes, value: Bytes) -> Result<Generation> {
-        ReplicatedKv::set(self, key, value)
-    }
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         self.get_master(key)
     }
@@ -88,9 +82,6 @@ impl ProfileStore for ReplicatedKv {
 }
 
 impl<T: ProfileStore + ?Sized> ProfileStore for std::sync::Arc<T> {
-    fn set(&self, key: Bytes, value: Bytes) -> Result<Generation> {
-        (**self).set(key, value)
-    }
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         (**self).get(key)
     }
@@ -125,7 +116,7 @@ mod tests {
     fn kv_node_implements_store() {
         let node = KvNode::new("n", KvNodeConfig::default()).unwrap();
         let store: &dyn ProfileStore = &node;
-        store.set(b("k"), b("v")).unwrap();
+        store.xset(b("k"), b("v"), 0).unwrap();
         assert_eq!(store.get(b"k").unwrap(), Some(b("v")));
         let (_, g) = store.xget(b"k").unwrap();
         store.xset(b("k"), b("v2"), g).unwrap();
@@ -136,7 +127,7 @@ mod tests {
     fn arc_forwarding_works() {
         let node = Arc::new(KvNode::new("n", KvNodeConfig::default()).unwrap());
         let store: Arc<dyn ProfileStore> = node;
-        store.set(b("k"), b("v")).unwrap();
+        store.xset(b("k"), b("v"), 0).unwrap();
         assert_eq!(store.get(b"k").unwrap(), Some(b("v")));
     }
 
@@ -159,7 +150,7 @@ mod tests {
         let master = Arc::new(KvNode::new("m", KvNodeConfig::default()).unwrap());
         let group = ReplicatedKv::new(master, Vec::new(), ips_kv::ReplicaReadMode::AllowStale);
         let store: &dyn ProfileStore = &group;
-        store.set(b("k1"), b("v1")).unwrap();
+        store.xset(b("k1"), b("v1"), 0).unwrap();
         let got = store.get_many(&[b("k1"), b("k2")]).unwrap();
         assert_eq!(got, vec![Some(b("v1")), None]);
     }
@@ -195,7 +186,7 @@ mod tests {
             ips_kv::ReplicaReadMode::AllowStale,
         );
         let store: &dyn ProfileStore = &group;
-        store.set(b("k"), b("v")).unwrap();
+        store.xset(b("k"), b("v"), 0).unwrap();
         assert_eq!(master.get(b"k").unwrap(), Some(b("v")));
         assert_eq!(store.get(b"k").unwrap(), Some(b("v")));
     }

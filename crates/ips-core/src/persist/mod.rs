@@ -1,16 +1,17 @@
 //! Profile persistence (§III-E, Figs 12–14).
 //!
 //! The cache layer is memory-only; durability comes from serializing
-//! profiles into the key-value substrate. Two modes exist:
+//! profiles into the key-value substrate. Each stored profile has one head
+//! key, written with the store's generation protocol (Fig 14):
 //!
-//! * **Bulk** ([`ProfilePersister`] with [`ips_types::PersistenceMode::Bulk`])
-//!   — the whole profile is one framed, compressed value under one key
-//!   (Fig 12). Simple, but large profiles burn CPU and IO on every flush.
-//! * **Split** — a slice-meta value plus one value per slice (Fig 13).
-//!   Flushes touch only changed slices. Consistency between meta and slice
-//!   values is enforced with the store's generation protocol (Fig 14):
-//!   slice values are written before the meta that references them, and a
-//!   meta write holding a stale generation forces a reload-and-retry.
+//! * the whole profile as one framed, compressed value (Fig 12), which is
+//!   the head of every profile in [`ips_types::PersistenceMode::Bulk`] and
+//!   of small ones in `Split`;
+//! * in `Split` mode, once a profile reaches the threshold, the head keeps
+//!   its newest slice inline and refers to every other slice, each stored
+//!   as a value of its own (Fig 13). Flushes write only the slices that
+//!   changed; slice values are written before the head that references
+//!   them, and a head write holding a stale generation plans again.
 
 pub mod backend;
 pub mod persister;
@@ -18,17 +19,19 @@ pub mod schema;
 
 pub use backend::ProfileStore;
 pub use persister::{
-    LoadOutcome, LoadedSlices, ProfilePersister, SliceLoadOutcome, SliceProjection, SliceRefInfo,
+    Held, LoadOutcome, LoadedSlices, ProfilePersister, SliceLoadOutcome, SliceProjection,
+    SliceRefInfo,
 };
 pub use schema::{decode_profile, encode_profile};
 
 /// Every persisted wire message, for the `wire_schema.lock` check.
 pub const WIRE_MESSAGES: &[ips_codec::MessageDescriptor] = &[
     schema::ProfileWire::DESCRIPTOR,
+    schema::SliceRefWire::DESCRIPTOR,
     schema::SliceWire::DESCRIPTOR,
     schema::SlotWire::DESCRIPTOR,
     schema::ActionWire::DESCRIPTOR,
     schema::FeatureWire::DESCRIPTOR,
     persister::SliceMetaWire::DESCRIPTOR,
-    persister::SliceRefWire::DESCRIPTOR,
+    persister::MetaRefWire::DESCRIPTOR,
 ];

@@ -1,73 +1,55 @@
 //! The persister: saves and loads profiles through a [`ProfileStore`].
 //!
-//! Implements both persistence modes from §III-E and the version protocol
-//! from Fig 14. Keys are derived from `(table, profile)`:
+//! Implements the persistence modes of §III-E under the version protocol of
+//! Fig 14. A stored profile has one head, under `b/<table>/<profile>`: the
+//! bulk value of Fig 12 (the last compaction time and the slices), plus a
+//! ref `(seq, start, span)` to each slice stored as its own value under
+//! `s/<table>/<profile>/<seq>` (Fig 13). A profile whose framed encoding is
+//! under the split threshold keeps every slice inline, so its head is the
+//! bulk value byte for byte and a load is one `xget`. At or past the
+//! threshold the head keeps the newest slice, the one writes land in,
+//! inline and refers to every other slice.
 //!
-//! * bulk value:    `b/<table>/<profile>`
-//! * split meta:    `m/<table>/<profile>`
-//! * split slice:   `s/<table>/<profile>/<seq>`
+//! A save writes the new slice values first, then swings the head with
+//! `xset` under the held generation, then deletes the values the replaced
+//! head referenced and the new one does not: a crash at any point leaves a
+//! loadable head. Slice values are written create-only (`xset` at
+//! generation 0), so no two flushers ever write one key and no write
+//! replaces a value some head references; a seq that is taken moves the
+//! write on to the next. A stale head makes the save read the head and plan
+//! again. The refs of the head a save or load returns ride in [`Held`], so
+//! the next save knows which stored values its clean slices already have.
 //!
-//! In split mode each slice is stored once under a monotonically increasing
-//! sequence number; the meta value lists the live sequence numbers with
-//! their time ranges. Saves write slice values *first*, then swing the meta
-//! with `xset`; a stale-generation rejection triggers reload-and-retry, and
-//! orphaned slice values are deleted only after the meta no longer
-//! references them — the write order that makes a crash at any point leave a
-//! loadable profile.
-//!
-//! A split-mode profile switches layout when it crosses the threshold, so
-//! both keys may be stored. The *head* is whichever has the newer generation
-//! (generations increase across the whole store). Each save collects the
-//! layout it supersedes with conditional deletes, so a value another
-//! flusher saved meanwhile survives. A split save probes the bulk key. A
-//! bulk save collects the meta only for profiles this persister has seen
-//! stored split (loaded with a meta, or saved split), so a profile stored
-//! only bulk pays no extra KV op; a meta no save here knew of (one written
-//! by a handoff source, say) stays until the next split save or
-//! [`ProfilePersister::purge`], and loads still pick the newer layout.
-
-use std::collections::HashSet;
+//! Stores written before the one head may hold a slice meta under
+//! `m/<table>/<profile>` instead. A load that misses the head reads the
+//! meta, writes a head referring to the meta's slice values, and drops the
+//! meta.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
-use ips_codec::{decode_frame, encode_frame, wire_message};
+use ips_codec::{decode_frame, wire_message};
 use ips_kv::Generation;
 use ips_types::{IpsError, PersistenceMode, ProfileId, Result, TableId, TimeRange, Timestamp};
 
 use crate::model::{ProfileData, Slice};
 
 use super::backend::ProfileStore;
-use super::schema::{decode_profile, encode_profile};
+use super::schema::{decode_head, decode_slice, encode_head, encode_profile, encode_slice};
 
-fn bulk_key(table: TableId, pid: ProfileId) -> Bytes {
-    let mut k = Vec::with_capacity(16);
-    k.push(b'b');
-    k.extend_from_slice(&table.raw().to_be_bytes());
-    k.extend_from_slice(&pid.raw().to_be_bytes());
-    Bytes::from(k)
-}
-
-fn meta_key(table: TableId, pid: ProfileId) -> Bytes {
-    let mut k = Vec::with_capacity(16);
-    k.push(b'm');
-    k.extend_from_slice(&table.raw().to_be_bytes());
-    k.extend_from_slice(&pid.raw().to_be_bytes());
-    Bytes::from(k)
-}
-
-fn slice_key(table: TableId, pid: ProfileId, seq: u64) -> Bytes {
+/// A key of profile `pid`: its kind (`b` head, `m` meta, `s` slice value),
+/// the table and the profile, big-endian, then a slice value's seq.
+fn key(kind: u8, table: TableId, pid: ProfileId, seq: Option<u64>) -> Bytes {
     let mut k = Vec::with_capacity(24);
-    k.push(b's');
+    k.push(kind);
     k.extend_from_slice(&table.raw().to_be_bytes());
     k.extend_from_slice(&pid.raw().to_be_bytes());
-    k.extend_from_slice(&seq.to_be_bytes());
+    k.extend(seq.iter().flat_map(|seq| seq.to_be_bytes()));
     Bytes::from(k)
 }
 
-/// One slice reference inside the meta value: the stored sequence number
-/// plus the exact time range the slice covers. Public so the cache layer can
-/// track which referenced slices a partial profile has not materialized yet.
+/// One ref of a head: the seq of a stored slice value plus the exact time
+/// range the slice covers. Public so the cache layer can track which
+/// referenced slices a partial profile has not materialized yet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SliceRefInfo {
     pub seq: u64,
@@ -75,36 +57,54 @@ pub struct SliceRefInfo {
     pub end: Timestamp,
 }
 
-/// The decoded meta value (Fig 13's "slice meta structure").
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(super) struct SliceMeta {
+/// The stored head a load or save returns, held for the next save (Fig 14).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Held {
+    /// The head's generation; 0 when none is stored.
+    pub generation: Generation,
+    /// The slice values the head refers to, or `None` when unknown (a bare
+    /// generation, as a handoff import carries): a save then reads the head
+    /// first, unless the generation is 0.
+    pub refs: Option<Vec<SliceRefInfo>>,
+}
+
+impl From<Generation> for Held {
+    fn from(generation: Generation) -> Self {
+        Self {
+            generation,
+            refs: None,
+        }
+    }
+}
+
+/// A slice meta from before the one head (Fig 13's "slice meta
+/// structure"), read only to migrate it.
+#[derive(Default)]
+struct SliceMeta {
     refs: Vec<SliceRefInfo>,
-    next_seq: u64,
     last_compacted: Timestamp,
 }
 
 wire_message! {
-    /// The slice meta value: live slice refs, the next sequence number and
-    /// the last compaction time.
+    /// A slice meta value (read only): the live slice refs, the next
+    /// sequence number and the last compaction time.
     pub(super) struct SliceMetaWire("slice_meta");
-    encode(meta: &SliceMeta) {}
+    encode(_: ()) {}
     decode(body) -> SliceMeta {
         let mut meta = SliceMeta::default();
     }
-    2 varint(meta.next_seq) => |v| meta.next_seq = v;
-    3 fixed64(meta.last_compacted.as_millis()) => |v| {
-        meta.last_compacted = Timestamp::from_millis(v)
-    };
-    1 repeated nested SliceRefWire(&meta.refs) => |r| meta.refs.push(r);
+    2 read varint => |_| {};
+    3 read fixed64 => |v| meta.last_compacted = Timestamp::from_millis(v);
+    1 read repeated nested MetaRefWire => |r| meta.refs.push(r);
     finish {
         Ok(meta)
     }
 }
 
 wire_message! {
-    /// One slice reference inside the meta value.
-    pub(super) struct SliceRefWire("slice_meta.1");
-    encode(r: &SliceRefInfo) {}
+    /// One slice ref of a meta value (read only).
+    pub(super) struct MetaRefWire("slice_meta.1");
+    encode(_: ()) {}
     decode(body) -> SliceRefInfo {
         let mut r = SliceRefInfo {
             seq: 0,
@@ -112,91 +112,79 @@ wire_message! {
             end: Timestamp::ZERO,
         };
     }
-    1 varint(r.seq) => |v| r.seq = v;
-    2 fixed64(r.start.as_millis()) => |v| r.start = Timestamp::from_millis(v);
-    3 fixed64(r.end.as_millis()) => |v| r.end = Timestamp::from_millis(v);
+    1 read varint => |v| r.seq = v;
+    2 read fixed64 => |v| r.start = Timestamp::from_millis(v);
+    3 read fixed64 => |v| r.end = Timestamp::from_millis(v);
     finish {
         Ok(r)
     }
 }
 
-impl SliceMeta {
-    fn encode(&self) -> Vec<u8> {
-        SliceMetaWire::with_encoded(self, encode_frame)
-    }
-
-    fn decode(frame: &[u8]) -> Result<Self> {
-        let body = decode_frame(frame).map_err(|e| IpsError::Codec(e.to_string()))?;
-        SliceMetaWire::decode(&body)
-    }
+fn decode_meta(frame: &[u8]) -> Result<SliceMeta> {
+    let body = decode_frame(frame).map_err(|e| IpsError::Codec(e.to_string()))?;
+    SliceMetaWire::decode(&body)
 }
 
 /// The outcome of a load.
 #[derive(Debug)]
 pub enum LoadOutcome {
-    /// The profile was found (with the meta generation to hold for the next
-    /// conditional save; 0 in bulk mode).
-    Loaded {
-        profile: ProfileData,
-        generation: Generation,
-    },
+    /// The profile was found, with the head to hold for the next save.
+    Loaded { profile: ProfileData, held: Held },
     /// The store has no data for this profile.
     Missing,
 }
 
-/// Which slices a load must materialize (§III-E: the split layout exists so
-/// readers can touch a *subset* of slices).
+/// Which slices a load must materialize (§III-E: slices stored alone exist
+/// so readers can touch a *subset* of them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SliceProjection {
     /// Materialize every referenced slice — the classic full load.
     Full,
     /// Materialize only slices overlapping the query's time range, resolved
     /// against `now` and (for [`TimeRange::Relative`]) the last-action
-    /// anchor derived from the slice meta itself — the meta records every
-    /// slice's exact `[start, end)`, so the anchor a full profile would
-    /// report is recoverable without loading any slice data. The newest
-    /// referenced slice is always included so a partial profile answers
-    /// `last_action_hint()` identically to a fully loaded one.
+    /// anchor derived from the head itself — the head records every slice's
+    /// exact `[start, end)`, so the anchor a full profile would report is
+    /// recoverable without fetching any slice value. The newest slice is
+    /// always included so a partial profile answers `last_action_hint()`
+    /// identically to a fully loaded one.
     Window { range: TimeRange, now: Timestamp },
 }
 
 impl SliceProjection {
-    /// Split `refs` into (selected, skipped) under this projection.
-    fn partition(&self, refs: &[SliceRefInfo]) -> (Vec<SliceRefInfo>, Vec<SliceRefInfo>) {
+    /// Split a head's `refs` into (selected, skipped) under this
+    /// projection; `inline_end` is the end of the head's newest inline
+    /// slice.
+    fn partition(
+        &self,
+        refs: &[SliceRefInfo],
+        inline_end: Option<Timestamp>,
+    ) -> (Vec<SliceRefInfo>, Vec<SliceRefInfo>) {
         match *self {
             SliceProjection::Full => (refs.to_vec(), Vec::new()),
             SliceProjection::Window { range, now } => {
-                let newest = refs.iter().map(|r| r.end).max();
+                let newest = refs.iter().map(|r| r.end).chain(inline_end).max();
                 // The anchor a full profile would report: head slice end - 1.
                 let anchor = newest.map(|end| Timestamp::from_millis(end.as_millis() - 1));
                 let window = range.resolve(now, anchor);
-                let mut selected = Vec::new();
-                let mut skipped = Vec::new();
-                for r in refs {
-                    let is_head = Some(r.end) == newest;
-                    if is_head || window.overlaps(r.start, r.end) {
-                        selected.push(*r);
-                    } else {
-                        skipped.push(*r);
-                    }
-                }
-                (selected, skipped)
+                refs.iter()
+                    .copied()
+                    .partition(|r| Some(r.end) == newest || window.overlaps(r.start, r.end))
             }
         }
     }
 }
 
 /// A successfully projected load: the (possibly partial) profile plus the
-/// meta refs that were *not* materialized and the storage cost incurred.
+/// refs that were *not* materialized and the storage cost incurred.
 #[derive(Debug)]
 pub struct LoadedSlices {
     pub profile: ProfileData,
-    pub generation: Generation,
+    pub held: Held,
     /// Referenced slices the projection skipped; the cache upgrades the
     /// entry in place via [`ProfilePersister::fetch_slices`] when a later
-    /// query needs them. Empty for full loads and bulk-mode profiles.
+    /// query needs them. Empty for full loads and heads without refs.
     pub missing: Vec<SliceRefInfo>,
-    /// Storage round trips issued (meta read, multi-get, bulk read).
+    /// Storage round trips issued (head read, multi-get).
     pub round_trips: u32,
     /// Payload bytes read from the store.
     pub bytes_read: u64,
@@ -215,9 +203,6 @@ pub struct ProfilePersister<S> {
     store: S,
     table: TableId,
     mode: PersistenceMode,
-    /// Profiles this persister has seen with a stored meta; a bulk save of
-    /// one collects the meta.
-    split_stored: Mutex<HashSet<ProfileId>>,
     pub metrics: PersistMetrics,
 }
 
@@ -239,14 +224,8 @@ impl<S: ProfileStore> ProfilePersister<S> {
             store,
             table,
             mode,
-            split_stored: Mutex::new(HashSet::new()),
             metrics: PersistMetrics::default(),
         }
-    }
-
-    #[must_use]
-    pub fn mode(&self) -> PersistenceMode {
-        self.mode
     }
 
     #[must_use]
@@ -254,288 +233,239 @@ impl<S: ProfileStore> ProfilePersister<S> {
         &self.store
     }
 
-    /// Persist `profile`. `held` is the meta generation returned by the last
-    /// load/save of this profile (0 if never persisted). Returns the new
-    /// generation to hold. Takes `&mut` so per-slice dirty flags can be
-    /// cleared once the data is safely referenced by the stored meta.
+    /// Persist `profile` over the head `held`, the one the last load or save
+    /// of this profile returned (a bare generation converts; 0 if never
+    /// persisted). Returns the head to hold next. Takes `&mut` so per-slice
+    /// dirty flags can be cleared once the head references the data.
     pub fn save(
         &self,
         pid: ProfileId,
         profile: &mut ProfileData,
-        held: Generation,
-    ) -> Result<Generation> {
+        held: impl Into<Held>,
+    ) -> Result<Held> {
         self.metrics.saves.inc();
-        let bulk_bytes = encode_profile(profile);
-        let use_split = match self.mode {
+        let full = encode_profile(profile);
+        let split = match self.mode {
             PersistenceMode::Bulk => false,
-            PersistenceMode::Split { threshold_bytes } => bulk_bytes.len() >= threshold_bytes,
+            PersistenceMode::Split { threshold_bytes } => full.len() >= threshold_bytes,
         };
-        let generation = if use_split {
-            self.split_stored.lock().insert(pid);
-            self.save_split(pid, profile, held)?
-        } else {
-            self.save_bulk(pid, Bytes::from(bulk_bytes), held)?
+        let full = Bytes::from(full);
+        // The head the swing replaces: its generation and refs.
+        let held = held.into();
+        let mut replaced = match &held.refs {
+            Some(refs) => (held.generation, refs.clone()),
+            None if held.generation == 0 => (0, Vec::new()),
+            None => self.read_head(pid)?,
         };
-        for slice in profile.slices_mut() {
-            slice.mark_clean();
-        }
-        Ok(generation)
-    }
-
-    fn save_bulk(&self, pid: ProfileId, bulk_bytes: Bytes, held: Generation) -> Result<Generation> {
-        self.metrics.bytes_written.add(bulk_bytes.len() as u64);
-        // Bulk values don't race slice writes, but we still route through
-        // xset so a lost-update between two flushers is detected.
-        let generation = match self
-            .store
-            .xset(bulk_key(self.table, pid), bulk_bytes.clone(), held)
-        {
-            Ok(g) => g,
-            Err(IpsError::StaleGeneration { current, .. }) => {
-                // Someone flushed a newer version; ours is superseded but
-                // re-flushing over it with the current generation is the
-                // correct last-writer-wins resolution for cache flushes.
-                // Encoding is canonical, so the bytes already made are the
-                // ones a re-encode would produce.
-                self.metrics.stale_retries.inc();
-                self.store
-                    .xset(bulk_key(self.table, pid), bulk_bytes, current)?
+        // The values that hold this profile's clean slices: the held head's.
+        let known = match held.refs {
+            Some(refs) => refs,
+            None if replaced.0 == held.generation => replaced.1.clone(),
+            None => Vec::new(),
+        };
+        let mut written = Vec::new();
+        loop {
+            let (head, refs) = if split {
+                let refs = self.write_slices(pid, profile, &replaced.1, &known, &mut written)?;
+                let inline = profile.slice_count().min(1);
+                (Bytes::from(encode_head(profile, inline, &refs)), refs)
+            } else {
+                (full.clone(), Vec::new())
+            };
+            self.metrics.bytes_written.add(head.len() as u64);
+            match self
+                .store
+                .xset(key(b'b', self.table, pid, None), head, replaced.0)
+            {
+                Ok(generation) => {
+                    let stored = replaced.1.iter().chain(&written);
+                    self.delete_values(pid, stored.filter(|r| !refs.contains(r)));
+                    for slice in profile.slices_mut() {
+                        slice.mark_clean();
+                    }
+                    return Ok(Held {
+                        generation,
+                        refs: Some(refs),
+                    });
+                }
+                Err(IpsError::StaleGeneration { .. }) => {
+                    // Another flusher swung the head: plan over its head.
+                    self.metrics.stale_retries.inc();
+                    replaced = self.read_head(pid)?;
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
-        };
-        if self.split_stored.lock().remove(&pid) {
-            self.collect_meta(pid, generation)?;
         }
-        Ok(generation)
     }
 
-    fn save_split(
+    /// Store every slice after the newest as a value of its own, and return
+    /// the head's refs to them. A slice keeps a value this save already
+    /// wrote or, when clean, the `known` value that holds it while the
+    /// `replaced` head still refers to it. Any other slice is written
+    /// create-only at the next seq no value takes, and added to `written`.
+    fn write_slices(
         &self,
         pid: ProfileId,
         profile: &ProfileData,
-        held: Generation,
-    ) -> Result<Generation> {
-        // Read the current meta so existing slice values can be reused when
-        // their time range is unchanged (the common case: only the head
-        // slice and recently compacted ranges differ). The *held* generation
-        // — not this read's — guards the meta swing below, per Fig 14.
-        let (old_meta_bytes, meta_generation) = self.store.xget(&meta_key(self.table, pid))?;
-        let old_meta = match &old_meta_bytes {
-            Some(bytes) => SliceMeta::decode(bytes)?,
-            None => SliceMeta::default(),
-        };
-        // A newer bulk value superseded the stored meta, and with it every
-        // slice value the meta references.
-        let bulk_generation = self.bulk_generation(pid)?;
-        let meta_is_head = bulk_generation < Some(meta_generation); // `None` sorts first
-
-        let mut next_seq = old_meta.next_seq;
-        let mut new_refs = Vec::with_capacity(profile.slice_count());
-        // Step 1 (Fig 14): write slice values for every slice.
-        for slice in profile.slices() {
-            // A clean slice (no mutation since the last flush) whose time
-            // range matches a ref of the head meta still has its value in
-            // the store, so it is reused without rewriting — the IO win that
-            // motivated split mode ("adjusts the granularity of data
-            // flushing ... from the entire profile to slice level").
-            let reused = if meta_is_head && !slice.is_dirty() {
-                old_meta
-                    .refs
+        replaced: &[SliceRefInfo],
+        known: &[SliceRefInfo],
+        written: &mut Vec<SliceRefInfo>,
+    ) -> Result<Vec<SliceRefInfo>> {
+        let all = replaced.iter().chain(written.iter());
+        let mut next_seq = all.map(|r| r.seq + 1).max().unwrap_or(1);
+        let mut refs = Vec::with_capacity(profile.slice_count());
+        for slice in profile.slices().iter().skip(1) {
+            let covers = |r: &&SliceRefInfo| r.start == slice.start() && r.end == slice.end();
+            let kept = written.iter().find(covers).or_else(|| {
+                let clean = !slice.is_dirty();
+                known
                     .iter()
-                    .find(|r| r.start == slice.start() && r.end == slice.end())
-                    .map(|r| r.seq)
-            } else {
-                None
-            };
-            let seq = match reused {
-                Some(seq) => seq,
-                None => {
-                    let seq = next_seq;
-                    next_seq += 1;
-                    let bytes = super::schema::encode_slice(slice);
-                    self.metrics.bytes_written.add(bytes.len() as u64);
-                    self.store
-                        .set(slice_key(self.table, pid, seq), Bytes::from(bytes))?;
-                    seq
+                    .find(covers)
+                    .filter(|r| clean && replaced.contains(r))
+            });
+            if let Some(r) = kept {
+                refs.push(*r);
+                continue;
+            }
+            let body = Bytes::from(encode_slice(slice));
+            self.metrics.bytes_written.add(body.len() as u64);
+            let seq = loop {
+                let seq = next_seq;
+                next_seq += 1;
+                match self
+                    .store
+                    .xset(key(b's', self.table, pid, Some(seq)), body.clone(), 0)
+                {
+                    Ok(_) => break seq,
+                    Err(IpsError::StaleGeneration { .. }) => {}
+                    Err(e) => return Err(e),
                 }
             };
-            new_refs.push(SliceRefInfo {
+            let r = SliceRefInfo {
                 seq,
                 start: slice.start(),
                 end: slice.end(),
-            });
+            };
+            written.push(r);
+            refs.push(r);
         }
-
-        // Step 2: swing the meta with the held generation.
-        let meta = SliceMeta {
-            refs: new_refs,
-            next_seq,
-            last_compacted: profile.last_compacted,
-        };
-        let meta_bytes = Bytes::from(meta.encode());
-        self.metrics.bytes_written.add(meta_bytes.len() as u64);
-        let new_gen = match self
-            .store
-            .xset(meta_key(self.table, pid), meta_bytes.clone(), held)
-        {
-            Ok(g) => g,
-            Err(IpsError::StaleGeneration { current, .. }) => {
-                // Another flusher won; last-writer-wins with its generation.
-                self.metrics.stale_retries.inc();
-                self.store
-                    .xset(meta_key(self.table, pid), meta_bytes, current)?
-            }
-            Err(e) => return Err(e),
-        };
-
-        // Step 3: garbage-collect slice values the new meta doesn't
-        // reference, and the bulk value it supersedes. Safe only *after* the
-        // meta swing. The bulk value goes only if it is still the one probed:
-        // one another flusher saved meanwhile may be newer than this meta.
-        for r in &old_meta.refs {
-            if !meta.refs.iter().any(|n| n.seq == r.seq) {
-                let _ = self.store.delete(&slice_key(self.table, pid, r.seq));
-            }
-        }
-        if let Some(generation) = bulk_generation {
-            let _ = self.store.xdelete(&bulk_key(self.table, pid), generation);
-        }
-        Ok(new_gen)
+        Ok(refs)
     }
 
-    /// The generation of `pid`'s bulk value, if one is stored.
-    fn bulk_generation(&self, pid: ProfileId) -> Result<Option<Generation>> {
-        let (bulk, generation) = self.store.xget(&bulk_key(self.table, pid))?;
-        Ok(bulk.map(|_| generation))
+    /// The stored head's generation and refs; `(0, [])` when none is stored.
+    fn read_head(&self, pid: ProfileId) -> Result<(Generation, Vec<SliceRefInfo>)> {
+        let (head, generation) = self.store.xget(&key(b'b', self.table, pid, None))?;
+        let refs = match head {
+            Some(head) => decode_head(&head)?.1,
+            None => Vec::new(),
+        };
+        Ok((generation, refs))
     }
 
-    /// Load a profile in full, from whichever layout is the head.
+    /// Delete slice values, best effort: one left behind is unreferenced.
+    fn delete_values<'a>(&self, pid: ProfileId, refs: impl Iterator<Item = &'a SliceRefInfo>) {
+        for r in refs {
+            let _ = self.store.delete(&key(b's', self.table, pid, Some(r.seq)));
+        }
+    }
+
+    /// Load a profile in full.
     pub fn load(&self, pid: ProfileId) -> Result<LoadOutcome> {
-        match self.load_slices(pid, &SliceProjection::Full)? {
-            SliceLoadOutcome::Loaded(LoadedSlices {
-                profile,
-                generation,
-                ..
-            }) => Ok(LoadOutcome::Loaded {
-                profile,
-                generation,
-            }),
-            SliceLoadOutcome::Missing => Ok(LoadOutcome::Missing),
-        }
+        Ok(match self.load_slices(pid, &SliceProjection::Full)? {
+            SliceLoadOutcome::Loaded(LoadedSlices { profile, held, .. }) => {
+                LoadOutcome::Loaded { profile, held }
+            }
+            SliceLoadOutcome::Missing => LoadOutcome::Missing,
+        })
     }
 
-    /// Load a profile, materializing only the slices `projection` selects.
-    /// Split profiles read the meta, then fetch the selected slice values in
-    /// a single multi-get ([`ProfileStore::get_many`]) — one round trip no
-    /// matter how many slices qualify, instead of N sequential gets. The
-    /// multi-get also probes the bulk key, so a profile stored only split
-    /// costs no extra round trip; a profile stored only bulk costs the meta
-    /// probe and the bulk read. Bulk profiles are indivisible and always
-    /// load fully.
+    /// Load a profile, materializing only the slices `projection` selects:
+    /// one `xget` of the head, plus one multi-get
+    /// ([`ProfileStore::get_many`]) of the selected refs when there are any
+    /// — one round trip no matter how many qualify. Every loaded slice is
+    /// clean: it equals the value it came from.
     pub fn load_slices(
         &self,
         pid: ProfileId,
         projection: &SliceProjection,
     ) -> Result<SliceLoadOutcome> {
         self.metrics.loads.inc();
-        let (meta_bytes, meta_generation) = self.store.xget(&meta_key(self.table, pid))?;
-        let Some(meta_bytes) = meta_bytes else {
-            let (bulk, generation) = self.store.xget(&bulk_key(self.table, pid))?;
-            return self.bulk_outcome(bulk, generation, 2, 0);
-        };
-        self.split_stored.lock().insert(pid);
-        let mut bytes_read = meta_bytes.len() as u64;
-        self.metrics.bytes_read.add(meta_bytes.len() as u64);
-        let meta = SliceMeta::decode(&meta_bytes)?;
-        let (selected, missing) = projection.partition(&meta.refs);
-        let mut values = self.get_slices(pid, &selected, true)?.into_iter();
-        let mut round_trips = 2;
-        if values.next().flatten().is_some() {
-            // Both layouts are stored; the newer one is the head.
-            let (bulk, generation) = self.store.xget(&bulk_key(self.table, pid))?;
-            round_trips += 1;
-            if generation > meta_generation {
-                return self.bulk_outcome(bulk, generation, round_trips, bytes_read);
+        let mut round_trips = 1;
+        let (head, generation) = match self.store.xget(&key(b'b', self.table, pid, None))? {
+            (Some(head), generation) => (head, generation),
+            (None, _) => {
+                round_trips += 1; // the meta read
+                match self.migrate_meta(pid)? {
+                    Some(migrated) => migrated,
+                    None => return Ok(SliceLoadOutcome::Missing),
+                }
             }
+        };
+        self.metrics.bytes_read.add(head.len() as u64);
+        let mut bytes_read = head.len() as u64;
+        let (mut profile, refs) = decode_head(&head)?;
+        let inline_end = profile.slices().first().map(Slice::end);
+        let (selected, missing) = projection.partition(&refs, inline_end);
+        if !selected.is_empty() {
+            let (slices, trips, slice_bytes) = self.fetch_slices(pid, &selected)?;
+            round_trips += trips;
+            bytes_read += slice_bytes;
+            profile.slices_mut().extend(slices);
+            profile
+                .slices_mut()
+                .sort_by_key(|s| std::cmp::Reverse(s.start()));
+            profile.check_invariants().map_err(IpsError::Codec)?;
         }
-        let (mut slices, slice_bytes) = self.decode_slices(values)?;
-        bytes_read += slice_bytes;
-        slices.sort_by_key(|s| std::cmp::Reverse(s.start()));
-        let mut profile = ProfileData::new();
-        profile.last_compacted = meta.last_compacted;
-        *profile.slices_mut() = slices;
-        profile.check_invariants().map_err(IpsError::Codec)?;
+        for slice in profile.slices_mut() {
+            slice.mark_clean();
+        }
         Ok(SliceLoadOutcome::Loaded(LoadedSlices {
             profile,
-            generation: meta_generation,
+            held: Held {
+                generation,
+                refs: Some(refs),
+            },
             missing,
             round_trips,
             bytes_read,
         }))
     }
 
-    fn bulk_outcome(
-        &self,
-        bulk: Option<Bytes>,
-        generation: Generation,
-        round_trips: u32,
-        bytes_read: u64,
-    ) -> Result<SliceLoadOutcome> {
-        let Some(bytes) = bulk else {
-            return Ok(SliceLoadOutcome::Missing);
+    /// Replace `pid`'s slice meta, if one is stored, with a head that refers
+    /// to the meta's slice values, written create-only; then drop the meta.
+    /// Returns the stored head, or `None` when neither is stored.
+    fn migrate_meta(&self, pid: ProfileId) -> Result<Option<(Bytes, Generation)>> {
+        let (meta, meta_generation) = self.store.xget(&key(b'm', self.table, pid, None))?;
+        let Some(meta) = meta else {
+            return Ok(None);
         };
-        self.metrics.bytes_read.add(bytes.len() as u64);
-        Ok(SliceLoadOutcome::Loaded(LoadedSlices {
-            profile: decode_profile(&bytes)?,
-            generation,
-            missing: Vec::new(),
-            round_trips,
-            bytes_read: bytes_read + bytes.len() as u64,
-        }))
-    }
-
-    /// One multi-get of the given slice values, led by the bulk value when
-    /// `with_bulk` is set.
-    fn get_slices(
-        &self,
-        pid: ProfileId,
-        refs: &[SliceRefInfo],
-        with_bulk: bool,
-    ) -> Result<Vec<Option<Bytes>>> {
-        let bulk = with_bulk.then(|| bulk_key(self.table, pid));
-        let slices = refs.iter().map(|r| slice_key(self.table, pid, r.seq));
-        let keys: Vec<Bytes> = bulk.into_iter().chain(slices).collect();
-        self.store.get_many(&keys)
-    }
-
-    /// Decode fetched slice values. Torn refs (deleted between meta read and
-    /// fetch, or replica lag) are skipped, per the §III-G weak-consistency
-    /// stance. Returns the slices and their payload bytes.
-    fn decode_slices(
-        &self,
-        values: impl Iterator<Item = Option<Bytes>>,
-    ) -> Result<(Vec<Slice>, u64)> {
-        let mut slices = Vec::with_capacity(values.size_hint().0);
-        let mut bytes_read = 0u64;
-        for value in values {
-            match value {
-                Some(bytes) => {
-                    bytes_read += bytes.len() as u64;
-                    self.metrics.bytes_read.add(bytes.len() as u64);
-                    slices.push(super::schema::decode_slice(&bytes)?);
-                }
-                None => {
-                    self.metrics.torn_slices_skipped.inc();
-                }
+        let meta = decode_meta(&meta)?;
+        let mut profile = ProfileData::new();
+        profile.last_compacted = meta.last_compacted;
+        let head = Bytes::from(encode_head(&profile, 0, &meta.refs));
+        let generation = match self
+            .store
+            .xset(key(b'b', self.table, pid, None), head.clone(), 0)
+        {
+            Ok(generation) => generation,
+            Err(IpsError::StaleGeneration { .. }) => {
+                // A head appeared meanwhile; it supersedes the meta.
+                let (head, generation) = self.store.xget(&key(b'b', self.table, pid, None))?;
+                return Ok(head.map(|head| (head, generation)));
             }
-        }
-        Ok((slices, bytes_read))
+            Err(e) => return Err(e),
+        };
+        let _ = self
+            .store
+            .xdelete(&key(b'm', self.table, pid, None), meta_generation);
+        Ok(Some((head, generation)))
     }
 
-    /// Fetch and decode the given slice refs in one multi-get, skipping torn
-    /// ones. Returns the decoded slices plus (round trips, payload bytes)
-    /// for storage-cost accounting. The cache uses this to upgrade partial
-    /// entries in place.
+    /// Fetch and decode the given slice refs in one multi-get. Torn refs
+    /// (deleted between head read and fetch, or replica lag) are skipped,
+    /// per the §III-G weak-consistency stance. Returns the slices, each
+    /// clean, plus (round trips, payload bytes) for storage-cost
+    /// accounting. The cache uses this to upgrade partial entries in place.
     pub fn fetch_slices(
         &self,
         pid: ProfileId,
@@ -544,41 +474,44 @@ impl<S: ProfileStore> ProfilePersister<S> {
         if refs.is_empty() {
             return Ok((Vec::new(), 0, 0));
         }
-        let values = self.get_slices(pid, refs, false)?;
-        let (slices, bytes_read) = self.decode_slices(values.into_iter())?;
+        let keys: Vec<Bytes> = refs
+            .iter()
+            .map(|r| key(b's', self.table, pid, Some(r.seq)))
+            .collect();
+        let mut slices = Vec::with_capacity(keys.len());
+        let mut bytes_read = 0u64;
+        for value in self.store.get_many(&keys)? {
+            let Some(bytes) = value else {
+                self.metrics.torn_slices_skipped.inc();
+                continue;
+            };
+            bytes_read += bytes.len() as u64;
+            self.metrics.bytes_read.add(bytes.len() as u64);
+            let mut slice = decode_slice(&bytes)?;
+            slice.mark_clean();
+            slices.push(slice);
+        }
         Ok((slices, 1, bytes_read))
     }
 
-    /// The store's current head generation for `pid` without materializing
-    /// the profile: the newer of the meta's and the bulk value's. `None`
-    /// when the profile was never persisted. Snapshot import uses this to
-    /// reject a stale handoff entry without paying a full load.
+    /// The store's head generation for `pid` without materializing the
+    /// profile: one `xget`. `None` when no head is stored. Snapshot import
+    /// uses this to reject a stale handoff entry without paying a full load.
     pub fn current_generation(&self, pid: ProfileId) -> Result<Option<Generation>> {
-        let (meta, generation) = self.store.xget(&meta_key(self.table, pid))?;
-        Ok(self.bulk_generation(pid)?.max(meta.map(|_| generation)))
+        let (head, generation) = self.store.xget(&key(b'b', self.table, pid, None))?;
+        Ok(head.map(|_| generation))
     }
 
-    /// Delete `pid`'s meta and the slice values it references, unless a
-    /// split save newer than generation `head` swung it.
-    fn collect_meta(&self, pid: ProfileId, head: Generation) -> Result<()> {
-        let (Some(meta_bytes), generation) = self.store.xget(&meta_key(self.table, pid))? else {
-            return Ok(());
-        };
-        if generation > head {
-            return Ok(());
-        }
-        for r in &SliceMeta::decode(&meta_bytes)?.refs {
-            let _ = self.store.delete(&slice_key(self.table, pid, r.seq));
-        }
-        let _ = self.store.xdelete(&meta_key(self.table, pid), generation);
-        Ok(())
-    }
-
-    /// Delete all persisted state for a profile (both modes).
+    /// Delete all persisted state for a profile: the head, a meta from
+    /// before the one head, and the slice values either refers to.
     pub fn purge(&self, pid: ProfileId) -> Result<()> {
-        self.split_stored.lock().remove(&pid);
-        self.collect_meta(pid, Generation::MAX)?;
-        let _ = self.store.delete(&bulk_key(self.table, pid));
+        let (_, refs) = self.read_head(pid)?;
+        self.delete_values(pid, refs.iter());
+        if let (Some(meta), _) = self.store.xget(&key(b'm', self.table, pid, None))? {
+            self.delete_values(pid, decode_meta(&meta)?.refs.iter());
+            let _ = self.store.delete(&key(b'm', self.table, pid, None));
+        }
+        let _ = self.store.delete(&key(b'b', self.table, pid, None));
         Ok(())
     }
 }
@@ -586,8 +519,10 @@ impl<S: ProfileStore> ProfilePersister<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::decode_profile;
     use ips_kv::{KvNode, KvNodeConfig};
     use ips_types::{ActionTypeId, AggregateFunction, CountVector, DurationMs, FeatureId, SlotId};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     const TABLE: TableId = TableId(1);
@@ -619,26 +554,60 @@ mod tests {
         Arc::new(KvNode::new("kv", KvNodeConfig::default()).unwrap())
     }
 
-    fn assert_loaded(p: &ProfilePersister<Arc<KvNode>>, expect_slices: usize) -> Generation {
+    /// The split mode whose threshold a six-slice sample profile reaches.
+    fn six_slice_threshold() -> PersistenceMode {
+        PersistenceMode::Split {
+            threshold_bytes: encode_profile(&sample_profile(6)).len(),
+        }
+    }
+
+    fn assert_loaded<S: ProfileStore>(p: &ProfilePersister<S>, expect_slices: usize) -> Held {
         match p.load(PID).unwrap() {
-            LoadOutcome::Loaded {
-                profile,
-                generation,
-            } => {
+            LoadOutcome::Loaded { profile, held } => {
                 assert_eq!(profile.slice_count(), expect_slices);
                 profile.check_invariants().unwrap();
-                generation
+                held
             }
             LoadOutcome::Missing => panic!("expected profile"),
         }
+    }
+
+    /// The refs of `PID`'s stored head.
+    fn head_refs(store: &KvNode) -> Vec<SliceRefInfo> {
+        let head = store.get(&key(b'b', TABLE, PID, None)).unwrap().unwrap();
+        decode_head(&head).unwrap().1
+    }
+
+    /// Every stored key, sorted.
+    fn census(store: &KvNode) -> Vec<Bytes> {
+        let mut keys: Vec<Bytes> = store
+            .store()
+            .scan_all()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    /// `PID`'s head key plus the keys of the values its refs name, sorted:
+    /// what the census must hold with nothing orphaned.
+    fn head_and_its_values(store: &KvNode) -> Vec<Bytes> {
+        let refs = head_refs(store);
+        let values = refs.iter().map(|r| key(b's', TABLE, PID, Some(r.seq)));
+        let mut keys: Vec<Bytes> = std::iter::once(key(b'b', TABLE, PID, None))
+            .chain(values)
+            .collect();
+        keys.sort();
+        keys
     }
 
     #[test]
     fn bulk_save_load_round_trip() {
         let p = ProfilePersister::new(node(), TABLE, PersistenceMode::Bulk);
         let mut profile = sample_profile(5);
-        let g = p.save(PID, &mut profile, 0).unwrap();
-        assert!(g > 0);
+        let held = p.save(PID, &mut profile, 0).unwrap();
+        assert!(held.generation > 0);
         assert_loaded(&p, 5);
     }
 
@@ -652,9 +621,13 @@ mod tests {
     fn split_save_load_round_trip() {
         let p = ProfilePersister::new(node(), TABLE, PersistenceMode::Split { threshold_bytes: 0 });
         let mut profile = sample_profile(7);
-        let g1 = p.save(PID, &mut profile, 0).unwrap();
-        let g2 = assert_loaded(&p, 7);
-        assert_eq!(g1, g2);
+        let saved = p.save(PID, &mut profile, 0).unwrap();
+        assert_eq!(
+            saved.refs.as_ref().map(Vec::len),
+            Some(6),
+            "all but the newest"
+        );
+        assert_eq!(assert_loaded(&p, 7), saved);
     }
 
     #[test]
@@ -668,20 +641,25 @@ mod tests {
         );
         let mut profile = sample_profile(2);
         p.save(PID, &mut profile, 0).unwrap();
-        // Bulk key exists, no meta key.
-        assert!(p.store().get(&bulk_key(TABLE, PID)).unwrap().is_some());
-        assert!(p.store().get(&meta_key(TABLE, PID)).unwrap().is_none());
+        // The head is the bulk value byte for byte, and nothing else is stored.
+        let head = p
+            .store()
+            .get(&key(b'b', TABLE, PID, None))
+            .unwrap()
+            .unwrap();
+        assert_eq!(head.as_ref(), encode_profile(&profile).as_slice());
+        assert_eq!(census(p.store()), vec![key(b'b', TABLE, PID, None)]);
         let ops_before = p.store().stats().ops;
-        let g = assert_loaded(&p, 2);
+        let held = assert_loaded(&p, 2);
+        assert_eq!(
+            p.store().stats().ops,
+            ops_before + 1,
+            "a head without refs loads in one op"
+        );
+        p.save(PID, &mut profile, held).unwrap();
         assert_eq!(
             p.store().stats().ops,
             ops_before + 2,
-            "a bulk-only profile costs the meta probe and the bulk read"
-        );
-        p.save(PID, &mut profile, g).unwrap();
-        assert_eq!(
-            p.store().stats().ops,
-            ops_before + 3,
             "and its save is one conditional write"
         );
     }
@@ -700,99 +678,100 @@ mod tests {
 
     #[test]
     fn split_profile_that_shrinks_loads_its_newer_bulk_value() {
-        let mode = PersistenceMode::Split {
-            threshold_bytes: encode_profile(&sample_profile(6)).len(),
-        };
+        let mode = six_slice_threshold();
         let store = node();
         let p = ProfilePersister::new(Arc::clone(&store), TABLE, mode);
-        let g1 = p.save(PID, &mut sample_profile(6), 0).unwrap();
-        // Shrunk below the threshold and saved bulk by a persister that
-        // never saw the split layout (a handoff target, say): the older
-        // meta stays stored beside the bulk value.
-        let target = ProfilePersister::new(store, TABLE, mode);
-        let g2 = target.save(PID, &mut sample_profile(1), g1).unwrap();
-        assert!(p.store().get(&meta_key(TABLE, PID)).unwrap().is_some());
-        assert_eq!(assert_loaded(&p, 1), g2, "the newer bulk value is the head");
-        assert_eq!(p.current_generation(PID).unwrap(), Some(g2));
+        let saved = p.save(PID, &mut sample_profile(6), 0).unwrap();
+        assert!(head_refs(&store).len() > 1);
+        // Shrunk below the threshold and saved by a persister that holds
+        // only the generation (a handoff target, say): it reads the head it
+        // replaces and collects every value that head referenced.
+        let target = ProfilePersister::new(Arc::clone(&store), TABLE, mode);
+        let shrunk = target
+            .save(PID, &mut sample_profile(1), saved.generation)
+            .unwrap();
+        assert_eq!(census(&store), vec![key(b'b', TABLE, PID, None)]);
+        assert_eq!(assert_loaded(&p, 1), shrunk, "the newer head loads");
+        assert_eq!(p.current_generation(PID).unwrap(), Some(shrunk.generation));
     }
 
     #[test]
-    fn bulk_save_collects_the_meta_it_supersedes() {
-        let mode = PersistenceMode::Split {
-            threshold_bytes: encode_profile(&sample_profile(6)).len(),
-        };
+    fn inline_save_collects_the_slice_values_it_supersedes() {
+        let mode = six_slice_threshold();
         let store = node();
-        let stored_kinds = || -> Vec<u8> {
-            let mut kinds: Vec<u8> = store.store().scan_all().iter().map(|(k, _)| k[0]).collect();
-            kinds.dedup();
-            kinds
-        };
-        // A persister that saved the profile split collects its meta.
+        // A persister that saved the profile with refs collects their values.
         let p = ProfilePersister::new(Arc::clone(&store), TABLE, mode);
-        let g1 = p.save(PID, &mut sample_profile(6), 0).unwrap();
-        let g2 = p.save(PID, &mut sample_profile(1), g1).unwrap();
-        assert_eq!(stored_kinds(), vec![b'b'], "no meta or slice value left");
-        // So does one that loaded it split.
-        let g3 = p.save(PID, &mut sample_profile(6), g2).unwrap();
+        let held = p.save(PID, &mut sample_profile(6), 0).unwrap();
+        let held = p.save(PID, &mut sample_profile(1), held).unwrap();
+        assert_eq!(
+            census(&store),
+            vec![key(b'b', TABLE, PID, None)],
+            "no slice value left"
+        );
+        // So does one that loaded it.
+        let grown = p.save(PID, &mut sample_profile(6), held).unwrap();
         let q = ProfilePersister::new(Arc::clone(&store), TABLE, mode);
-        assert_eq!(assert_loaded(&q, 6), g3);
-        q.save(PID, &mut sample_profile(1), g3).unwrap();
-        assert_eq!(stored_kinds(), vec![b'b']);
+        assert_eq!(assert_loaded(&q, 6), grown);
+        q.save(PID, &mut sample_profile(1), grown).unwrap();
+        assert_eq!(census(&store), vec![key(b'b', TABLE, PID, None)]);
         assert_loaded(&q, 1);
     }
 
     #[test]
     fn split_save_after_a_bulk_save_reuses_no_superseded_slice() {
-        let mode = PersistenceMode::Split {
-            threshold_bytes: encode_profile(&sample_profile(6)).len(),
-        };
+        let mode = six_slice_threshold();
         let store = node();
         let p = ProfilePersister::new(Arc::clone(&store), TABLE, mode);
-        let g1 = p.save(PID, &mut sample_profile(6), 0).unwrap();
+        let saved = p.save(PID, &mut sample_profile(6), 0).unwrap();
         // Shrunk to one slice over the oldest range, with other features:
-        // saved bulk, which leaves the slice clean, by a persister that
-        // never saw the split layout, so the meta stays.
+        // saved inline, which leaves the slice clean, by a persister that
+        // holds only the generation.
         let mut profile = ProfileData::new();
         add_feature(&mut profile, 1_000, 100);
-        let g2 = ProfilePersister::new(store, TABLE, mode)
-            .save(PID, &mut profile, g1)
+        let shrunk = ProfilePersister::new(Arc::clone(&store), TABLE, mode)
+            .save(PID, &mut profile, saved.generation)
             .unwrap();
-        // Grown past the threshold again: saved split. The oldest slice's
-        // range matches a ref of the superseded meta, whose value still
-        // holds fids 0-9.
+        // Grown past the threshold again, by the first persister. The
+        // oldest slice's range matches a ref of the superseded head, whose
+        // value held fids 0-9.
         for s in 1..8 {
             for f in 0..10 {
                 add_feature(&mut profile, 1_000 + s * 10_000, f);
             }
         }
-        let g3 = p.save(PID, &mut profile, g2).unwrap();
+        let grown = p.save(PID, &mut profile, shrunk).unwrap();
         match p.load(PID).unwrap() {
             LoadOutcome::Loaded {
                 profile: loaded,
-                generation,
+                held,
             } => {
-                assert_eq!(generation, g3);
+                assert_eq!(held, grown);
                 assert_eq!(encode_profile(&loaded), encode_profile(&profile));
             }
             LoadOutcome::Missing => panic!("expected profile"),
         }
-        assert!(p.store().get(&meta_key(TABLE, PID)).unwrap().is_some());
-        assert!(
-            p.store().get(&bulk_key(TABLE, PID)).unwrap().is_none(),
-            "the superseded bulk value is collected"
-        );
+        assert_eq!(census(&store), head_and_its_values(&store));
     }
 
-    /// Runs `hook` once, right after the first meta swing it passes on.
-    struct MetaSwingHook {
+    /// Runs `hook` once, right after the first write it passes on to a key
+    /// of kind `kind` (`b'b'` for the head, `b's'` for a slice value).
+    struct WriteHook {
         inner: Arc<KvNode>,
+        kind: u8,
         hook: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
     }
 
-    impl ProfileStore for MetaSwingHook {
-        fn set(&self, key: Bytes, value: Bytes) -> Result<Generation> {
-            self.inner.set(key, value)
+    impl WriteHook {
+        fn new(inner: &Arc<KvNode>, kind: u8, hook: impl FnOnce() + Send + 'static) -> Self {
+            Self {
+                inner: Arc::clone(inner),
+                kind,
+                hook: parking_lot::Mutex::new(Some(Box::new(hook))),
+            }
         }
+    }
+
+    impl ProfileStore for WriteHook {
         fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
             self.inner.get(key)
         }
@@ -800,9 +779,9 @@ mod tests {
             self.inner.xget(key)
         }
         fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> Result<Generation> {
-            let is_meta = key[0] == b'm';
+            let hooked = key[0] == self.kind;
             let generation = self.inner.xset(key, value, held)?;
-            if is_meta {
+            if hooked {
                 if let Some(hook) = self.hook.lock().take() {
                     hook();
                 }
@@ -816,26 +795,56 @@ mod tests {
 
     #[test]
     fn split_save_keeps_a_bulk_value_another_flusher_saved() {
-        let mode = PersistenceMode::Split {
-            threshold_bytes: encode_profile(&sample_profile(6)).len(),
-        };
+        let mode = six_slice_threshold();
         let inner = node();
         let rival = ProfilePersister::new(Arc::clone(&inner), TABLE, mode);
-        let g1 = rival.save(PID, &mut sample_profile(1), 0).unwrap();
-        // Another flusher saves the profile bulk between the split save's
-        // meta swing and its collection of the bulk value it probed.
+        let held = rival.save(PID, &mut sample_profile(1), 0).unwrap();
+        // Another flusher saves the profile inline between the split save's
+        // head swing and its collection of the values it replaced.
         let hook = move || {
             let head = rival.current_generation(PID).unwrap().unwrap();
             rival.save(PID, &mut sample_profile(2), head).unwrap();
         };
-        let store = MetaSwingHook {
-            inner: Arc::clone(&inner),
-            hook: parking_lot::Mutex::new(Some(Box::new(hook))),
-        };
+        let store = WriteHook::new(&inner, b'b', hook);
         ProfilePersister::new(store, TABLE, mode)
-            .save(PID, &mut sample_profile(6), g1)
+            .save(PID, &mut sample_profile(6), held)
             .unwrap();
-        assert_loaded(&ProfilePersister::new(inner, TABLE, mode), 2);
+        assert_loaded(&ProfilePersister::new(Arc::clone(&inner), TABLE, mode), 2);
+        assert_eq!(census(&inner), vec![key(b'b', TABLE, PID, None)]);
+    }
+
+    #[test]
+    fn flushers_of_one_head_never_write_one_slice_value() {
+        let mode = PersistenceMode::Split { threshold_bytes: 0 };
+        let inner = node();
+        let mut base = sample_profile(4);
+        let held = ProfilePersister::new(Arc::clone(&inner), TABLE, mode)
+            .save(PID, &mut base, 0)
+            .unwrap();
+        // Each flusher holds the same head and adds its own head slice; A
+        // also changes an older slice.
+        let (mut a, mut b) = (base.clone(), base.clone());
+        add_feature(&mut a, 50_000, 1);
+        add_feature(&mut a, 11_000, 77);
+        add_feature(&mut b, 60_000, 2);
+        // B's whole save runs right after A's first slice-value write.
+        let rival = ProfilePersister::new(Arc::clone(&inner), TABLE, mode);
+        let rival_held = held.clone();
+        let hook = move || {
+            rival.save(PID, &mut b, rival_held).unwrap();
+        };
+        let store = WriteHook::new(&inner, b's', hook);
+        ProfilePersister::new(store, TABLE, mode)
+            .save(PID, &mut a, held)
+            .unwrap();
+        let p = ProfilePersister::new(Arc::clone(&inner), TABLE, mode);
+        match p.load(PID).unwrap() {
+            LoadOutcome::Loaded { profile, .. } => {
+                assert_eq!(encode_profile(&profile), encode_profile(&a), "A's profile");
+            }
+            LoadOutcome::Missing => panic!("expected profile"),
+        }
+        assert_eq!(census(&inner), head_and_its_values(&inner));
     }
 
     #[test]
@@ -860,11 +869,12 @@ mod tests {
             AggregateFunction::Sum,
             DurationMs::from_secs(1),
         );
-        let g2 = p.save(PID, &mut profile, g1).unwrap();
-        assert!(g2 > g1);
+        let g2 = p.save(PID, &mut profile, g1.clone()).unwrap();
+        assert!(g2.generation > g1.generation);
         assert_loaded(&p, 4);
-        // Old slice values were GC'd: meta + 4 slices = 5 keys.
+        // The old head slice got a value of its own: head + 3 slices.
         assert_eq!(store.store().len(), keys_after_first + 1);
+        assert_eq!(census(&store), head_and_its_values(&store));
     }
 
     #[test]
@@ -879,9 +889,10 @@ mod tests {
         let g1 = p.save(PID, &mut profile, 0).unwrap();
         // A second flusher holding a stale generation (0).
         let g2 = p.save(PID, &mut profile, 0).unwrap();
-        assert!(g2 > g1);
+        assert!(g2.generation > g1.generation);
         assert!(p.metrics.stale_retries.get() >= 1);
         assert_loaded(&p, 3);
+        assert_eq!(census(&store), head_and_its_values(&store));
     }
 
     #[test]
@@ -895,9 +906,8 @@ mod tests {
         let mut profile = sample_profile(4);
         p.save(PID, &mut profile, 0).unwrap();
         // Simulate a torn state: delete one referenced slice value.
-        let meta = SliceMeta::decode(&store.get(&meta_key(TABLE, PID)).unwrap().unwrap()).unwrap();
-        let victim = meta.refs[1].seq;
-        store.delete(&slice_key(TABLE, PID, victim)).unwrap();
+        let victim = head_refs(&store)[1].seq;
+        store.delete(&key(b's', TABLE, PID, Some(victim))).unwrap();
 
         match p.load(PID).unwrap() {
             LoadOutcome::Loaded { profile, .. } => {
@@ -929,10 +939,10 @@ mod tests {
         };
         match p.load_slices(PID, &projection).unwrap() {
             SliceLoadOutcome::Loaded(loaded) => {
-                // The window slice plus the forced head slice.
+                // The window slice plus the inline head slice.
                 assert_eq!(loaded.profile.slice_count(), 2);
                 assert_eq!(loaded.missing.len(), 3);
-                assert_eq!(loaded.round_trips, 2, "meta xget + one multi-get");
+                assert_eq!(loaded.round_trips, 2, "head xget + one multi-get");
                 assert!(loaded.bytes_read > 0);
                 assert_eq!(
                     loaded.profile.last_action_hint(),
@@ -940,7 +950,7 @@ mod tests {
                     "head slice always loaded so the hint matches a full load"
                 );
                 loaded.profile.check_invariants().unwrap();
-                // Meta xget + one multi-get = 2 KV ops regardless of count.
+                // Head xget + one multi-get = 2 KV ops regardless of count.
                 assert_eq!(store.stats().ops, ops_before + 2);
                 // Upgrading with the missing refs reconstructs the full set.
                 let (rest, rt, _) = p.fetch_slices(PID, &loaded.missing).unwrap();
@@ -955,9 +965,9 @@ mod tests {
     fn projected_relative_range_anchors_on_meta_head() {
         let p = ProfilePersister::new(node(), TABLE, PersistenceMode::Split { threshold_bytes: 0 });
         p.save(PID, &mut sample_profile(4), 0).unwrap();
-        // Relative lookback of 1ms anchors on the newest action (41_999 for
-        // the head slice [31000,32000)... here 4 slices -> head [31000,32000),
-        // anchor 31_999): only the head slice overlaps.
+        // Relative lookback of 1ms anchors on the newest action: 4 slices ->
+        // head [31000,32000), anchor 31_999, so only the head slice overlaps
+        // and the load needs no multi-get.
         let projection = SliceProjection::Window {
             range: ips_types::TimeRange::Relative {
                 lookback: DurationMs::from_millis(1),
@@ -968,6 +978,7 @@ mod tests {
             SliceLoadOutcome::Loaded(loaded) => {
                 assert_eq!(loaded.profile.slice_count(), 1);
                 assert_eq!(loaded.missing.len(), 3);
+                assert_eq!(loaded.round_trips, 1);
                 assert_eq!(loaded.profile.last_action_hint(), Some(ts(31_999)));
             }
             SliceLoadOutcome::Missing => panic!("expected profile"),
@@ -995,7 +1006,7 @@ mod tests {
         assert_eq!(
             store.stats().ops,
             ops_before + 2,
-            "full load is meta + one multi-get, not N gets"
+            "full load is the head + one multi-get, not N gets"
         );
     }
 
@@ -1014,6 +1025,7 @@ mod tests {
             SliceLoadOutcome::Loaded(loaded) => {
                 assert_eq!(loaded.profile.slice_count(), 3, "bulk is indivisible");
                 assert!(loaded.missing.is_empty());
+                assert_eq!(loaded.round_trips, 1);
             }
             SliceLoadOutcome::Missing => panic!("expected profile"),
         }
@@ -1039,10 +1051,10 @@ mod tests {
         let p = ProfilePersister::new(node(), TABLE, PersistenceMode::Bulk);
         let mut profile = sample_profile(2);
         let g1 = p.save(PID, &mut profile, 0).unwrap();
-        let _g2 = p.save(PID, &mut profile, g1).unwrap();
+        let _g2 = p.save(PID, &mut profile, g1.clone()).unwrap();
         // Stale writer (still holding g1) must succeed via retry.
-        let g3 = p.save(PID, &mut profile, g1).unwrap();
-        assert!(g3 > g1);
+        let g3 = p.save(PID, &mut profile, g1.clone()).unwrap();
+        assert!(g3.generation > g1.generation);
         assert!(p.metrics.stale_retries.get() >= 1);
     }
 
@@ -1052,5 +1064,89 @@ mod tests {
         let mut profile = ProfileData::new();
         p.save(PID, &mut profile, 0).unwrap();
         assert_loaded(&p, 0);
+    }
+
+    /// Apply one generated step to `profile`. `a` picks a slice or a time
+    /// bucket, `b` a feature; writes add ten rows so a few of them cross
+    /// the threshold.
+    fn apply(profile: &mut ProfileData, kind: u8, a: u64, b: u64) {
+        let at = 1_000 + a * 10_000;
+        match kind {
+            0 | 1 => (0..10).for_each(|f| add_feature(profile, at, b * 10 + f)),
+            // Shrink to the newest few slices.
+            2 => profile.slices_mut().truncate(1 + a as usize % 3),
+            // Compact: merge two adjacent slices into one.
+            3 if profile.slice_count() >= 2 => {
+                let slices = profile.slices_mut();
+                let i = a as usize % (slices.len() - 1);
+                let merged = Slice::merge(&[&slices[i], &slices[i + 1]], AggregateFunction::Sum);
+                slices.splice(i..i + 2, [merged]);
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One writer at a time, any sequence of edits, saves, loads,
+        /// handoffs and purges: a full load equals the last saved profile,
+        /// and the store holds exactly its head and the values the head
+        /// refers to.
+        #[test]
+        fn the_store_holds_the_head_and_only_its_values(
+            steps in proptest::collection::vec((0u8..9, 0u64..10, 0u64..40), 1..40),
+        ) {
+            let store = node();
+            let mode = PersistenceMode::Split {
+                threshold_bytes: encode_profile(&sample_profile(4)).len(),
+            };
+            let mut p = ProfilePersister::new(Arc::clone(&store), TABLE, mode);
+            let checker = ProfilePersister::new(Arc::clone(&store), TABLE, mode);
+            let (mut profile, mut held, mut saved) = (ProfileData::new(), Held::default(), None);
+            for (kind, a, b) in steps {
+                match kind {
+                    4 => {
+                        held = p.save(PID, &mut profile, held).unwrap();
+                        saved = Some(encode_profile(&profile));
+                    }
+                    5 => {
+                        let window = SliceProjection::Window {
+                            range: TimeRange::Absolute { start: ts(a * 10_000), end: ts((a + b) * 10_000) },
+                            now: ts(200_000),
+                        };
+                        if let SliceLoadOutcome::Loaded(l) = p.load_slices(PID, &window).unwrap() {
+                            let full = decode_profile(saved.as_ref().unwrap()).unwrap();
+                            prop_assert_eq!(l.profile.slice_count() + l.missing.len(), full.slice_count());
+                            prop_assert!(l.profile.slices().iter().all(|s| full.slices().contains(s)));
+                        }
+                    }
+                    6 => {
+                        if let LoadOutcome::Loaded { profile: loaded, held: h } = p.load(PID).unwrap() {
+                            (profile, held) = (loaded, h);
+                        }
+                    }
+                    7 => {
+                        p.purge(PID).unwrap();
+                        (held, saved) = (Held::default(), None);
+                    }
+                    // Handoff: another persister takes the profile over,
+                    // holding only its generation.
+                    8 => {
+                        p = ProfilePersister::new(Arc::clone(&store), TABLE, mode);
+                        held = held.generation.into();
+                    }
+                    _ => apply(&mut profile, kind, a, b),
+                }
+                match (&saved, checker.load(PID).unwrap()) {
+                    (Some(saved), LoadOutcome::Loaded { profile: loaded, .. }) => {
+                        prop_assert_eq!(&encode_profile(&loaded), saved);
+                        prop_assert_eq!(census(&store), head_and_its_values(&store));
+                    }
+                    (None, LoadOutcome::Missing) => prop_assert!(census(&store).is_empty()),
+                    (saved, loaded) => panic!("saved {:?}, loaded {loaded:?}", saved.is_some()),
+                }
+            }
+        }
     }
 }

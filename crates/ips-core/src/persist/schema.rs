@@ -1,7 +1,8 @@
 //! Wire schema for profiles and slices.
 //!
-//! Encodes a profile (its slices, each as its three in-memory columns) into
-//! the tag/varint wire format, framed and compressed by `ips-codec`. Field
+//! Encodes a profile's head (its inline slices, each as its three in-memory
+//! columns, and refs to the slices stored alone) and a slice into the
+//! tag/varint wire format, framed and compressed by `ips-codec`. Field
 //! numbers are stable; unknown fields are skipped on read, so the schema
 //! can grow.
 
@@ -10,6 +11,8 @@ use ips_codec::{decode_frame, encode_frame, wire_message};
 use ips_types::{ActionTypeId, CountVector, FeatureId, IpsError, Result, SlotId, Timestamp};
 
 use crate::model::{IndexedFeatureStat, ProfileData, RowKey, Slice};
+
+use super::persister::SliceRefInfo;
 
 // Every level encodes in id order, so equal content encodes to equal bytes.
 //
@@ -20,25 +23,51 @@ use crate::model::{IndexedFeatureStat, ProfileData, RowKey, Slice};
 // those lines are `read` only, so every stored value still loads.
 
 wire_message! {
-    /// A whole profile (bulk mode, Fig 12): the last compaction time and
-    /// the slices, newest first.
+    /// A profile's head (Fig 12's bulk value, plus refs): the last
+    /// compaction time, the inline slices, newest first, and a ref to each
+    /// slice stored as its own value. With every slice inline there are no
+    /// refs, and the head is the whole profile.
     pub(super) struct ProfileWire("profile");
-    encode(profile: &ProfileData) {}
-    decode(body) -> ProfileData {
+    encode((profile, inline, refs): (&ProfileData, usize, &[SliceRefInfo])) {}
+    decode(body) -> (ProfileData, Vec<SliceRefInfo>) {
         let mut profile = ProfileData::new();
         let mut slices = Vec::with_capacity(count_field(body, 1));
+        let mut refs = Vec::new();
     }
     2 fixed64(profile.last_compacted.as_millis()) => |v| {
         profile.last_compacted = Timestamp::from_millis(v)
     };
-    1 repeated nested SliceWire(profile.slices()) => |slice| slices.push(slice);
+    1 repeated nested SliceWire(&profile.slices()[..inline]) => |slice| slices.push(slice);
+    3 repeated nested SliceRefWire(refs) => |r| refs.push(r);
     finish {
         // Restore newest-first order defensively (encoding preserves it,
         // but order is an invariant worth re-establishing on load).
         slices.sort_by_key(|s| std::cmp::Reverse(s.start()));
         *profile.slices_mut() = slices;
         profile.check_invariants().map_err(IpsError::Codec)?;
-        Ok(profile)
+        Ok((profile, refs))
+    }
+}
+
+wire_message! {
+    /// A head's ref to a slice value: its seq, and its range as the start
+    /// and the range's length.
+    pub(super) struct SliceRefWire("profile.3");
+    encode(r: &SliceRefInfo) {}
+    decode(body) -> SliceRefInfo {
+        let (mut seq, mut start, mut span) = (0, None, None);
+    }
+    1 varint(r.seq) => |v| seq = v;
+    2 varint(r.start.as_millis()) => |v| start = Some(v);
+    3 varint(r.end.as_millis() - r.start.as_millis()) => |v| span = Some(v);
+    finish {
+        let range = match (start, span) {
+            (Some(start), Some(span)) if span > 0 => start.checked_add(span).map(|end| (start, end)),
+            _ => None,
+        };
+        let (start, end) = range.ok_or_else(|| codec("slice ref has no valid range"))?;
+        let (start, end) = (Timestamp::from_millis(start), Timestamp::from_millis(end));
+        Ok(SliceRefInfo { seq, start, end })
     }
 }
 
@@ -245,15 +274,28 @@ pub fn decode_slice(frame: &[u8]) -> Result<Slice> {
     SliceWire::decode(&body)
 }
 
-/// Serialize a whole profile to framed bytes (bulk mode, Fig 12). Wire
-/// scratch comes from the thread-local pool, like [`encode_slice`].
+/// Serialize a whole profile to framed bytes (bulk mode, Fig 12): a head
+/// with every slice inline. Wire scratch comes from the thread-local pool,
+/// like [`encode_slice`].
 #[must_use]
 pub fn encode_profile(profile: &ProfileData) -> Vec<u8> {
-    ProfileWire::with_encoded(profile, encode_frame)
+    encode_head(profile, profile.slice_count(), &[])
 }
 
-/// Deserialize a whole profile from framed bytes.
+/// Deserialize a profile from a framed head. On a head with refs this is
+/// the inline slices only: the referenced slices are values of their own,
+/// which only the persister fetches.
 pub fn decode_profile(frame: &[u8]) -> Result<ProfileData> {
+    decode_head(frame).map(|(profile, _)| profile)
+}
+
+/// Serialize a head: `profile`'s first `inline` slices, and `refs`.
+pub(super) fn encode_head(profile: &ProfileData, inline: usize, refs: &[SliceRefInfo]) -> Vec<u8> {
+    ProfileWire::with_encoded((profile, inline, refs), encode_frame)
+}
+
+/// Deserialize a head: the profile of its inline slices, and its refs.
+pub(super) fn decode_head(frame: &[u8]) -> Result<(ProfileData, Vec<SliceRefInfo>)> {
     let body = decode_frame(frame).map_err(|e| IpsError::Codec(e.to_string()))?;
     ProfileWire::decode(&body)
 }
@@ -360,7 +402,7 @@ mod tests {
         let framed = encode_profile(&p);
         // The wire body inside the frame is larger than the frame itself
         // (compression worked) — verify via a no-compression comparison.
-        let raw_len = ProfileWire::to_vec(&p).len();
+        let raw_len = ProfileWire::to_vec((&p, p.slice_count(), &[])).len();
         assert!(framed.len() < raw_len, "{} !< {raw_len}", framed.len());
     }
 

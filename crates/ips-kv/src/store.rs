@@ -1,8 +1,8 @@
 //! The versioned, sharded in-memory store.
 //!
 //! Every value carries a [`Generation`]: a store-wide monotonically
-//! increasing version assigned on write. The split-profile persistence
-//! protocol (Fig 14) uses generations to order meta and slice updates —
+//! increasing version assigned on write. The profile persistence protocol
+//! (Fig 14) uses generations to order head and slice updates —
 //! an `xset` holding a stale generation is rejected so the caller reloads
 //! before retrying, and an `xget` returns the generation the caller must
 //! present on its next conditional write.

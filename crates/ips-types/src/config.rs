@@ -582,9 +582,9 @@ pub enum PersistenceMode {
     /// Whole profile serialized as one value (Fig 12).
     #[default]
     Bulk,
-    /// Slice-level split: a generation-versioned meta value plus one value
-    /// per slice (Figs 13–14). Profiles larger than the threshold always use
-    /// split mode.
+    /// Slice-level split (Figs 13–14): a profile whose serialized size
+    /// reaches the threshold keeps its newest slice in its generation-
+    /// versioned head and stores every other slice as a value of its own.
     Split {
         /// Serialized profiles at or above this size are split.
         threshold_bytes: usize,

@@ -149,9 +149,9 @@ fn kv_crash_with_wal_preserves_profiles() {
 
 #[test]
 fn split_profile_survives_torn_write() {
-    // Directly exercise the Fig 14 protocol: slices written, meta written,
-    // one slice value destroyed (as if a crash interleaved) — the profile
-    // still loads, minus the torn slice.
+    // Directly exercise the Fig 14 protocol: slice values written, head
+    // written, one slice value destroyed (as if a crash interleaved) — the
+    // profile still loads, minus the torn slice.
     let node = Arc::new(KvNode::new("kv", KvNodeConfig::default()).unwrap());
     let persister = ProfilePersister::new(
         Arc::clone(&node),
@@ -170,8 +170,8 @@ fn split_profile_survives_torn_write() {
             DurationMs::from_secs(1),
         );
     }
-    let g = persister.save(ProfileId::new(1), &mut profile, 0).unwrap();
-    assert!(g > 0);
+    let held = persister.save(ProfileId::new(1), &mut profile, 0).unwrap();
+    assert!(held.generation > 0);
 
     // Destroy one slice value out from under the meta.
     let all_keys: Vec<_> = node.store().scan_all();
@@ -179,7 +179,7 @@ fn split_profile_survives_torn_write() {
         .iter()
         .filter(|(k, _)| k.first() == Some(&b's'))
         .collect();
-    assert_eq!(slice_keys.len(), 5);
+    assert_eq!(slice_keys.len(), 4, "every slice but the inline newest");
     node.delete(&slice_keys[2].0).unwrap();
 
     match persister.load(ProfileId::new(1)).unwrap() {

@@ -4,9 +4,9 @@
 //! `QueryResult`, `TimeRange::Current`, an error with an empty message), and
 //! a storage frame carrying a trace context, as older writers stamped it.
 //! Nothing writes that last shape any more, nor the nested (Fig 6 tree)
-//! profile and slice bodies that preceded the packed slice columns, so
-//! those are read-only cases: the fixture keeps them and only the decode
-//! tests read them.
+//! profile and slice bodies that preceded the packed slice columns, nor the
+//! slice meta that preceded the one head key, so those are read-only cases:
+//! the fixture keeps them and only the decode tests read them.
 //!
 //! Equal values must encode to identical bytes across codec rewrites:
 //! persisted profiles, WAL segments and RPC frames written by an older
@@ -23,7 +23,7 @@ use ips::cluster::rpc::{
     CallOptions, ProfileWrite, RequestEnvelope, RpcRequest, RpcResponse, SnapshotAck, SnapshotEntry,
 };
 use ips::codec::frame::decode_frame;
-use ips::core::persist::persister::ProfilePersister;
+use ips::core::persist::persister::{Held, LoadOutcome, ProfilePersister};
 use ips::core::persist::schema::{decode_profile, decode_slice, encode_profile, encode_slice};
 use ips::core::query::{FeatureEntry, FilterPredicate, ProfileQuery, QueryKind, QueryResult};
 use ips::core::ProfileData;
@@ -380,22 +380,35 @@ fn response_cases() -> Vec<(&'static str, RpcResponse, Option<SpanContext>)> {
     ]
 }
 
-/// The split-mode slice meta value the persister writes for `profile`.
-fn slice_meta_bytes(profile: &ProfileData) -> Vec<u8> {
+/// A persister key of profile 42 in table 3: `kind` | table u32 BE |
+/// profile u64 BE, then the seq (u64 BE) for a slice value.
+fn key(kind: u8, seq: Option<u64>) -> Bytes {
+    let mut key = vec![kind];
+    key.extend_from_slice(&3u32.to_be_bytes());
+    key.extend_from_slice(&42u64.to_be_bytes());
+    key.extend(seq.iter().flat_map(|seq| seq.to_be_bytes()));
+    Bytes::from(key)
+}
+
+/// A split-mode persister over a fresh node.
+fn split_persister() -> (Arc<KvNode>, ProfilePersister<Arc<KvNode>>) {
     let node = Arc::new(KvNode::new("golden", KvNodeConfig::default()).unwrap());
     let persister = ProfilePersister::new(
         Arc::clone(&node),
         TableId::new(3),
         PersistenceMode::Split { threshold_bytes: 0 },
     );
+    (node, persister)
+}
+
+/// The head the split-mode persister writes for `profile`: its newest
+/// slice inline and refs to the others.
+fn profile_refs_bytes(profile: &ProfileData) -> Vec<u8> {
+    let (node, persister) = split_persister();
     persister
         .save(ProfileId::new(42), &mut profile.clone(), 0)
         .unwrap();
-    // Meta key: b'm' | table u32 BE | profile u64 BE.
-    let mut key = vec![b'm'];
-    key.extend_from_slice(&3u32.to_be_bytes());
-    key.extend_from_slice(&42u64.to_be_bytes());
-    node.get(&Bytes::from(key)).unwrap().unwrap().to_vec()
+    node.get(&key(b'b', None)).unwrap().unwrap().to_vec()
 }
 
 /// Every file of a WAL holding a Set, a Delete and a checkpoint, in name
@@ -470,8 +483,8 @@ fn render() -> Vec<(String, String)> {
     assert_eq!(&decode_slice(&bytes).unwrap(), slice);
     out.push(("persist/slice".into(), hex(&bytes)));
     out.push((
-        "persist/slice_meta".into(),
-        hex(&slice_meta_bytes(&profile)),
+        "persist/profile_refs".into(),
+        hex(&profile_refs_bytes(&profile)),
     ));
     for (file, bytes) in wal_files() {
         out.push((format!("wal/{file}"), hex(&bytes)));
@@ -489,6 +502,7 @@ const READ_ONLY: &[&str] = &[
     "persist/profile_nested",
     "persist/slice_nested",
     "persist/slice_traced",
+    "persist/slice_meta",
 ];
 
 /// The committed bytes of golden case `name`.
@@ -516,6 +530,70 @@ fn nested_storage_goldens_decode() {
     assert_eq!(
         &decode_slice(&golden("persist/slice_nested")).unwrap(),
         &profile.slices()[0]
+    );
+}
+
+/// The read path for a store written before the one head: the golden
+/// slice meta under `m/`, plus the slice values it refers to (seq 0 is the
+/// newest slice). A load writes a head that refers to those values and
+/// drops the meta; the next save keeps only its head and the values that
+/// head refers to.
+#[test]
+fn a_slice_meta_layout_loads_and_migrates_to_one_head() {
+    let profile = sample_profile();
+    let (node, persister) = split_persister();
+    node.set(key(b'm', None), Bytes::from(golden("persist/slice_meta")))
+        .unwrap();
+    for (seq, slice) in profile.slices().iter().enumerate() {
+        node.set(
+            key(b's', Some(seq as u64)),
+            Bytes::from(encode_slice(slice)),
+        )
+        .unwrap();
+    }
+    let census = || -> Vec<Bytes> {
+        let mut keys: Vec<Bytes> = node
+            .store()
+            .scan_all()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        keys.sort();
+        keys
+    };
+    let head_and_values = |held: &Held| -> Vec<Bytes> {
+        let refs = held.refs.as_ref().unwrap();
+        let values = refs.iter().map(|r| key(b's', Some(r.seq)));
+        let mut keys: Vec<Bytes> = std::iter::once(key(b'b', None)).chain(values).collect();
+        keys.sort();
+        keys
+    };
+
+    let LoadOutcome::Loaded {
+        profile: mut loaded,
+        held,
+    } = persister.load(ProfileId::new(42)).unwrap()
+    else {
+        panic!("the meta layout must load");
+    };
+    assert_eq!(loaded, profile);
+    assert_eq!(
+        held.refs.as_ref().map(Vec::len),
+        Some(3),
+        "no slice rewritten"
+    );
+    assert_eq!(census(), head_and_values(&held), "the meta is gone");
+
+    let held = persister
+        .save(ProfileId::new(42), &mut loaded, held)
+        .unwrap();
+    assert_eq!(census(), head_and_values(&held));
+    assert_eq!(
+        decode_profile(&node.get(&key(b'b', None)).unwrap().unwrap())
+            .unwrap()
+            .slice_count(),
+        1,
+        "the newest slice is inline again"
     );
 }
 
