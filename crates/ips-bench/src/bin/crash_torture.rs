@@ -15,7 +15,8 @@
 //! Asserts the checkpointed path is at least 5x faster.
 //!
 //! Writes `BENCH_recovery.json`. `--smoke` shrinks the timing workload for
-//! CI; the schedule count stays above 200 either way (schedules are cheap).
+//! CI and writes the artefact under `target/bench-smoke/` instead; the
+//! schedule count stays above 200 either way (schedules are cheap).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -544,7 +545,6 @@ fn main() {
     let _ = writeln!(json, "  \"full_replay\": {},", arm_json(&full));
     let _ = writeln!(json, "  \"checkpointed\": {},", arm_json(&ckpt));
     let _ = writeln!(json, "  \"recovery_speedup\": {speedup:.2}\n}}");
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    println!("wrote BENCH_recovery.json");
+    ips_bench::write_artefact("BENCH_recovery.json", smoke, &json);
     println!("crash_torture: OK");
 }

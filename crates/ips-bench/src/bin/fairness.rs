@@ -26,7 +26,8 @@
 //!   (admitted batches > 0) rather than being starved outright,
 //! * interactive p99 under the flood stays within 2× of its unloaded p99.
 //!
-//! Writes `BENCH_fairness.json`. `--smoke` shrinks the workload for CI.
+//! Writes `BENCH_fairness.json`. `--smoke` shrinks the workload for CI and
+//! writes the artefact under `target/bench-smoke/` instead.
 
 #![expect(clippy::disallowed_methods, reason = "sleeps model store and clients")]
 
@@ -100,8 +101,8 @@ impl ProfileStore for DelayedStore {
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> ips_types::Result<Generation> {
         self.inner.xset(key, value, held)
     }
-    fn xdelete(&self, key: &[u8], held: Generation) -> ips_types::Result<bool> {
-        self.inner.xdelete(key, held)
+    fn delete(&self, key: &[u8]) -> ips_types::Result<bool> {
+        self.inner.delete(key)
     }
 }
 
@@ -391,7 +392,6 @@ fn main() {
         "  \"gates\": {{ \"flood_ratio_min\": 8.0, \"p99_ratio_max\": 2.0 }}"
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_fairness.json", &json).expect("write BENCH_fairness.json");
-    println!("wrote BENCH_fairness.json");
+    ips_bench::write_artefact("BENCH_fairness.json", smoke, &json);
     println!("fairness: OK");
 }

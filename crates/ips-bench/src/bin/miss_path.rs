@@ -15,7 +15,8 @@
 //!   priced offline from the bytes it read — must come in at least 2×
 //!   below the full decode at p99.
 //!
-//! Writes `BENCH_miss_path.json`. `--smoke` shrinks the workload for CI.
+//! Writes `BENCH_miss_path.json`. `--smoke` shrinks the workload for CI and
+//! writes the artefact under `target/bench-smoke/` instead.
 
 #![expect(clippy::disallowed_methods, reason = "sleeps model KV service time")]
 
@@ -74,8 +75,8 @@ impl ProfileStore for DelayedStore {
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> ips_types::Result<Generation> {
         self.inner.xset(key, value, held)
     }
-    fn xdelete(&self, key: &[u8], held: Generation) -> ips_types::Result<bool> {
-        self.inner.xdelete(key, held)
+    fn delete(&self, key: &[u8]) -> ips_types::Result<bool> {
+        self.inner.delete(key)
     }
 }
 
@@ -321,7 +322,6 @@ fn main() {
         fp.percentile(50.0),
         fp.percentile(99.0)
     );
-    std::fs::write("BENCH_miss_path.json", &json).expect("write BENCH_miss_path.json");
-    println!("wrote BENCH_miss_path.json");
+    ips_bench::write_artefact("BENCH_miss_path.json", smoke, &json);
     println!("miss_path: OK");
 }

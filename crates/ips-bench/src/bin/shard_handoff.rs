@@ -17,7 +17,8 @@
 //!
 //! Asserts the warmed join cuts the post-scale store-load spike at least
 //! 5x and leaves loads-per-reassigned-key below 1.0. Writes
-//! `BENCH_handoff.json`. `--smoke` shrinks the workload for CI.
+//! `BENCH_handoff.json`. `--smoke` shrinks the workload for CI and writes
+//! the artefact under `target/bench-smoke/` instead.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -271,7 +272,6 @@ fn main() {
         "  \"p99_ratio\": {:.2}\n}}",
         cold.p99_us as f64 / warmed.p99_us.max(1) as f64
     );
-    std::fs::write("BENCH_handoff.json", &json).expect("write BENCH_handoff.json");
-    println!("wrote BENCH_handoff.json");
+    ips_bench::write_artefact("BENCH_handoff.json", smoke, &json);
     println!("shard_handoff: OK");
 }

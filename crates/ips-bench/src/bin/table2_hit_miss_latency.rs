@@ -15,13 +15,14 @@
 //! percentiles (hit/miss/batch splits) and `BENCH_table2_chrome_trace.json`
 //! with a Perfetto-loadable dump of the first traces.
 //!
-//! `--smoke` shrinks the workload for CI.
+//! `--smoke` shrinks the workload for CI and writes both artefacts under
+//! `target/bench-smoke/` instead.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use ips_bench::{banner, latency_row, testbed, CostModel, TestbedOptions, TABLE};
+use ips_bench::{banner, latency_row, testbed, write_artefact, CostModel, TestbedOptions, TABLE};
 use ips_cluster::FrameBytes;
 use ips_core::query::ProfileQuery;
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
@@ -385,15 +386,12 @@ fn main() {
         server_hit.percentile(50.0),
         server_miss.percentile(50.0)
     );
-    std::fs::write("BENCH_table2_trace.json", &json).expect("write BENCH_table2_trace.json");
-    println!("wrote BENCH_table2_trace.json");
+    write_artefact("BENCH_table2_trace.json", smoke, &json);
 
     let chrome = chrome_trace_json(&chrome_records);
-    std::fs::write("BENCH_table2_chrome_trace.json", &chrome)
-        .expect("write BENCH_table2_chrome_trace.json");
+    write_artefact("BENCH_table2_chrome_trace.json", smoke, &chrome);
     println!(
-        "wrote BENCH_table2_chrome_trace.json ({chrome_trace_count} traces, {} spans) \
-         — load it in Perfetto / chrome://tracing",
+        "  {chrome_trace_count} traces, {} spans — load it in Perfetto / chrome://tracing",
         chrome_records.len()
     );
 

@@ -158,6 +158,24 @@ impl Testbed {
     }
 }
 
+/// Where `--smoke` runs put their artefacts: under `target/`, so a smoke
+/// run never overwrites the full-run artefacts committed at the repo root.
+const SMOKE_ARTEFACT_DIR: &str = "target/bench-smoke";
+
+/// Write artefact `file` (a `BENCH_*.json` name) and print its path: at
+/// the working directory for a full run, under `target/bench-smoke/` for a
+/// `--smoke` one.
+pub fn write_artefact(file: &str, smoke: bool, contents: &str) {
+    let path = if smoke {
+        std::fs::create_dir_all(SMOKE_ARTEFACT_DIR).expect("create the smoke artefact dir");
+        std::path::Path::new(SMOKE_ARTEFACT_DIR).join(file)
+    } else {
+        std::path::PathBuf::from(file)
+    };
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
 /// Print a section header so harness output reads like the paper.
 pub fn banner(id: &str, caption: &str) {
     println!("==============================================================");

@@ -68,9 +68,9 @@ impl ProfileStore for RegionStore {
         }
     }
 
-    fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
+    fn delete(&self, key: &[u8]) -> Result<bool> {
         match self.replica_idx {
-            None => self.kv.xdelete(key, held),
+            None => self.kv.delete(key),
             Some(_) => Ok(false),
         }
     }

@@ -1,16 +1,14 @@
 //! The storage envelope: what actually lands in the key-value store.
 //!
 //! Layout: `magic(1) | flags(1) | uncompressed_len varint | checksum fixed64
-//! | [trace ctx (17)] | payload`. The checksum is FNV-1a over the
-//! *uncompressed* bytes, so corruption anywhere in the pipeline (compressor
-//! bug, torn KV write, replication glitch) is caught on load. Payloads that
-//! do not shrink under compression are stored raw — the same escape hatch
-//! Snappy-framed formats use for incompressible data.
+//! | payload`. The checksum is FNV-1a over the *uncompressed* bytes, so
+//! corruption anywhere in the pipeline (compressor bug, torn KV write,
+//! replication glitch) is caught on load. Payloads that do not shrink under
+//! compression are stored raw — the same escape hatch Snappy-framed formats
+//! use for incompressible data.
 //!
 //! A frame carries content only: equal payloads encode to equal bytes
-//! whatever request wrote them. Older writers could stamp a fixed 17-byte
-//! trace context after the checksum (`FLAG_TRACE`); nothing writes one any
-//! more, and [`decode_frame`] skips the block so those blobs still read.
+//! whatever request wrote them.
 
 use std::fmt;
 
@@ -20,15 +18,13 @@ use crate::varint::{decode_u64, encode_u64};
 
 const MAGIC: u8 = 0xA9;
 const FLAG_COMPRESSED: u8 = 0x01;
-const FLAG_TRACE: u8 = 0x02;
-const KNOWN_FLAGS: u8 = FLAG_COMPRESSED | FLAG_TRACE;
-const TRACE_CTX_LEN: usize = 8 + 8 + 1;
+const KNOWN_FLAGS: u8 = FLAG_COMPRESSED;
 
 /// The header flag bits, checked against `wire_schema.lock` like field
 /// tags: a reassigned or recycled bit flips meaning for old readers.
 pub const FRAME_FLAGS: FlagsDescriptor = FlagsDescriptor {
     name: "frame",
-    bits: &[("compressed", FLAG_COMPRESSED), ("trace", FLAG_TRACE)],
+    bits: &[("compressed", FLAG_COMPRESSED)],
 };
 
 /// Errors from frame decoding.
@@ -107,8 +103,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a frame back into its payload, verifying the checksum. A trace
-/// context in the header (older writers) is skipped.
+/// Decode a frame back into its payload, verifying the checksum.
 pub fn decode_frame(frame: &[u8]) -> Result<Vec<u8>, FrameError> {
     if frame.len() < 2 {
         return Err(FrameError::Truncated);
@@ -129,10 +124,7 @@ pub fn decode_frame(frame: &[u8]) -> Result<Vec<u8>, FrameError> {
     let mut cs = [0u8; 8];
     cs.copy_from_slice(&rest[..8]);
     let expected = u64::from_le_bytes(cs);
-    let mut body = &rest[8..];
-    if flags & FLAG_TRACE != 0 {
-        body = body.get(TRACE_CTX_LEN..).ok_or(FrameError::Truncated)?;
-    }
+    let body = &rest[8..];
     let declared_len = usize::try_from(declared_len).map_err(|_| FrameError::Truncated)?;
 
     let payload = if flags & FLAG_COMPRESSED != 0 {
@@ -191,57 +183,24 @@ mod tests {
 
     #[test]
     fn unknown_flags_rejected() {
-        let mut frame = encode_frame(b"hello");
-        frame[1] |= 0x80;
-        assert!(matches!(
-            decode_frame(&frame),
-            Err(FrameError::UnknownFlags(_))
-        ));
-    }
-
-    /// `payload` framed the way an older writer did inside a live span:
-    /// `FLAG_TRACE` set and a 17-byte context after the checksum.
-    fn legacy_traced(payload: &[u8]) -> Vec<u8> {
-        let mut frame = encode_frame(payload);
-        let header = 2 + crate::varint::varint_len(payload.len() as u64) + 8;
-        frame[1] |= FLAG_TRACE;
-        let ctx: Vec<u8> = (1..=TRACE_CTX_LEN as u8).collect();
-        frame.splice(header..header, ctx);
-        frame
+        // 0x02 once marked a trace context after the checksum; no reader
+        // knows it any more.
+        for bit in [0x80, 0x02] {
+            let mut frame = encode_frame(b"hello");
+            frame[1] |= bit;
+            assert!(matches!(
+                decode_frame(&frame),
+                Err(FrameError::UnknownFlags(_))
+            ));
+        }
     }
 
     #[test]
     fn untraced_frame_decodes_with_no_context() {
         // Writers never stamp a context: the frame holds content only.
         let frame = encode_frame(b"hello");
-        assert_eq!(frame[1] & FLAG_TRACE, 0);
+        assert_eq!(frame[1] & !KNOWN_FLAGS, 0);
         assert_eq!(decode_frame(&frame).unwrap(), b"hello");
-    }
-
-    #[test]
-    fn traced_frame_decodes_skipping_context() {
-        let data = b"profile slice ".repeat(500);
-        let frame = legacy_traced(&data);
-        assert_eq!(frame[1], FLAG_COMPRESSED | FLAG_TRACE);
-        assert_eq!(decode_frame(&frame).unwrap(), data);
-    }
-
-    #[test]
-    fn traced_incompressible_frame_round_trips() {
-        let data: Vec<u8> = (0..1_000u32)
-            .flat_map(|i| i.wrapping_mul(2_654_435_761).to_le_bytes())
-            .collect();
-        let frame = legacy_traced(&data);
-        assert_eq!(frame[1], FLAG_TRACE);
-        assert_eq!(decode_frame(&frame).unwrap(), data);
-    }
-
-    #[test]
-    fn traced_frame_truncated_in_context_detected() {
-        let frame = legacy_traced(b"x");
-        // Cut inside the 17-byte trace context region.
-        let cut = frame.len() - 1 - 10;
-        assert!(decode_frame(&frame[..cut]).is_err());
     }
 
     #[test]

@@ -45,18 +45,8 @@
 //! takes an iterator and writes one field per item. Either way each
 //! occurrence on the wire runs the decode statement once.
 //!
-//! `read` before the other modifiers makes a line decode-only: it has no
-//! encode expression (`3 read repeated nested M => |m| ..;`) and writes
-//! nothing. This is how a field stops being written yet stays readable:
-//! values already stored still decode, and its tag stays in the message's
-//! `fields` in `wire_schema.lock`, so it is never retired or reused.
-//!
-//! A decoder can fill a caller's accumulator instead of building a value:
-//! `decode(bytes, acc: &mut T = init)` adds an `acc: &mut T` parameter
-//! (`init` builds one when the message is decoded alone, as the decoder
-//! fuzzer does), and a nested field written `nested M[expr](..)` hands
-//! `expr` to `M::decode` as its accumulator. A tree of messages can then
-//! decode into one set of columns rather than one value per message.
+//! Removing a field means deleting its line: `wire_schema.lock` then
+//! moves its tag to `retired`, so it is never reused.
 //!
 //! The generated unit struct has `encode(w, arg)` (for nesting),
 //! `to_vec(arg)` and `with_encoded(arg, |bytes| ..)` (both over a pooled
@@ -127,31 +117,15 @@ pub const fn assert_valid_tags(message: &MessageDescriptor) {
 /// }
 /// assert_eq!(Pair::decode(&Pair::to_vec((2, 3))).unwrap(), 5);
 /// ```
-///
-/// A `read` line takes no encode expression, so a decode-only field cannot
-/// be written by mistake:
-///
-/// ```compile_fail
-/// ips_codec::wire_message! {
-///     struct Pair("pair");
-///     encode((a, b): (u64, u64)) {}
-///     decode(bytes) -> u64 { let mut sum = 0; }
-///     1 read varint(a) => |v| sum += v;
-///     2 varint(b) => |v| sum += v;
-///     finish { Ok(sum) }
-/// }
-/// ```
 #[macro_export]
 macro_rules! wire_message {
     (
         $(#[$meta:meta])*
         $vis:vis struct $name:ident($($lock:literal),+ $(,)?);
         encode($src:tt: $src_ty:ty) { $($enc_prologue:tt)* }
-        decode($bytes:ident $(, $acc:ident: &mut $acc_ty:ty = $acc_init:expr)?) -> $out:ty {
-            $($dec_prologue:tt)*
-        }
+        decode($bytes:ident) -> $out:ty { $($dec_prologue:tt)* }
         $(
-            $tag:literal $($kind:ident)+ $([$into:expr])? $(($enc:expr))? => |$val:pat_param| $dec:expr;
+            $tag:literal $($kind:ident)+ ($enc:expr) => |$val:pat_param| $dec:expr;
         )+
         finish { $($finish:tt)* }
     ) => {
@@ -170,7 +144,7 @@ macro_rules! wire_message {
             /// Write this message's fields into `w`.
             $vis fn encode(w: &mut $crate::wire::WireWriter, $src: $src_ty) {
                 $($enc_prologue)*
-                $( $crate::wire_message!(@put w, $tag, [$($kind)+] $(, $enc)?); )+
+                $( $crate::wire_message!(@put w, $tag, [$($kind)+], $enc); )+
             }
 
             /// Encode into a pooled scratch buffer and hand the bytes to
@@ -189,16 +163,14 @@ macro_rules! wire_message {
             }
 
             /// Decode one message body; unknown fields are skipped.
-            $vis fn decode(
-                $bytes: &[u8] $(, $acc: &mut $acc_ty)?
-            ) -> $crate::message::Result<$out> {
+            $vis fn decode($bytes: &[u8]) -> $crate::message::Result<$out> {
                 $($dec_prologue)*
                 let mut reader = $crate::wire::WireReader::new($bytes);
                 while let Some((field, value)) = reader.next_field().map_err(Self::wire_error)? {
                     match field {
                         $( $tag => {
                             let $val =
-                                $crate::wire_message!(@get value, field, [$($kind)+] $([$into])?);
+                                $crate::wire_message!(@get value, field, [$($kind)+]);
                             $dec;
                         } )+
                         _ => {}
@@ -208,7 +180,7 @@ macro_rules! wire_message {
             }
 
             fn decode_and_drop($bytes: &[u8]) -> $crate::message::Result<()> {
-                Self::decode($bytes $(, &mut $acc_init)?).map(drop)
+                Self::decode($bytes).map(drop)
             }
 
             fn wire_error(e: $crate::wire::WireError) -> $crate::message::IpsError {
@@ -219,7 +191,6 @@ macro_rules! wire_message {
         const _: () = $crate::message::assert_valid_tags(&$name::DESCRIPTOR);
     };
 
-    (@put $w:ident, $tag:literal, [read $($kind:ident)+]) => {};
     (@put $w:ident, $tag:literal, [optional $($kind:ident)+], $e:expr) => {
         if let Some(x) = $e {
             $crate::wire_message!(@put $w, $tag, [$($kind)+], x);
@@ -240,14 +211,11 @@ macro_rules! wire_message {
         $w.put_message($tag, |nested| $m::encode(nested, $e))
     };
 
-    (@get $v:ident, $f:ident, [read $($kind:ident)+] $($into:tt)?) => {
-        $crate::wire_message!(@get $v, $f, [$($kind)+] $($into)?)
+    (@get $v:ident, $f:ident, [optional $($kind:ident)+]) => {
+        $crate::wire_message!(@get $v, $f, [$($kind)+])
     };
-    (@get $v:ident, $f:ident, [optional $($kind:ident)+] $($into:tt)?) => {
-        $crate::wire_message!(@get $v, $f, [$($kind)+] $($into)?)
-    };
-    (@get $v:ident, $f:ident, [repeated $($kind:ident)+] $($into:tt)?) => {
-        $crate::wire_message!(@get $v, $f, [$($kind)+] $($into)?)
+    (@get $v:ident, $f:ident, [repeated $($kind:ident)+]) => {
+        $crate::wire_message!(@get $v, $f, [$($kind)+])
     };
     (@get $v:ident, $f:ident, [varint]) => { $v.as_u64($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [zigzag]) => { $v.as_i64($f).map_err(Self::wire_error)? };
@@ -255,9 +223,6 @@ macro_rules! wire_message {
     (@get $v:ident, $f:ident, [bytes]) => { $v.as_bytes($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [packed]) => { $v.as_packed($f).map_err(Self::wire_error)? };
     (@get $v:ident, $f:ident, [counts]) => { $v.as_counts($f).map_err(Self::wire_error)? };
-    (@get $v:ident, $f:ident, [nested $m:ident] [$into:expr]) => {
-        $m::decode($v.as_bytes($f).map_err(Self::wire_error)?, $into)?
-    };
     (@get $v:ident, $f:ident, [nested $m:ident]) => {
         $m::decode($v.as_bytes($f).map_err(Self::wire_error)?)?
     };
@@ -303,69 +268,6 @@ mod tests {
         finish {
             Ok((points, ids, counts))
         }
-    }
-
-    crate::wire_message! {
-        /// A leaf that adds its value to the caller's running total.
-        struct TallyWire("tally");
-        encode(v: u64) {}
-        decode(bytes, total: &mut u64 = 0) -> () {}
-        1 varint(v) => |v| *total += v;
-        finish {
-            Ok(())
-        }
-    }
-
-    crate::wire_message! {
-        /// Tallies summed into one accumulator the nested decoders share.
-        struct TalliesWire("tallies");
-        encode(vs: &[u64]) {}
-        decode(bytes) -> u64 {
-            let mut total = 0;
-        }
-        1 repeated nested TallyWire[&mut total](vs.iter().copied()) => |()| {};
-        finish {
-            Ok(total)
-        }
-    }
-
-    crate::wire_message! {
-        /// A successor of `PointWire` that writes `x` as field 4 and still
-        /// reads it from field 1, where older values hold it.
-        struct PointV2Wire("point_v2");
-        encode(x: u64) {}
-        decode(bytes) -> u64 {
-            let mut x = 0;
-        }
-        1 read varint => |v| x = v;
-        4 varint(x) => |v| x = v;
-        finish {
-            Ok(x)
-        }
-    }
-
-    #[test]
-    fn read_lines_decode_but_never_encode() {
-        let mut manual = WireWriter::new();
-        manual.put_u64(4, 9);
-        assert_eq!(PointV2Wire::to_vec(9), manual.into_bytes());
-        let old = PointWire::to_vec((7, 0, None));
-        assert_eq!(PointV2Wire::decode(&old).unwrap(), 7);
-        assert_eq!(
-            PointV2Wire::DESCRIPTOR.fields,
-            [1, 4],
-            "read tags stay locked"
-        );
-    }
-
-    #[test]
-    fn nested_decoders_fill_a_shared_accumulator() {
-        let bytes = TalliesWire::to_vec(&[3, 4, 200]);
-        assert_eq!(TalliesWire::decode(&bytes).unwrap(), 207);
-        let mut total = 10;
-        TallyWire::decode(&TallyWire::to_vec(5), &mut total).unwrap();
-        assert_eq!(total, 15);
-        assert!((TallyWire::DESCRIPTOR.decode)(&[0x08, 0x01]).is_ok());
     }
 
     #[test]

@@ -970,8 +970,8 @@ mod tests {
             }
             self.inner.xset(key, value, held)
         }
-        fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
-            self.inner.xdelete(key, held)
+        fn delete(&self, key: &[u8]) -> Result<bool> {
+            self.inner.delete(key)
         }
     }
 

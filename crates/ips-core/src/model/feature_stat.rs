@@ -177,11 +177,14 @@ mod tests {
 
     #[test]
     fn out_of_order_pushes_sort_once_and_sum_duplicates() {
-        let key = |n| (SlotId::new(1), ActionTypeId::new(1), fid(n));
-        let rows = [(9u64, 1i64), (3, 2), (9, 4), (1, 8)]
-            .map(|(n, c)| (key(n), CountVector::single(c)))
-            .to_vec();
-        let s = Slice::from_rows((Timestamp::ZERO, Timestamp::from_millis(10)), rows);
+        // A compaction merge hands the sort its slices' rows one slice after
+        // another: out of order across slices, with a key in both.
+        let (mut newer, mut older) = (slice(), slice());
+        upsert(&mut newer, 9, &[1], AggregateFunction::Sum);
+        upsert(&mut newer, 3, &[2], AggregateFunction::Sum);
+        upsert(&mut older, 9, &[4], AggregateFunction::Sum);
+        upsert(&mut older, 1, &[8], AggregateFunction::Sum);
+        let s = Slice::merge(&[&newer, &older], AggregateFunction::Sum);
         let rows: Vec<_> = stat(&s).iter().map(|(f, c)| (f.raw(), c[0])).collect();
         assert_eq!(rows, vec![(1, 8), (3, 2), (9, 5)]);
     }

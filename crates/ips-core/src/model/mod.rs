@@ -27,5 +27,4 @@ pub mod slice;
 pub use feature_stat::{CountRow, IndexedFeatureStat};
 pub use instance_set::InstanceSet;
 pub use profile::ProfileData;
-pub(crate) use slice::RowKey;
 pub use slice::Slice;

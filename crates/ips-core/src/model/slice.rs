@@ -353,17 +353,6 @@ impl Slice {
         Self::from_unsorted((start, end), rows, runs, agg)
     }
 
-    /// A slice over `[start, end)` holding `rows`, given in any order, with
-    /// the rows of one key summed as replaying their writes would: the read
-    /// path for nested (Fig 6 tree) slice bodies, which older writers did
-    /// not always emit in canonical order.
-    pub(crate) fn from_rows(
-        range: (Timestamp, Timestamp),
-        rows: Vec<(RowKey, CountVector)>,
-    ) -> Self {
-        Self::from_unsorted(range, rows, 0, AggregateFunction::Sum)
-    }
-
     /// `rows` folded with `agg` into exactly sized columns, in one stable
     /// sort and one pass; of two rows with one key, the earlier is the
     /// newer side. `runs` is a capacity hint for the stats.

@@ -2,7 +2,7 @@
 //!
 //! `ips-core` only needs reads (`get`, `get_many`), the versioned pair of
 //! Fig 14 (`xget`/`xset`, which also writes slice values create-only at
-//! generation 0) and conditional deletes, so the cluster layer can plug in
+//! generation 0) and deletes, so the cluster layer can plug in
 //! a bare node, a replicated group, or a region-routed view without this
 //! crate knowing.
 
@@ -24,13 +24,8 @@ pub trait ProfileStore: Send + Sync {
     }
     fn xget(&self, key: &[u8]) -> Result<(Option<Bytes>, Generation)>;
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> Result<Generation>;
-    /// Conditional delete: removes `key` only while its generation is at
-    /// most `held`, so a value written after the caller's read survives.
     /// Returns true if it removed a value.
-    fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool>;
-    fn delete(&self, key: &[u8]) -> Result<bool> {
-        self.xdelete(key, Generation::MAX)
-    }
+    fn delete(&self, key: &[u8]) -> Result<bool>;
     /// Cumulative WAL-recovery health of the durable store beneath this
     /// backend (torn tails truncated, corruption skipped, checkpoint use).
     /// The default reports all-zeros for backends with no durability layer.
@@ -52,8 +47,8 @@ impl ProfileStore for KvNode {
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> Result<Generation> {
         KvNode::xset(self, key, value, held)
     }
-    fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
-        KvNode::xdelete(self, key, held)
+    fn delete(&self, key: &[u8]) -> Result<bool> {
+        KvNode::delete(self, key)
     }
     fn recovery_stats(&self) -> RecoveryStats {
         KvNode::recovery_stats(self)
@@ -72,8 +67,8 @@ impl ProfileStore for ReplicatedKv {
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> Result<Generation> {
         ReplicatedKv::xset(self, key, value, held)
     }
-    fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
-        ReplicatedKv::xdelete(self, key, held)
+    fn delete(&self, key: &[u8]) -> Result<bool> {
+        ReplicatedKv::delete(self, key)
     }
     /// Recovery health of the master — the node whose WAL is authoritative.
     fn recovery_stats(&self) -> RecoveryStats {
@@ -94,8 +89,8 @@ impl<T: ProfileStore + ?Sized> ProfileStore for std::sync::Arc<T> {
     fn xset(&self, key: Bytes, value: Bytes, held: Generation) -> Result<Generation> {
         (**self).xset(key, value, held)
     }
-    fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
-        (**self).xdelete(key, held)
+    fn delete(&self, key: &[u8]) -> Result<bool> {
+        (**self).delete(key)
     }
     fn recovery_stats(&self) -> RecoveryStats {
         (**self).recovery_stats()

@@ -29,9 +29,4 @@ pub const WIRE_MESSAGES: &[ips_codec::MessageDescriptor] = &[
     schema::ProfileWire::DESCRIPTOR,
     schema::SliceRefWire::DESCRIPTOR,
     schema::SliceWire::DESCRIPTOR,
-    schema::SlotWire::DESCRIPTOR,
-    schema::ActionWire::DESCRIPTOR,
-    schema::FeatureWire::DESCRIPTOR,
-    persister::SliceMetaWire::DESCRIPTOR,
-    persister::MetaRefWire::DESCRIPTOR,
 ];

@@ -19,15 +19,9 @@
 //! write on to the next. A stale head makes the save read the head and plan
 //! again. The refs of the head a save or load returns ride in [`Held`], so
 //! the next save knows which stored values its clean slices already have.
-//!
-//! Stores written before the one head may hold a slice meta under
-//! `m/<table>/<profile>` instead. A load that misses the head reads the
-//! meta, writes a head referring to the meta's slice values, and drops the
-//! meta.
 
 use bytes::Bytes;
 
-use ips_codec::{decode_frame, wire_message};
 use ips_kv::Generation;
 use ips_types::{IpsError, PersistenceMode, ProfileId, Result, TableId, TimeRange, Timestamp};
 
@@ -36,7 +30,7 @@ use crate::model::{ProfileData, Slice};
 use super::backend::ProfileStore;
 use super::schema::{decode_head, decode_slice, encode_head, encode_profile, encode_slice};
 
-/// A key of profile `pid`: its kind (`b` head, `m` meta, `s` slice value),
+/// A key of profile `pid`: its kind (`b` head, `s` slice value),
 /// the table and the profile, big-endian, then a slice value's seq.
 fn key(kind: u8, table: TableId, pid: ProfileId, seq: Option<u64>) -> Bytes {
     let mut k = Vec::with_capacity(24);
@@ -75,54 +69,6 @@ impl From<Generation> for Held {
             refs: None,
         }
     }
-}
-
-/// A slice meta from before the one head (Fig 13's "slice meta
-/// structure"), read only to migrate it.
-#[derive(Default)]
-struct SliceMeta {
-    refs: Vec<SliceRefInfo>,
-    last_compacted: Timestamp,
-}
-
-wire_message! {
-    /// A slice meta value (read only): the live slice refs, the next
-    /// sequence number and the last compaction time.
-    pub(super) struct SliceMetaWire("slice_meta");
-    encode(_: ()) {}
-    decode(body) -> SliceMeta {
-        let mut meta = SliceMeta::default();
-    }
-    2 read varint => |_| {};
-    3 read fixed64 => |v| meta.last_compacted = Timestamp::from_millis(v);
-    1 read repeated nested MetaRefWire => |r| meta.refs.push(r);
-    finish {
-        Ok(meta)
-    }
-}
-
-wire_message! {
-    /// One slice ref of a meta value (read only).
-    pub(super) struct MetaRefWire("slice_meta.1");
-    encode(_: ()) {}
-    decode(body) -> SliceRefInfo {
-        let mut r = SliceRefInfo {
-            seq: 0,
-            start: Timestamp::ZERO,
-            end: Timestamp::ZERO,
-        };
-    }
-    1 read varint => |v| r.seq = v;
-    2 read fixed64 => |v| r.start = Timestamp::from_millis(v);
-    3 read fixed64 => |v| r.end = Timestamp::from_millis(v);
-    finish {
-        Ok(r)
-    }
-}
-
-fn decode_meta(frame: &[u8]) -> Result<SliceMeta> {
-    let body = decode_frame(frame).map_err(|e| IpsError::Codec(e.to_string()))?;
-    SliceMetaWire::decode(&body)
 }
 
 /// The outcome of a load.
@@ -391,15 +337,8 @@ impl<S: ProfileStore> ProfilePersister<S> {
     ) -> Result<SliceLoadOutcome> {
         self.metrics.loads.inc();
         let mut round_trips = 1;
-        let (head, generation) = match self.store.xget(&key(b'b', self.table, pid, None))? {
-            (Some(head), generation) => (head, generation),
-            (None, _) => {
-                round_trips += 1; // the meta read
-                match self.migrate_meta(pid)? {
-                    Some(migrated) => migrated,
-                    None => return Ok(SliceLoadOutcome::Missing),
-                }
-            }
+        let (Some(head), generation) = self.store.xget(&key(b'b', self.table, pid, None))? else {
+            return Ok(SliceLoadOutcome::Missing);
         };
         self.metrics.bytes_read.add(head.len() as u64);
         let mut bytes_read = head.len() as u64;
@@ -429,36 +368,6 @@ impl<S: ProfileStore> ProfilePersister<S> {
             round_trips,
             bytes_read,
         }))
-    }
-
-    /// Replace `pid`'s slice meta, if one is stored, with a head that refers
-    /// to the meta's slice values, written create-only; then drop the meta.
-    /// Returns the stored head, or `None` when neither is stored.
-    fn migrate_meta(&self, pid: ProfileId) -> Result<Option<(Bytes, Generation)>> {
-        let (meta, meta_generation) = self.store.xget(&key(b'm', self.table, pid, None))?;
-        let Some(meta) = meta else {
-            return Ok(None);
-        };
-        let meta = decode_meta(&meta)?;
-        let mut profile = ProfileData::new();
-        profile.last_compacted = meta.last_compacted;
-        let head = Bytes::from(encode_head(&profile, 0, &meta.refs));
-        let generation = match self
-            .store
-            .xset(key(b'b', self.table, pid, None), head.clone(), 0)
-        {
-            Ok(generation) => generation,
-            Err(IpsError::StaleGeneration { .. }) => {
-                // A head appeared meanwhile; it supersedes the meta.
-                let (head, generation) = self.store.xget(&key(b'b', self.table, pid, None))?;
-                return Ok(head.map(|head| (head, generation)));
-            }
-            Err(e) => return Err(e),
-        };
-        let _ = self
-            .store
-            .xdelete(&key(b'm', self.table, pid, None), meta_generation);
-        Ok(Some((head, generation)))
     }
 
     /// Fetch and decode the given slice refs in one multi-get. Torn refs
@@ -502,15 +411,11 @@ impl<S: ProfileStore> ProfilePersister<S> {
         Ok(head.map(|_| generation))
     }
 
-    /// Delete all persisted state for a profile: the head, a meta from
-    /// before the one head, and the slice values either refers to.
+    /// Delete all persisted state for a profile: the head and the slice
+    /// values it refers to.
     pub fn purge(&self, pid: ProfileId) -> Result<()> {
         let (_, refs) = self.read_head(pid)?;
         self.delete_values(pid, refs.iter());
-        if let (Some(meta), _) = self.store.xget(&key(b'm', self.table, pid, None))? {
-            self.delete_values(pid, decode_meta(&meta)?.refs.iter());
-            let _ = self.store.delete(&key(b'm', self.table, pid, None));
-        }
         let _ = self.store.delete(&key(b'b', self.table, pid, None));
         Ok(())
     }
@@ -615,6 +520,19 @@ mod tests {
     fn missing_profile_reports_missing() {
         let p = ProfilePersister::new(node(), TABLE, PersistenceMode::Bulk);
         assert!(matches!(p.load(PID).unwrap(), LoadOutcome::Missing));
+    }
+
+    #[test]
+    fn a_never_stored_profile_loads_in_one_kv_op() {
+        let store = node();
+        let p = ProfilePersister::new(Arc::clone(&store), TABLE, six_slice_threshold());
+        let ops_before = store.stats().ops;
+        assert!(matches!(p.load(PID).unwrap(), LoadOutcome::Missing));
+        assert_eq!(
+            store.stats().ops,
+            ops_before + 1,
+            "a head miss is the whole load"
+        );
     }
 
     #[test]
@@ -788,8 +706,8 @@ mod tests {
             }
             Ok(generation)
         }
-        fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
-            self.inner.xdelete(key, held)
+        fn delete(&self, key: &[u8]) -> Result<bool> {
+            self.inner.delete(key)
         }
     }
 

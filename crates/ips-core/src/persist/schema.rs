@@ -6,11 +6,11 @@
 //! numbers are stable; unknown fields are skipped on read, so the schema
 //! can grow.
 
-use ips_codec::wire::{count_field, Packed, PackedCounts, PackedValue, WireError};
+use ips_codec::wire::{count_field, Packed, PackedValue, WireError};
 use ips_codec::{decode_frame, encode_frame, wire_message};
-use ips_types::{ActionTypeId, CountVector, FeatureId, IpsError, Result, SlotId, Timestamp};
+use ips_types::{ActionTypeId, FeatureId, IpsError, Result, SlotId, Timestamp};
 
-use crate::model::{IndexedFeatureStat, ProfileData, RowKey, Slice};
+use crate::model::{IndexedFeatureStat, ProfileData, Slice};
 
 use super::persister::SliceRefInfo;
 
@@ -18,9 +18,7 @@ use super::persister::SliceRefInfo;
 //
 // A slice body is its three in-memory columns as packed varint lists
 // (fields 4–6) plus its range (7–8), and decodes in one pass over each
-// column straight into the slice's columns. Bodies written before that hold
-// the Fig 6 tree instead (fields 1–3: slot → action → feature messages);
-// those lines are `read` only, so every stored value still loads.
+// column straight into the slice's columns.
 
 wire_message! {
     /// A profile's head (Fig 12's bulk value, plus refs): the last
@@ -80,13 +78,9 @@ wire_message! {
     pub(super) struct SliceWire("slice");
     encode(slice: &Slice) {}
     decode(body) -> Slice {
-        let (mut start, mut end, mut span) = (None, None, None);
-        let (mut nested, mut rows) = (false, Vec::new());
+        let (mut start, mut span) = (None, None);
         let (mut runs, mut fids, mut counts) = Default::default();
     }
-    1 read fixed64 => |v| start = Some(v);
-    2 read fixed64 => |v| end = Some(v);
-    3 read repeated nested SlotWire[&mut rows] => |()| nested = true;
     4 packed(slice.stats().flat_map(run_of)) => |v| runs = v;
     5 packed(slice.stats().flat_map(|(_, _, stat)| fid_deltas(stat))) => |v| fids = v;
     6 packed(slice.stats().flat_map(|(_, _, stat)| counts_of(stat))) => |v| counts = v;
@@ -94,21 +88,13 @@ wire_message! {
     8 varint(slice.end().as_millis() - slice.start().as_millis()) => |v| span = Some(v);
     finish {
         let start = start.ok_or_else(|| codec("slice missing start"))?;
-        let end = match span {
-            Some(span) => start.checked_add(span).ok_or_else(|| codec("slice end overflows"))?,
-            None => end.ok_or_else(|| codec("slice missing end"))?,
-        };
+        let span = span.ok_or_else(|| codec("slice missing span"))?;
+        let end = start.checked_add(span).ok_or_else(|| codec("slice end overflows"))?;
         if start >= end {
             return Err(codec("slice has degenerate range"));
         }
         let range = (Timestamp::from_millis(start), Timestamp::from_millis(end));
-        if !nested {
-            return decode_columns(range, runs, fids, counts);
-        }
-        if !(runs.is_empty() && fids.is_empty() && counts.is_empty()) {
-            return Err(codec("slice holds both a nested and a packed body"));
-        }
-        Ok(Slice::from_rows(range, rows))
+        decode_columns(range, runs, fids, counts)
     }
 }
 
@@ -199,67 +185,6 @@ fn decode_columns(
     Ok(slice)
 }
 
-/// Rows of a nested slice body, each labelled with its slot and action as
-/// their messages finish decoding.
-type NestedRows = Vec<(RowKey, CountVector)>;
-
-wire_message! {
-    /// One slot of a nested slice body (read only). Its rows join the
-    /// slice's, or are dropped when the id is missing.
-    pub(super) struct SlotWire("slice.3");
-    encode(_: ()) {}
-    decode(body, rows: &mut NestedRows = Vec::new()) -> () {
-        let (mut id, first) = (None, rows.len());
-    }
-    1 read varint => |v| id = Some(SlotId::new(id32(v, "slot")?));
-    2 read repeated nested ActionWire[&mut *rows] => |()| {};
-    finish {
-        match id {
-            Some(slot) => rows[first..].iter_mut().for_each(|((s, _, _), _)| *s = slot),
-            None => rows.truncate(first),
-        }
-        Ok(())
-    }
-}
-
-wire_message! {
-    /// One action type of a nested slot (read only). Its rows join the
-    /// slot's, or are dropped when the id is missing.
-    pub(super) struct ActionWire("slice.3.2");
-    encode(_: ()) {}
-    decode(body, rows: &mut NestedRows = Vec::new()) -> () {
-        let (mut id, first) = (None, rows.len());
-    }
-    1 read varint => |v| id = Some(ActionTypeId::new(id32(v, "action")?));
-    2 read repeated nested FeatureWire => |(fid, counts)| {
-        if let Some(fid) = fid {
-            rows.push(((SlotId::new(0), ActionTypeId::new(0), fid), counts.to_vector()));
-        }
-    };
-    finish {
-        match id {
-            Some(action) => rows[first..].iter_mut().for_each(|((_, a, _), _)| *a = action),
-            None => rows.truncate(first),
-        }
-        Ok(())
-    }
-}
-
-wire_message! {
-    /// One feature row of a nested action (read only): its id and counts
-    /// (bounded, decoded on the stack).
-    pub(super) struct FeatureWire("slice.3.2.2");
-    encode(_: ()) {}
-    decode(body) -> (Option<FeatureId>, PackedCounts) {
-        let (mut fid, mut counts) = (None, PackedCounts::default());
-    }
-    1 read varint => |v| fid = Some(FeatureId::new(v));
-    2 read counts => |c| counts = c;
-    finish {
-        Ok((fid, counts))
-    }
-}
-
 /// Serialize one slice to framed (compressed, checksummed) bytes. The wire
 /// scratch buffer is pooled; only the framed output is a fresh allocation
 /// (it escapes to the KV layer).
@@ -304,7 +229,7 @@ pub(super) fn decode_head(frame: &[u8]) -> Result<(ProfileData, Vec<SliceRefInfo
 mod tests {
     use super::*;
     use ips_codec::{FieldValue, WireReader, WireWriter};
-    use ips_types::{AggregateFunction, DurationMs, MAX_ATTRIBUTES};
+    use ips_types::{AggregateFunction, CountVector, DurationMs, MAX_ATTRIBUTES};
     use proptest::prelude::*;
 
     fn ts(t: u64) -> Timestamp {
@@ -554,7 +479,7 @@ mod tests {
     }
 
     /// A nested body of one slot holding one action holding one feature.
-    fn nested_body(slot: u64, action: u64) -> WireWriter {
+    fn nested_body(slot: u64, action: u64) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_fixed64(1, 0);
         w.put_fixed64(2, 10);
@@ -568,27 +493,21 @@ mod tests {
                 });
             });
         });
-        w
+        w.into_bytes()
     }
 
+    /// A body in the Fig 6 tree layout that preceded the packed columns
+    /// (fields 1–3) is no longer a slice: decoding it is an error, not a
+    /// panic.
     #[test]
-    fn nested_ids_past_u32_are_rejected_not_truncated() {
-        assert_eq!(
-            SliceWire::decode(nested_body(1, 2).as_slice())
-                .unwrap()
-                .feature_count(),
-            1
-        );
-        for (slot, action) in [(1 << 32, 2), (1, (1 << 32) + 2)] {
-            let body = nested_body(slot, action).into_bytes();
-            assert!(SliceWire::decode(&body).is_err(), "{slot} {action}");
+    fn a_nested_body_is_rejected_without_panicking() {
+        for (slot, action) in [(1, 2), (1 << 32, 2)] {
+            let body = nested_body(slot, action);
+            let outcome = std::panic::catch_unwind(|| SliceWire::decode(&body));
+            assert!(
+                matches!(outcome, Ok(Err(IpsError::Codec(_)))),
+                "{slot} {action}: {outcome:?}"
+            );
         }
-    }
-
-    #[test]
-    fn a_body_both_nested_and_packed_is_rejected() {
-        let mut w = nested_body(1, 2);
-        w.put_packed(5, [7u64]);
-        assert!(SliceWire::decode(&w.into_bytes()).is_err());
     }
 }

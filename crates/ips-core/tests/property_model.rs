@@ -5,9 +5,9 @@
 //! * compaction and truncation preserve (respectively bound) aggregate
 //!   totals under any time-dimension configuration;
 //! * the profile wire codec round-trips arbitrary profiles canonically —
-//!   equal content gives equal bytes, frames in the older hash order still
-//!   load, encoding inside a live trace span gives the same bytes as
-//!   outside one, and corrupt frames are rejected without panicking;
+//!   equal content gives equal bytes, encoding inside a live trace span
+//!   gives the same bytes as outside one, and corrupt frames are rejected
+//!   without panicking;
 //! * query results equal a naive reference implementation;
 //! * a projected (window) load answers window queries exactly like a full
 //!   load, and upgrading the partial entry to full coverage reconstructs
@@ -19,7 +19,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ips_codec::wire::WireWriter;
 use ips_core::compact::compactor::compact_profile;
 use ips_core::model::ProfileData;
 use ips_core::persist::schema::{decode_slice, encode_slice};
@@ -80,43 +79,6 @@ fn grand_total(profile: &ProfileData) -> i64 {
         .flat_map(|(_, stats)| stats.iter())
         .map(|(_, c)| c.get_or_zero(0))
         .sum()
-}
-
-/// `profile` encoded the way frames were written before encoding was
-/// canonical: every slot, action-type and feature list in descending id
-/// order, as a hash map could hand them out.
-fn encode_descending(profile: &ProfileData) -> Vec<u8> {
-    // The storage schema's tags: profile 1 = slice, 2 = last_compacted;
-    // slice 1 = start, 2 = end, 3 = slot; slot and action 1 = id,
-    // 2 = child; feature 1 = fid, 2 = packed counts.
-    let mut w = WireWriter::new();
-    w.put_fixed64(2, profile.last_compacted.as_millis());
-    for slice in profile.slices() {
-        w.put_message(1, |sw| {
-            sw.put_fixed64(1, slice.start().as_millis());
-            sw.put_fixed64(2, slice.end().as_millis());
-            let slots: Vec<_> = slice.iter_slots().collect();
-            for (slot, set) in slots.into_iter().rev() {
-                sw.put_message(3, |lw| {
-                    lw.put_u64(1, u64::from(slot.raw()));
-                    let actions: Vec<_> = set.iter().collect();
-                    for (action, stats) in actions.into_iter().rev() {
-                        lw.put_message(2, |aw| {
-                            aw.put_u64(1, u64::from(action.raw()));
-                            let features: Vec<_> = stats.iter().collect();
-                            for (fid, counts) in features.into_iter().rev() {
-                                aw.put_message(2, |fw| {
-                                    fw.put_u64(1, fid.raw());
-                                    fw.put_packed(2, counts.iter().copied());
-                                });
-                            }
-                        });
-                    }
-                });
-            }
-        });
-    }
-    ips_codec::encode_frame(&w.into_bytes())
 }
 
 /// Sort writes by their `granularity` bucket and shuffle them within each
@@ -257,18 +219,6 @@ proptest! {
         let inside = encode_all(&p);
         drop(span);
         prop_assert_eq!(inside, outside);
-    }
-
-    #[test]
-    fn descending_order_frames_decode_to_the_canonical_profile(
-        writes in proptest::collection::vec(arb_write(), 0..200),
-    ) {
-        let mut p = ProfileData::new();
-        apply(&mut p, &writes, DurationMs::from_secs(5));
-        let legacy = decode_profile(&encode_descending(&p)).unwrap();
-        prop_assert_eq!(&legacy, &decode_profile(&encode_profile(&p)).unwrap());
-        prop_assert_eq!(&legacy, &p);
-        prop_assert_eq!(encode_profile(&legacy), encode_profile(&p));
     }
 
     #[test]

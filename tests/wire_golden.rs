@@ -1,17 +1,11 @@
 //! Golden bytes for every wire message: one sample value per
 //! `wire_schema.lock` section, plus the absent-field shapes (untraced
 //! envelope, default `CallOptions`, non-degraded and no-fetch
-//! `QueryResult`, `TimeRange::Current`, an error with an empty message), and
-//! a storage frame carrying a trace context, as older writers stamped it.
-//! Nothing writes that last shape any more, nor the nested (Fig 6 tree)
-//! profile and slice bodies that preceded the packed slice columns, nor the
-//! slice meta that preceded the one head key, so those are read-only cases:
-//! the fixture keeps them and only the decode tests read them.
+//! `QueryResult`, `TimeRange::Current`, an error with an empty message).
 //!
-//! Equal values must encode to identical bytes across codec rewrites:
-//! persisted profiles, WAL segments and RPC frames written by an older
-//! binary have to stay readable, and a frame-size change moves the network
-//! model. The bytes live in `wire_golden.txt`; a mismatch prints the whole
+//! Equal values must encode to identical bytes across codec rewrites: a
+//! rewrite that moves the bytes changes the one stored format (DESIGN.md
+//! §3), and a frame-size change moves the network model. The bytes live in `wire_golden.txt`; a mismatch prints the whole
 //! rendered file. Only commit it when a wire change is intended and
 //! recorded in `wire_schema.lock`.
 
@@ -22,8 +16,7 @@ use bytes::Bytes;
 use ips::cluster::rpc::{
     CallOptions, ProfileWrite, RequestEnvelope, RpcRequest, RpcResponse, SnapshotAck, SnapshotEntry,
 };
-use ips::codec::frame::decode_frame;
-use ips::core::persist::persister::{Held, LoadOutcome, ProfilePersister};
+use ips::core::persist::persister::ProfilePersister;
 use ips::core::persist::schema::{decode_profile, decode_slice, encode_profile, encode_slice};
 use ips::core::query::{FeatureEntry, FilterPredicate, ProfileQuery, QueryKind, QueryResult};
 use ips::core::ProfileData;
@@ -380,35 +373,21 @@ fn response_cases() -> Vec<(&'static str, RpcResponse, Option<SpanContext>)> {
     ]
 }
 
-/// A persister key of profile 42 in table 3: `kind` | table u32 BE |
-/// profile u64 BE, then the seq (u64 BE) for a slice value.
-fn key(kind: u8, seq: Option<u64>) -> Bytes {
-    let mut key = vec![kind];
-    key.extend_from_slice(&3u32.to_be_bytes());
-    key.extend_from_slice(&42u64.to_be_bytes());
-    key.extend(seq.iter().flat_map(|seq| seq.to_be_bytes()));
-    Bytes::from(key)
-}
-
-/// A split-mode persister over a fresh node.
-fn split_persister() -> (Arc<KvNode>, ProfilePersister<Arc<KvNode>>) {
+/// The head the split-mode persister writes for profile 42 in table 3:
+/// its newest slice inline and refs to the others.
+fn profile_refs_bytes(profile: &ProfileData) -> Vec<u8> {
     let node = Arc::new(KvNode::new("golden", KvNodeConfig::default()).unwrap());
     let persister = ProfilePersister::new(
         Arc::clone(&node),
         TableId::new(3),
         PersistenceMode::Split { threshold_bytes: 0 },
     );
-    (node, persister)
-}
-
-/// The head the split-mode persister writes for `profile`: its newest
-/// slice inline and refs to the others.
-fn profile_refs_bytes(profile: &ProfileData) -> Vec<u8> {
-    let (node, persister) = split_persister();
     persister
         .save(ProfileId::new(42), &mut profile.clone(), 0)
         .unwrap();
-    node.get(&key(b'b', None)).unwrap().unwrap().to_vec()
+    // The head key: `b` | table u32 BE | profile u64 BE.
+    let head = [&b"b"[..], &3u32.to_be_bytes(), &42u64.to_be_bytes()].concat();
+    node.get(&head).unwrap().unwrap().to_vec()
 }
 
 /// Every file of a WAL holding a Set, a Delete and a checkpoint, in name
@@ -496,142 +475,20 @@ fn render() -> Vec<(String, String)> {
 /// fuzzing in `wire_schema.rs`.
 const GOLDEN: &str = include_str!("wire_golden.txt");
 
-/// Golden cases no writer produces any more. They stay in the fixture so
-/// their read path stays pinned, and `render()` skips them.
-const READ_ONLY: &[&str] = &[
-    "persist/profile_nested",
-    "persist/slice_nested",
-    "persist/slice_traced",
-    "persist/slice_meta",
-];
-
-/// The committed bytes of golden case `name`.
-fn golden(name: &str) -> Vec<u8> {
-    let hex = GOLDEN
-        .lines()
-        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
-        .unwrap_or_else(|| panic!("golden fixture has no `{name}`"));
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-        .collect()
-}
-
-/// The read path for the nested (Fig 6 tree) storage bodies that values
-/// written before the packed slice columns hold: the committed bytes
-/// decode to the sample profile and its first slice.
-#[test]
-fn nested_storage_goldens_decode() {
-    let profile = sample_profile();
-    assert_eq!(
-        decode_profile(&golden("persist/profile_nested")).unwrap(),
-        profile
-    );
-    assert_eq!(
-        &decode_slice(&golden("persist/slice_nested")).unwrap(),
-        &profile.slices()[0]
-    );
-}
-
-/// The read path for a store written before the one head: the golden
-/// slice meta under `m/`, plus the slice values it refers to (seq 0 is the
-/// newest slice). A load writes a head that refers to those values and
-/// drops the meta; the next save keeps only its head and the values that
-/// head refers to.
-#[test]
-fn a_slice_meta_layout_loads_and_migrates_to_one_head() {
-    let profile = sample_profile();
-    let (node, persister) = split_persister();
-    node.set(key(b'm', None), Bytes::from(golden("persist/slice_meta")))
-        .unwrap();
-    for (seq, slice) in profile.slices().iter().enumerate() {
-        node.set(
-            key(b's', Some(seq as u64)),
-            Bytes::from(encode_slice(slice)),
-        )
-        .unwrap();
-    }
-    let census = || -> Vec<Bytes> {
-        let mut keys: Vec<Bytes> = node
-            .store()
-            .scan_all()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        keys.sort();
-        keys
-    };
-    let head_and_values = |held: &Held| -> Vec<Bytes> {
-        let refs = held.refs.as_ref().unwrap();
-        let values = refs.iter().map(|r| key(b's', Some(r.seq)));
-        let mut keys: Vec<Bytes> = std::iter::once(key(b'b', None)).chain(values).collect();
-        keys.sort();
-        keys
-    };
-
-    let LoadOutcome::Loaded {
-        profile: mut loaded,
-        held,
-    } = persister.load(ProfileId::new(42)).unwrap()
-    else {
-        panic!("the meta layout must load");
-    };
-    assert_eq!(loaded, profile);
-    assert_eq!(
-        held.refs.as_ref().map(Vec::len),
-        Some(3),
-        "no slice rewritten"
-    );
-    assert_eq!(census(), head_and_values(&held), "the meta is gone");
-
-    let held = persister
-        .save(ProfileId::new(42), &mut loaded, held)
-        .unwrap();
-    assert_eq!(census(), head_and_values(&held));
-    assert_eq!(
-        decode_profile(&node.get(&key(b'b', None)).unwrap().unwrap())
-            .unwrap()
-            .slice_count(),
-        1,
-        "the newest slice is inline again"
-    );
-}
-
-/// The read path for storage frames written with a trace context: the
-/// committed bytes decode to the sample slice without any writer involved.
-#[test]
-fn traced_storage_frame_golden_decodes() {
-    let bytes = golden("persist/slice_traced");
-    assert_eq!(bytes[1] & 0x02, 0x02, "FLAG_TRACE is set");
-    let untraced = decode_frame(&golden("persist/slice_nested")).unwrap();
-    assert_eq!(decode_frame(&bytes).unwrap(), untraced);
-    let profile = sample_profile();
-    assert_eq!(&decode_slice(&bytes).unwrap(), &profile.slices()[0]);
-}
-
 #[test]
 fn every_wire_message_encodes_to_its_golden_bytes() {
     let rendered: String = render()
         .iter()
         .map(|(name, hex)| format!("{name} {hex}\n"))
         .collect();
-    let written: String = GOLDEN
-        .lines()
-        .filter(|line| {
-            !READ_ONLY
-                .iter()
-                .any(|name| line.split(' ').next() == Some(name))
-        })
-        .map(|line| format!("{line}\n"))
-        .collect();
-    if rendered != written {
+    if rendered != GOLDEN {
         println!("{rendered}");
-        for (want, got) in written.lines().zip(rendered.lines()) {
+        for (want, got) in GOLDEN.lines().zip(rendered.lines()) {
             assert_eq!(got, want, "golden bytes changed");
         }
         panic!(
-            "tests/wire_golden.txt has {} written cases, rendering gives {}",
-            written.lines().count(),
+            "tests/wire_golden.txt has {} cases, rendering gives {}",
+            GOLDEN.lines().count(),
             rendered.lines().count()
         );
     }
