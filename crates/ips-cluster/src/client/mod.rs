@@ -46,9 +46,9 @@ use ips_types::{
 };
 
 use crate::discovery::Discovery;
-use crate::health::HealthRegistry;
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::rpc::RpcEndpoint;
+use crate::HealthRegistry;
 
 /// One region's routing state: the ring the client routes by, stamped with
 /// the membership epoch it came from, plus the previous epoch's ring kept

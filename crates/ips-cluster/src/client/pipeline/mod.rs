@@ -13,6 +13,10 @@
 //! 3. [`trace`] — the per-attempt span plus endpoint-health bookkeeping
 //!    wrapping the transport call itself.
 //!
+//! [`health`] holds the per-endpoint breakers these consult. Only
+//! [`breaker`] admits a request through one, so `try_admit` is private to
+//! this module.
+//!
 //! The deadline is armed once per logical request (`arm_deadline`) and
 //! only measured elapsed time draws it down. The matching server-side
 //! chain lives in `ips_core::server::pipeline`; between them a request's
@@ -21,4 +25,5 @@
 
 pub(crate) mod breaker;
 pub(crate) mod failover;
+pub(crate) mod health;
 pub(crate) mod trace;

@@ -330,7 +330,7 @@ fn breaker_opens_and_routes_around_dead_endpoint() {
     client.query(CALLER, &top_k(7)).unwrap();
     assert_eq!(
         client.health().for_endpoint(owner.name()).state(),
-        crate::health::BreakerState::Open
+        crate::BreakerState::Open
     );
     // With the breaker open the dead owner is skipped up front: the
     // query succeeds on its first attempt, no retry needed.
@@ -359,7 +359,7 @@ fn routing_fails_open_when_every_breaker_is_blocked() {
     for ep in client.candidates_in_region("region-a", ProfileId::new(7)) {
         assert_eq!(
             client.health().for_endpoint(ep.name()).state(),
-            crate::health::BreakerState::Open
+            crate::BreakerState::Open
         );
     }
     // Recovery must not be blackholed: with every candidate blocked,

@@ -22,18 +22,17 @@ pub mod autoscale;
 pub mod client;
 pub mod discovery;
 pub mod handoff;
-pub mod health;
 pub mod region;
 pub mod ring;
 pub mod rpc;
 
 pub use autoscale::{Autoscaler, AutoscalerConfig, ScaleDecision, ScaleOrchestrator};
+pub use client::pipeline::health::{BreakerState, EndpointHealth, HealthRegistry};
 pub use client::{BatchQueryOutcome, ClientStats, IpsClusterClient, WireFrame, WireLog};
 pub use discovery::{Discovery, Registration};
 pub use handoff::{
     HandoffConfig, HandoffCoordinator, HandoffMetrics, HandoffReport, MembershipEpoch,
 };
-pub use health::{BreakerState, EndpointHealth, HealthRegistry};
 pub use region::{MultiRegionDeployment, MultiRegionOptions, Region, RegionStore};
 pub use ring::{transfer_pairs, HashRing};
 pub use rpc::{

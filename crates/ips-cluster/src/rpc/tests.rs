@@ -1,5 +1,7 @@
 //! Round-trip, envelope and endpoint tests for the RPC fabric.
 
+#![allow(clippy::disallowed_types, reason = "tests hand-craft wire bytes")]
+
 use std::sync::Arc;
 
 use ips_codec::WireWriter;

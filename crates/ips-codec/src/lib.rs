@@ -38,6 +38,10 @@ pub use pool::PoolStats;
 pub use varint::{
     decode_u64, encode_u64, zigzag_decode, zigzag_encode, DecodeError as VarintError,
 };
+#[allow(
+    clippy::disallowed_types,
+    reason = "the tests that hand-craft wire bytes name them here"
+)]
 pub use wire::{
     FieldValue, Packed, PackedCounts, PackedValue, WireError, WireReader, WireType, WireWriter,
 };

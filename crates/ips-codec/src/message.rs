@@ -52,6 +52,11 @@
 //! `to_vec(arg)` and `with_encoded(arg, |bytes| ..)` (both over a pooled
 //! scratch writer), and `decode(bytes) -> Result<Out>`.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the macro is the one sanctioned writer of wire bytes"
+)]
+
 pub use ips_types::{IpsError, Result};
 
 /// One wire message as `wire_schema.lock` sees it.
@@ -132,7 +137,12 @@ macro_rules! wire_message {
         $(#[$meta])*
         $vis struct $name;
 
-        #[allow(dead_code, reason = "a message may not use every generated form")]
+        #[allow(
+            dead_code,
+            clippy::disallowed_types,
+            reason = "a message may not use every generated form; the generated code is the \
+                      sanctioned user of the wire primitives"
+        )]
         impl $name {
             pub const DESCRIPTOR: $crate::message::MessageDescriptor =
                 $crate::message::MessageDescriptor {

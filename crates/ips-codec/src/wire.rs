@@ -16,8 +16,11 @@
 //! patched in afterwards as a minimal varint. A message encodes to the same
 //! bytes as encoding each body separately and copying it in.
 //!
-//! Messages are declared with [`crate::wire_message!`]; outside this crate
-//! nothing names [`WireWriter`] or [`WireReader`] directly.
+//! Messages are declared with [`crate::wire_message!`]. The root
+//! `clippy.toml` bans [`WireWriter`] and [`WireReader`] outside this crate,
+//! except in the tests that hand-craft bytes.
+
+#![allow(clippy::disallowed_types, reason = "the wire primitives live here")]
 
 use std::fmt;
 use std::marker::PhantomData;

@@ -226,6 +226,7 @@ pub(super) fn decode_head(frame: &[u8]) -> Result<(ProfileData, Vec<SliceRefInfo
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "tests hand-craft wire bytes")]
 mod tests {
     use super::*;
     use ips_codec::{FieldValue, WireReader, WireWriter};

@@ -307,19 +307,12 @@ impl KvNode {
         Ok(generation)
     }
 
-    /// Delete a key.
+    /// Delete a key. Returns true if it removed a value.
     pub fn delete(&self, key: &[u8]) -> Result<bool> {
-        self.xdelete(key, Generation::MAX)
-    }
-
-    /// Conditional delete: only while the key's generation is at most
-    /// `held` (see [`VersionedStore::xdelete`]). Returns true if it removed
-    /// a value.
-    pub fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
         self.check_available()?;
         self.ops.inc();
         let _in_flight = self.write_gate.read();
-        let existed = self.store.xdelete(key, held);
+        let existed = self.store.delete(key);
         if existed {
             if let Some(wal) = &self.wal {
                 wal.append(&WalRecord::Delete {

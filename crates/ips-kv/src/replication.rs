@@ -118,16 +118,9 @@ impl ReplicatedKv {
         Ok(generation)
     }
 
-    /// Delete through the master and queue for replication.
+    /// Delete through the master; a removal is queued for replication.
     pub fn delete(&self, key: &[u8]) -> Result<bool> {
-        self.xdelete(key, Generation::MAX)
-    }
-
-    /// Conditional delete through the master (see
-    /// [`crate::VersionedStore::xdelete`]); a removal is queued for
-    /// replication.
-    pub fn xdelete(&self, key: &[u8], held: Generation) -> Result<bool> {
-        let existed = self.master.xdelete(key, held)?;
+        let existed = self.master.delete(key)?;
         if existed {
             for q in &self.queues {
                 q.push(RepOp::Delete {

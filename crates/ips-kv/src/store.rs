@@ -149,22 +149,11 @@ impl VersionedStore {
 
     /// Remove a key. Returns true if it existed.
     pub fn delete(&self, key: &[u8]) -> bool {
-        self.xdelete(key, Generation::MAX)
-    }
-
-    /// Conditional delete: removes the key only while its generation is at
-    /// most `held` — the condition [`VersionedStore::xset`] writes under —
-    /// so a value written after the caller's read survives. Returns true if
-    /// it removed a value.
-    pub fn xdelete(&self, key: &[u8], held: Generation) -> bool {
-        let mut shard = self.shard_for(key).write();
-        if !matches!(shard.map.get(key), Some(v) if v.generation <= held) {
+        let Some(old) = self.shard_for(key).write().map.remove(key) else {
             return false;
-        }
-        if let Some(old) = shard.map.remove(key) {
-            self.approx_bytes
-                .fetch_sub((key.len() + old.data.len()) as u64, Ordering::Relaxed);
-        }
+        };
+        self.approx_bytes
+            .fetch_sub((key.len() + old.data.len()) as u64, Ordering::Relaxed);
         true
     }
 
@@ -311,18 +300,6 @@ mod tests {
         assert!(s.delete(b"k"));
         assert!(!s.delete(b"k"));
         assert_eq!(s.get(b"k"), None);
-    }
-
-    #[test]
-    fn xdelete_keeps_a_value_newer_than_held() {
-        let s = VersionedStore::new(4);
-        let g1 = s.set(b("k"), b("v1"));
-        let g2 = s.set(b("k"), b("v2"));
-        assert!(!s.xdelete(b"k", g1), "written after the caller's read");
-        assert_eq!(s.get(b"k"), Some(b("v2")));
-        assert!(s.xdelete(b"k", g2));
-        assert_eq!(s.get(b"k"), None);
-        assert!(!s.xdelete(b"k", g2));
         assert_eq!(s.approx_bytes(), 0);
     }
 

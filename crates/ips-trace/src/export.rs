@@ -82,7 +82,6 @@ fn escape_json(s: &str) -> String {
 /// Per-stage duration histograms, keyed by span name in first-seen order.
 #[derive(Default)]
 pub struct StageBreakdown {
-    // lint: allow(metrics-coverage, reason = "recorded indirectly via stage_mut(); stage keys are dynamic span names, not fixed fields")
     stages: Vec<(String, Histogram)>,
 }
 

@@ -16,7 +16,6 @@ use rand::SeedableRng;
 
 use ips::cluster::rpc::RpcResponse;
 use ips::codec::frame::decode_frame;
-use ips::codec::WireReader;
 use ips::core::persist::schema::{encode_profile, encode_slice};
 use ips::core::query::{engine, FilterPredicate, ProfileQuery, QueryKind};
 use ips::core::ProfileData;
@@ -63,8 +62,9 @@ fn profiles() -> Vec<ProfileData> {
 
 /// Length of the longest packed column (runs, fids, counts: fields 4–6)
 /// of a slice body.
+#[allow(clippy::disallowed_types, reason = "reads a slice body field by field")]
 fn longest_column(body: &[u8]) -> usize {
-    let mut reader = WireReader::new(body);
+    let mut reader = ips::codec::WireReader::new(body);
     let mut longest = 0;
     while let Some((field, value)) = reader.next_field().unwrap() {
         if (4..=6).contains(&field) {

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use ips::codec::{decode_frame, FlagsDescriptor, MessageDescriptor, WireWriter, FRAME_FLAGS};
+use ips::codec::{decode_frame, FlagsDescriptor, MessageDescriptor, FRAME_FLAGS};
 use proptest::prelude::*;
 
 const COMMITTED_LOCK: &str = include_str!("../wire_schema.lock");
@@ -318,6 +318,10 @@ fn unhex(hex: &str) -> Vec<u8> {
 /// storage frames unwrapped, WAL files split into their frame bodies (`len
 /// u32 | checksum u64 | body`), and every nested length-delimited payload
 /// inside those, so each sub-message decoder sees realistic input.
+#[allow(
+    clippy::disallowed_types,
+    reason = "splits bodies into their nested fields"
+)]
 fn golden_bodies() -> &'static [Vec<u8>] {
     static BODIES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     BODIES.get_or_init(|| {
@@ -376,6 +380,7 @@ proptest! {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types, reason = "hand-crafts well-formed fields")]
     fn every_decoder_survives_arbitrary_well_formed_fields(
         fields in proptest::collection::vec(
             (1u32..20, 0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..24)),
@@ -385,7 +390,7 @@ proptest! {
         // Valid tags and lengths with arbitrary payloads reach the match
         // arms that raw garbage rarely gets past, e.g. a packed count list
         // longer than a count vector may be.
-        let mut w = WireWriter::new();
+        let mut w = ips::codec::WireWriter::new();
         for (tag, wire_type, scalar, payload) in &fields {
             match wire_type {
                 0 => w.put_u64(*tag, *scalar),
