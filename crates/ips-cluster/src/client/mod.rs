@@ -19,10 +19,12 @@
 //!   ring-based candidate routing;
 //! * [`outcome`] — what a call reports besides its answer: the measured
 //!   [`WireLog`] and the client counters;
-//! * [`read`] — the query and batched-query orchestrations;
-//! * [`write`] — the all-region write fan-outs;
-//! * [`pipeline`] — the client-side interceptor chain the read/write paths
-//!   compose: breaker routing → failover (with the deadline shed) → trace.
+//! * [`read`] — `query` and `query_batch`, thin wrappers over the dispatch
+//!   core;
+//! * [`write`] — `add_profiles` and `add_batch`: one dispatch per region;
+//! * [`pipeline`] — the dispatch core every call runs (grouping, failover
+//!   walk, lazy breaker admission, deadline shed) and the per-attempt trace
+//!   and health bookkeeping.
 
 mod outcome;
 pub(crate) mod pipeline;
@@ -60,6 +62,27 @@ struct RegionRoute {
     epoch: u64,
     ring: HashRing,
     previous: Option<HashRing>,
+}
+
+/// Which regions a call's walk covers, and the lane its frames take in the
+/// call's [`WireLog`].
+#[derive(Clone, Copy)]
+enum Lane {
+    /// A read: the home region first, then the others in name order —
+    /// local replicas before a cross-region hop. Lane 0; read frames carry
+    /// the degraded opt-in.
+    Read,
+    /// One region of a write fan-out: the n-th region in name order, lane n.
+    Write(u32),
+}
+
+impl Lane {
+    fn index(self) -> u32 {
+        match self {
+            Lane::Read => 0,
+            Lane::Write(n) => n,
+        }
+    }
 }
 
 /// The unified client.
@@ -188,12 +211,18 @@ impl IpsClusterClient {
     }
 
     /// Open a root span for a client request, or a disabled span when no
-    /// tracer is installed.
+    /// tracer is installed. A sampled root names the caller and its
+    /// priority; attributes are formatted only when sampled.
     fn root_span(&self, name: &'static str, caller: CallerId) -> ips_trace::Span {
-        match self.tracer() {
+        let mut root = match self.tracer() {
             Some(tracer) => tracer.root_span(name, caller.raw()),
-            None => ips_trace::Span::disabled(),
+            None => return ips_trace::Span::disabled(),
+        };
+        if root.is_sampled() {
+            root.set_attr(ips_trace::attrs::CALLER, caller.to_string());
+            root.set_attr(ips_trace::attrs::PRIORITY, self.request_priority().label());
         }
+        root
     }
 
     /// Make endpoints addressable (the transport layer's address book —
@@ -259,46 +288,50 @@ impl IpsClusterClient {
         self.rings.read().keys().cloned().collect()
     }
 
-    /// Query-ordered region list: home region first, then the rest — the
-    /// failover walk tries local replicas before paying a cross-region hop.
-    fn read_regions(&self) -> Vec<String> {
-        let mut regions = vec![self.home_region.clone()];
-        for r in self.regions() {
-            if r != self.home_region {
-                regions.push(r);
-            }
-        }
-        regions
-    }
-
-    /// Owner-then-failover endpoints for `pid` in `region`. The ring's
-    /// visitor walk resolves endpoints directly — no per-key `Vec<&str>` /
-    /// `Vec<String>` round trip, which the batch paths pay once per write
-    /// or sub-query. During a handoff grace window the *previous* epoch's
-    /// owner is appended as a final candidate: a key mid-cutover is always
-    /// answerable by its old or its new owner.
-    fn candidates_in_region(&self, region: &str, pid: ProfileId) -> Vec<Arc<RpcEndpoint>> {
+    /// Append `pid`'s candidates in region `k` of `lane`'s walk to `out`:
+    /// the owner, then failover siblings, resolved straight off the ring's
+    /// visitor walk. During a handoff grace window the *previous* epoch's
+    /// owner is appended last: a key mid-cutover is always answerable by its
+    /// old or its new owner. Returns false when the walk has no region `k`.
+    /// The routing locks are released before this returns.
+    fn extend_candidates(
+        &self,
+        lane: Lane,
+        k: usize,
+        pid: ProfileId,
+        out: &mut Vec<Arc<RpcEndpoint>>,
+    ) -> bool {
         let routes = self.rings.read();
-        let Some(route) = routes.get(region) else {
-            return Vec::new();
+        let route = match (lane, k) {
+            (Lane::Read, 0) => routes.get(&self.home_region),
+            (Lane::Read, k) => {
+                let mut remote = routes.iter().filter(|(r, _)| **r != self.home_region);
+                let Some((_, route)) = remote.nth(k - 1) else {
+                    return false;
+                };
+                Some(route)
+            }
+            (Lane::Write(n), 0) => routes.values().nth(n as usize),
+            (Lane::Write(_), _) => return false,
+        };
+        let Some(route) = route else {
+            return true;
         };
         let eps = self.endpoints.read();
-        let mut out: Vec<Arc<RpcEndpoint>> = Vec::with_capacity(self.max_candidates + 1);
+        let start = out.len();
         route.ring.nodes_for_each(pid, self.max_candidates, |name| {
             if let Some(ep) = eps.get(name) {
                 out.push(Arc::clone(ep));
             }
             true
         });
-        if let Some(previous) = &route.previous {
-            if let Some(old_owner) = previous.node_for(pid) {
-                if !out.iter().any(|ep| ep.name() == old_owner) {
-                    if let Some(ep) = eps.get(old_owner) {
-                        out.push(Arc::clone(ep));
-                    }
+        if let Some(old_owner) = route.previous.as_ref().and_then(|p| p.node_for(pid)) {
+            if !out[start..].iter().any(|ep| ep.name() == old_owner) {
+                if let Some(ep) = eps.get(old_owner) {
+                    out.push(Arc::clone(ep));
                 }
             }
         }
-        out
+        true
     }
 }

@@ -42,16 +42,6 @@ impl WireLog {
     pub fn push(&mut self, lane: u32, round: u32, bytes: FrameBytes) {
         self.frames.push(WireFrame { lane, round, bytes });
     }
-
-    /// The round after the last one recorded in `lane`.
-    pub(crate) fn next_round(&self, lane: u32) -> u32 {
-        self.frames
-            .iter()
-            .filter(|f| f.lane == lane)
-            .map(|f| f.round + 1)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Outcome of one batched query fan-out: per-sub-query results in input
@@ -74,11 +64,20 @@ impl BatchQueryOutcome {
 }
 
 /// Client-side counters (Fig 17's error-rate series reads these).
+///
+/// They count logical requests, not frames: one per query or sub-query,
+/// and one per region a write is sent to. A batch of N therefore adds N
+/// attempts, and `failures <= attempts` always holds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientStats {
+    /// Logical requests started.
     pub attempts: u64,
+    /// Requests that settled with an answer.
     pub successes: u64,
+    /// Requests that settled with an error: terminal, deadline, or a walk
+    /// that ran out of candidates.
     pub failures: u64,
+    /// Re-sends of a request to its next failover candidate.
     pub retries: u64,
     /// Results served degraded (stale) instead of failing.
     pub degraded: u64,

@@ -12,9 +12,11 @@ use ips_types::{
     ProfileId, SlotId, TableConfig, TableId, TimeRange, Timestamp,
 };
 
-use super::IpsClusterClient;
+use super::{IpsClusterClient, Lane};
 use crate::discovery::Discovery;
 use crate::region::{MultiRegionDeployment, MultiRegionOptions};
+use crate::rpc::RpcEndpoint;
+use crate::BreakerState;
 
 const TABLE: TableId = TableId(1);
 const CALLER: CallerId = CallerId(1);
@@ -55,6 +57,17 @@ fn write(client: &IpsClusterClient, pid: u64, fid: u64, at: Timestamp) {
             CountVector::single(1),
         )
         .unwrap();
+}
+
+/// `pid`'s home-region walk (region-a): the owner first.
+fn home_candidates(client: &IpsClusterClient, pid: u64) -> Vec<Arc<RpcEndpoint>> {
+    let mut out = Vec::new();
+    client.extend_candidates(Lane::Read, 0, ProfileId::new(pid), &mut out);
+    out
+}
+
+fn queries_served(ep: &RpcEndpoint) -> u64 {
+    ep.instance().table(TABLE).unwrap().metrics.queries.get()
 }
 
 fn top_k(pid: u64) -> ProfileQuery {
@@ -322,7 +335,7 @@ fn breaker_opens_and_routes_around_dead_endpoint() {
         failure_threshold: 2,
         cooldown: DurationMs::from_secs(60),
     });
-    let owner = client.candidates_in_region("region-a", ProfileId::new(7))[0].clone();
+    let owner = home_candidates(&client, 7)[0].clone();
     owner.set_down(true);
     // Each query pays one failed attempt on the dead owner, then fails
     // over; the owner's failure streak grows until the breaker opens.
@@ -356,7 +369,7 @@ fn routing_fails_open_when_every_breaker_is_blocked() {
         region.set_down(true);
     }
     assert!(client.query(CALLER, &top_k(7)).is_err());
-    for ep in client.candidates_in_region("region-a", ProfileId::new(7)) {
+    for ep in home_candidates(&client, 7) {
         assert_eq!(
             client.health().for_endpoint(ep.name()).state(),
             crate::BreakerState::Open
@@ -407,7 +420,7 @@ fn latency_breakdown_does_not_double_count_network() {
     for ep in d.all_endpoints() {
         ep.instance().flush_all().unwrap();
     }
-    let owner = client.candidates_in_region("region-a", ProfileId::new(7))[0].clone();
+    let owner = home_candidates(&client, 7)[0].clone();
     owner.set_down(true);
     let (_, wire) = client.query(CALLER, &top_k(7)).unwrap();
     let rounds: Vec<(u32, u32, bool)> = wire
@@ -451,11 +464,7 @@ fn batch_query_sends_one_frame_per_owner() {
     let outcome = client.query_batch(CALLER, &queries).unwrap();
     assert!(outcome.all_ok());
     let owners: std::collections::BTreeSet<String> = (0..40)
-        .map(|pid| {
-            client.candidates_in_region("region-a", ProfileId::new(pid))[0]
-                .name()
-                .to_string()
-        })
+        .map(|pid| home_candidates(&client, pid)[0].name().to_string())
         .collect();
     let frames = outcome.wire.frames();
     assert_eq!(frames.len(), owners.len(), "one frame per owner");
@@ -482,4 +491,136 @@ fn writes_record_one_lane_per_region() {
         .unwrap();
     let lanes: Vec<(u32, u32)> = wire.frames().iter().map(|f| (f.lane, f.round)).collect();
     assert_eq!(lanes, vec![(0, 0), (1, 0)], "one attempt per region");
+}
+
+#[test]
+fn breaker_probe_goes_only_to_an_endpoint_a_frame_is_sent_to() {
+    let (d, client, ctl) = deployment();
+    write(&client, 7, 1, ctl.now());
+    for ep in d.all_endpoints() {
+        ep.instance().flush_all().unwrap();
+    }
+    client.set_breaker_config(CircuitBreakerConfig {
+        failure_threshold: 1,
+        cooldown: DurationMs::ZERO,
+    });
+    let owner = home_candidates(&client, 7)[0].clone();
+    owner.set_down(true);
+    client.query(CALLER, &top_k(7)).unwrap();
+    let health = client.health().for_endpoint(owner.name());
+    assert_eq!(health.state(), BreakerState::Open);
+    owner.set_down(false);
+    // A query whose own owner answers has the revived owner as a later
+    // candidate: it must not spend the owner's half-open probe.
+    let other = (0..1_000)
+        .find(|&pid| {
+            let walk = home_candidates(&client, pid);
+            walk[0].name() != owner.name() && walk[1..].iter().any(|e| e.name() == owner.name())
+        })
+        .unwrap();
+    client.query(CALLER, &top_k(other)).unwrap();
+    let served = queries_served(&owner);
+    for _ in 0..5 {
+        client.query(CALLER, &top_k(7)).unwrap();
+    }
+    assert_eq!(health.state(), BreakerState::Closed);
+    assert_eq!(queries_served(&owner) - served, 5, "the owner serves again");
+}
+
+#[test]
+fn open_breaker_costs_a_batch_no_extra_round() {
+    let (d, client, ctl) = deployment();
+    for pid in 0..40u64 {
+        write(&client, pid, 1, ctl.now());
+    }
+    for ep in d.all_endpoints() {
+        ep.instance().flush_all().unwrap();
+    }
+    client.set_breaker_config(CircuitBreakerConfig {
+        failure_threshold: 1,
+        cooldown: DurationMs::from_secs(60),
+    });
+    let owner = home_candidates(&client, 7)[0].clone();
+    owner.set_down(true);
+    client.query(CALLER, &top_k(7)).unwrap();
+    assert_eq!(
+        client.health().for_endpoint(owner.name()).state(),
+        BreakerState::Open
+    );
+    // The blocked owner's sub-queries move to their next candidate in the
+    // same round instead of sitting one out.
+    let queries: Vec<ProfileQuery> = (0..40).map(top_k).collect();
+    let outcome = client.query_batch(CALLER, &queries).unwrap();
+    assert!(outcome.all_ok());
+    let rounds: Vec<u32> = outcome.wire.frames().iter().map(|f| f.round).collect();
+    assert!(rounds.iter().all(|&r| r == 0), "rounds: {rounds:?}");
+}
+
+#[test]
+fn batch_counters_count_sub_queries_not_frames() {
+    let (d, client, _ctl) = deployment();
+    for region in &d.regions {
+        region.set_down(true);
+    }
+    let queries: Vec<ProfileQuery> = (0..40).map(top_k).collect();
+    let before = client.stats();
+    let outcome = client.query_batch(CALLER, &queries).unwrap();
+    assert!(outcome.results.iter().all(Result::is_err));
+    let after = client.stats();
+    assert_eq!(after.attempts - before.attempts, 40);
+    assert_eq!(after.failures - before.failures, 40);
+    assert!(client.error_rate() <= 1.0, "{}", client.error_rate());
+}
+
+#[test]
+fn add_batch_frame_failure_retries_grouped_at_next_candidates() {
+    let (d, client, ctl) = deployment();
+    let owner = home_candidates(&client, 7)[0].clone();
+    owner.set_down(true);
+    let writes: Vec<crate::rpc::ProfileWrite> = (0..20u64)
+        .map(|pid| crate::rpc::ProfileWrite {
+            table: TABLE,
+            profile: ProfileId::new(pid),
+            at: ctl.now(),
+            slot: SLOT,
+            action: LIKE,
+            features: vec![(FeatureId::new(500 + pid), CountVector::single(1))],
+        })
+        .collect();
+    let wire = client.add_batch(CALLER, &writes).unwrap();
+    let stats = client.stats();
+    assert_eq!(stats.attempts, 40, "one per write per region");
+    assert_eq!(stats.failures, 0);
+    assert!(stats.retries > 0, "the dead owner's writes were re-sent");
+    // Lane 0 (region-a): round 0 to every owner, then one round in which
+    // the dead owner's writes go, grouped, to the two live siblings — not
+    // one frame per profile.
+    let orphaned = (0..20u64)
+        .filter(|&pid| home_candidates(&client, pid)[0].name() == owner.name())
+        .count();
+    let rounds: Vec<u32> = wire
+        .frames()
+        .iter()
+        .filter(|f| f.lane == 0)
+        .map(|f| f.round)
+        .collect();
+    let retried = rounds.iter().filter(|&&r| r == 1).count();
+    assert!(
+        (1..=2).contains(&retried) && retried < orphaned,
+        "{rounds:?}"
+    );
+    assert!(rounds.iter().all(|&r| r <= 1), "{rounds:?}");
+    let region_a = d.region("region-a").unwrap();
+    for pid in 0..20u64 {
+        let found = region_a
+            .endpoints
+            .iter()
+            .filter(|ep| ep.name() != owner.name())
+            .any(|ep| !ep.instance().query(CALLER, &top_k(pid)).unwrap().is_empty());
+        let owned = home_candidates(&client, pid)[0].name() == owner.name();
+        assert!(
+            found || !owned,
+            "profile {pid} missing from the live siblings"
+        );
+    }
 }

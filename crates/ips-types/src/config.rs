@@ -8,8 +8,6 @@
 //! configuration is hot-reloadable in production (§V-b); the engine therefore
 //! reads these through an epoch-swapped handle (see `ips-core::config`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::counts::CountVector;
 use crate::ids::SlotId;
 use crate::time::DurationMs;
@@ -18,7 +16,7 @@ use crate::time::DurationMs;
 /// id across slices or during compaction (§III-D: "the feature count of the
 /// same FID can be aggregated according to the pre-configured reduce function
 /// (e.g. SUM, MAX)").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum AggregateFunction {
     /// Element-wise saturating sum — the overwhelmingly common choice.
     #[default]
@@ -84,7 +82,7 @@ impl AggregateFunction {
 }
 
 /// Which attribute/key a top-K or sort runs over (§II-B `sort_type`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SortKey {
     /// Sort by one attribute of the aggregated count vector, e.g. "likes".
     Attribute(usize),
@@ -98,7 +96,7 @@ pub enum SortKey {
 }
 
 /// Ascending or descending.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum SortOrder {
     #[default]
     Descending,
@@ -111,7 +109,7 @@ pub enum SortOrder {
 /// Mirrors the JSON shape in the paper's Listing 3, e.g. the production
 /// config: 1s granularity for the first minute, 1m up to an hour, 1h up to a
 /// day, 1d up to 30 days and 30d up to a year.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimeBand {
     /// Target slice width within this band.
     pub granularity: DurationMs,
@@ -133,7 +131,7 @@ impl TimeBand {
 
 /// The full time-dimension configuration: an ordered list of bands, youngest
 /// first, with strictly increasing, contiguous age ranges.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimeDimensionConfig {
     pub bands: Vec<TimeBand>,
 }
@@ -235,7 +233,7 @@ impl TimeDimensionConfig {
 }
 
 /// Truncation policy (§III-D b): drop old, low-value data outright.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TruncateConfig {
     /// Remove slices entirely older than this age (e.g. "models do not care
     /// about behaviour from over a month ago"). `None` disables.
@@ -247,7 +245,7 @@ pub struct TruncateConfig {
 
 /// Shrink policy (§III-D, Listing 4): bound the long-tail feature population
 /// per slot while protecting fresh and multi-dimensionally important data.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShrinkConfig {
     /// Per-slot retained feature budget; slots absent here fall back to
     /// `default_retain`.
@@ -300,7 +298,7 @@ impl ShrinkConfig {
 }
 
 /// Compaction scheduling knobs (§III-D last paragraphs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompactionConfig {
     pub time_dimension: TimeDimensionConfig,
     pub truncate: TruncateConfig,
@@ -332,7 +330,7 @@ impl Default for CompactionConfig {
 
 /// GCache sizing (§III-C). Swap and flush run when the host calls
 /// `IpsInstance::tick`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CacheConfig {
     /// Total memory budget for cached profile data, in bytes.
     pub memory_budget_bytes: usize,
@@ -348,7 +346,6 @@ pub struct CacheConfig {
     /// How many evicted profiles to retain (data only, already flushed) in a
     /// side pool for stale-bounded degraded serving during KV brownouts.
     /// Zero disables the pool.
-    #[serde(default = "default_stale_pool_entries")]
     pub stale_pool_entries: usize,
 }
 
@@ -386,7 +383,7 @@ impl CacheConfig {
 }
 
 /// Read-write isolation knobs (§III-F).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IsolationConfig {
     /// Hot switch: isolation can be toggled live. The staging write table
     /// merges into the main table on every `IpsInstance::tick`.
@@ -406,7 +403,7 @@ impl Default for IsolationConfig {
 
 /// Per-caller QPS quota (§IV intro / §V-b): requests beyond the limit are
 /// rejected until usage falls back under it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QuotaConfig {
     /// Sustained queries per second allowed.
     pub qps_limit: u64,
@@ -429,7 +426,7 @@ impl Default for QuotaConfig {
 /// fair admission derives shares from [`QuotaConfig::qps_limit`] — but it
 /// rides every span and envelope so priority-aware layers can be added
 /// without another wire change.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Priority {
     /// Latency-sensitive serving traffic (inline recommendations).
     Interactive,
@@ -475,7 +472,7 @@ impl Priority {
 }
 
 /// Per-endpoint circuit breaker (consecutive-failure trip, half-open probe).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CircuitBreakerConfig {
     /// Consecutive failures that open the breaker.
     pub failure_threshold: u32,
@@ -494,7 +491,7 @@ impl Default for CircuitBreakerConfig {
 }
 
 /// Server-side degraded (stale) serving during KV brownouts (§III-G).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DegradedServingConfig {
     /// Master switch: whether this instance may ever serve stale data.
     pub enabled: bool,
@@ -516,7 +513,7 @@ impl Default for DegradedServingConfig {
 }
 
 /// Admission control for the server's in-flight batch sub-query budget.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AdmissionConfig {
     /// Maximum batch sub-queries in flight per instance before new batches
     /// are shed with [`crate::IpsError::Overloaded`]. Zero means unbounded
@@ -528,7 +525,7 @@ pub struct AdmissionConfig {
 /// (valid records exist after the bad frame, or the bad frame sits in a
 /// non-final segment): genuine mid-log corruption, never the expected
 /// crash-mid-append artifact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RecoveryMode {
     /// Fail recovery with `IpsError::Storage` — the operator decides whether
     /// to restore from a replica or switch to salvage.
@@ -540,7 +537,7 @@ pub enum RecoveryMode {
 }
 
 /// Segmented write-ahead-log tuning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalConfig {
     /// Rotate to a new segment once the active one reaches this size. Small
     /// segments bound per-file replay work and retire promptly after a
@@ -577,7 +574,7 @@ impl WalConfig {
 }
 
 /// How profiles are persisted to the key-value store (§III-E).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PersistenceMode {
     /// Whole profile serialized as one value (Fig 12).
     #[default]
@@ -592,7 +589,7 @@ pub enum PersistenceMode {
 }
 
 /// Everything a single IPS table needs to operate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TableConfig {
     /// Human-readable table name (diagnostics only).
     pub name: String,
@@ -670,7 +667,7 @@ pub fn decay_factor(function: DecayFunction, factor: f64, age: DurationMs) -> f6
 /// Decay functions applicable at query time (§II-B `get_profile_decay`):
 /// favour recent profile data over old data by scaling counts by a factor
 /// that depends on the data's age.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum DecayFunction {
     /// No decay (identity).
     #[default]

@@ -7,13 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_newtype {
     ($(#[$meta:meta])* $name:ident, $inner:ty) => {
         $(#[$meta])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
         )]
         pub struct $name(pub $inner);
 
