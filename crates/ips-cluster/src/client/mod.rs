@@ -17,12 +17,12 @@
 //!
 //! * [`mod@self`] — the client struct, configuration, discovery refresh and
 //!   ring-based candidate routing;
-//! * [`outcome`] — what a call reports besides its answer: the measured
+//! * `outcome` — what a call reports besides its answer: the measured
 //!   [`WireLog`] and the client counters;
-//! * [`read`] — `query` and `query_batch`, thin wrappers over the dispatch
+//! * `read` — `query` and `query_batch`, thin wrappers over the dispatch
 //!   core;
-//! * [`write`] — `add_profiles` and `add_batch`: one dispatch per region;
-//! * [`pipeline`] — the dispatch core every call runs (grouping, failover
+//! * `write` — `add_profiles` and `add_batch`: one dispatch per region;
+//! * `pipeline` — the dispatch core every call runs (grouping, failover
 //!   walk, lazy breaker admission, deadline shed) and the per-attempt trace
 //!   and health bookkeeping.
 

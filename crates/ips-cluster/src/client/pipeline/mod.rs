@@ -17,10 +17,10 @@
 //! frame through one, so `try_admit` is private to this module.
 //!
 //! The deadline is armed once per logical request (`arm_deadline`) and
-//! only measured elapsed time draws it down. The matching server-side
-//! chain lives in `ips_core::server::pipeline`; between them a request's
-//! context (caller, deadline, staleness, priority) crosses the wire in the
-//! RPC envelope.
+//! only measured elapsed time draws it down. The matching server side is
+//! one function, `ips_core::server::pipeline::admit`; between them a
+//! request's context (caller, deadline, staleness, priority) crosses the
+//! wire in the RPC envelope.
 
 pub(crate) mod failover;
 pub(crate) mod health;

@@ -262,17 +262,7 @@ impl RpcEndpoint {
             }
             RpcRequest::AddBatch { caller, writes } => {
                 let rctx = RequestContext { caller, ..base };
-                for w in &writes {
-                    self.instance.add_profiles_ctx(
-                        &rctx,
-                        w.table,
-                        w.profile,
-                        w.at,
-                        w.slot,
-                        w.action,
-                        &w.features,
-                    )?;
-                }
+                self.instance.add_batch_ctx(&rctx, &writes)?;
                 Ok(RpcResponse::Ok)
             }
             RpcRequest::SnapshotChunk {
@@ -283,7 +273,7 @@ impl RpcEndpoint {
                 entries,
             } => {
                 // Warm-up work past its per-chunk deadline is shed whole by
-                // the pipeline's deadline stage: the source retries the
+                // the pipeline's deadline check: the source retries the
                 // chunk with a fresh budget and the resume cursor keeps the
                 // stream exactly-once.
                 let mut decoded = Vec::with_capacity(entries.len());

@@ -19,12 +19,12 @@
 //!
 //! * [`mod@self`] — the message types ([`RpcRequest`], [`RpcResponse`]) and
 //!   the per-call envelope ([`CallOptions`], [`RequestEnvelope`]);
-//! * [`codec`] (private) — the sub-message wire codecs (queries, errors,
+//! * `codec` (private) — the sub-message wire codecs (queries, errors,
 //!   results, writes, snapshot chunks);
-//! * [`frame`] (private) — the frame-level encoders/decoders and the
+//! * `frame` (private) — the frame-level encoders/decoders and the
 //!   envelope fields (trace context, deadline + priority, degraded opt-in);
 //!   every message in both is listed in [`WIRE_MESSAGES`];
-//! * [`endpoint`] (private) — [`NetworkModel`], [`FrameBytes`] and
+//! * `endpoint` (private) — [`NetworkModel`], [`FrameBytes`] and
 //!   [`RpcEndpoint`], whose dispatch builds one
 //!   [`RequestContext`](ips_core::RequestContext) per request and hands it
 //!   to the server-side pipeline.
@@ -67,17 +67,7 @@ use ips_types::{
 };
 
 /// One profile's worth of writes inside an [`RpcRequest::AddBatch`] frame.
-/// All features share one `(timestamp, slot, action)` coordinate, exactly
-/// like the paper's `add_profiles` interface.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProfileWrite {
-    pub table: TableId,
-    pub profile: ProfileId,
-    pub at: Timestamp,
-    pub slot: SlotId,
-    pub action: ActionTypeId,
-    pub features: Vec<(FeatureId, CountVector)>,
-}
+pub use ips_core::ProfileWrite;
 
 /// A request on the wire.
 #[derive(Clone, Debug, PartialEq)]

@@ -12,8 +12,8 @@ use ips_types::clock::system_clock;
 use ips_types::config::DecayFunction;
 use ips_types::{
     ActionTypeId, CallerId, CountVector, Deadline, DurationMs, FeatureId, IpsError, Priority,
-    ProfileId, Result, SlotId, SortKey, SortOrder, TableConfig, TableId, TimeRange, Timestamp,
-    MAX_ATTRIBUTES,
+    ProfileId, QuotaConfig, Result, SlotId, SortKey, SortOrder, TableConfig, TableId, TimeRange,
+    Timestamp, MAX_ATTRIBUTES,
 };
 
 use super::{
@@ -611,6 +611,75 @@ fn expired_deadline_is_shed_server_side() {
     };
     let (result, _) = ep.call_with_options(&query, None, &generous);
     assert!(matches!(result.unwrap(), RpcResponse::Query(r) if r.len() == 1));
+}
+
+/// An `AddBatch` frame is one request: the pipeline admits or refuses it
+/// whole, so a refused frame applies none of its writes, and a caller that
+/// re-drives them counts each write once.
+#[test]
+fn refused_add_batch_frame_applies_no_write() {
+    let ep = endpoint(NetworkModel::zero());
+    let frame = |caller: CallerId| RpcRequest::AddBatch {
+        caller,
+        writes: (1..=3)
+            .map(|pid| ProfileWrite {
+                table: TableId::new(1),
+                profile: ProfileId::new(pid),
+                at: system_clock().now(),
+                slot: SlotId::new(1),
+                action: ActionTypeId::new(1),
+                features: vec![(FeatureId::new(5), CountVector::single(1))],
+            })
+            .collect(),
+    };
+    let written = || -> Vec<u64> {
+        (1..=3)
+            .filter(|&pid| {
+                let q = ProfileQuery::top_k(
+                    TableId::new(1),
+                    ProfileId::new(pid),
+                    SlotId::new(1),
+                    TimeRange::last_days(1),
+                    5,
+                );
+                !ep.instance()
+                    .query(CallerId::new(1), &q)
+                    .unwrap()
+                    .is_empty()
+            })
+            .collect()
+    };
+
+    // Two tokens against a frame that costs three.
+    let tenant = CallerId::new(2);
+    let quota = QuotaConfig {
+        qps_limit: 2,
+        burst_factor: 1.0,
+    };
+    ep.instance().quota.set_quota(tenant, quota);
+    let err = ep.call(&frame(tenant)).unwrap_err();
+    assert!(matches!(err, IpsError::QuotaExceeded(_)), "got {err}");
+    assert_eq!(
+        written(),
+        Vec::<u64>::new(),
+        "a refused frame applies nothing"
+    );
+
+    let expired = CallOptions {
+        deadline: Some(Deadline::from_budget_us(0)),
+        ..CallOptions::default()
+    };
+    let (result, _) = ep.call_with_options(&frame(CallerId::new(1)), None, &expired);
+    assert!(matches!(result, Err(IpsError::DeadlineExceeded)));
+    assert_eq!(ep.instance().shed_deadline.get(), 1, "shed once, whole");
+    assert_eq!(
+        written(),
+        Vec::<u64>::new(),
+        "an expired frame applies nothing"
+    );
+
+    ep.call(&frame(CallerId::new(1))).unwrap();
+    assert_eq!(written(), vec![1, 2, 3]);
 }
 
 #[test]

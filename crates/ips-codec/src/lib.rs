@@ -12,7 +12,7 @@
 //!   types, supporting unknown-field skipping for forward compatibility;
 //! * [`message`] — [`wire_message!`], which declares a message once and
 //!   generates its encoder, decoder and `wire_schema.lock` descriptor;
-//! * [`compress`] — an LZ-class byte compressor (greedy hash-table match
+//! * [`mod@compress`] — an LZ-class byte compressor (greedy hash-table match
 //!   finding, literal/copy ops) tuned for speed over ratio, like Snappy;
 //! * [`frame`] — the envelope stored in the KV layer: magic, flags,
 //!   checksum, optional compression with automatic raw fallback for

@@ -1,15 +1,16 @@
 //! Declarative wire messages: each message is written once, as a table.
 //!
 //! The paper stores profiles as Protocol Buffers (§III-E), whose schema is
-//! declared once and compiled into both directions. [`wire_message!`] is
-//! the same idea for the tagged-field format in [`crate::wire`]: one table
-//! per message gives its `wire_schema.lock` section name, a decode
-//! prologue (locals) and epilogue (validation, the returned value), and one
-//! line per field. From that table the macro emits the encoder (`put_*`
-//! calls in line order), the decoder (one `match` arm per field plus the
-//! skip arm that makes unknown, newer fields harmless), the
-//! [`IpsError::Codec`] mapping, and a `const DESCRIPTOR` whose tags the
-//! lock test checks. A tag used twice in one message fails to compile.
+//! declared once and compiled into both directions.
+//! [`crate::wire_message!`] is the same idea for the tagged-field format in
+//! [`crate::wire`]: one table per message gives its `wire_schema.lock`
+//! section name, a decode prologue (locals) and epilogue (validation, the
+//! returned value), and one line per field. From that table the macro
+//! emits the encoder (`put_*` calls in line order), the decoder (one
+//! `match` arm per field plus the skip arm that makes unknown, newer fields
+//! harmless), the [`IpsError::Codec`] mapping, and a `const DESCRIPTOR`
+//! whose tags the lock test checks. A tag used twice in one message fails
+//! to compile.
 //!
 //! ```text
 //! wire_message! {
@@ -79,8 +80,9 @@ pub struct FlagsDescriptor {
     pub bits: &'static [(&'static str, u8)],
 }
 
-/// Const-evaluated for every [`wire_message!`]: a reserved or repeated tag
-/// is a compile error, so no message can write one field number twice.
+/// Const-evaluated for every [`crate::wire_message!`]: a reserved or
+/// repeated tag is a compile error, so no message can write one field
+/// number twice.
 pub const fn assert_valid_tags(message: &MessageDescriptor) {
     let tags = message.fields;
     let mut i = 0;

@@ -18,7 +18,7 @@
 //! * [`persist`] — bulk and split persistence with version consistency
 //!   (§III-E, Figs 12–14);
 //! * [`isolation`] — the read-write isolation write table (§III-F);
-//! * [`quota`] — per-caller QPS enforcement (§IV, §V-b);
+//! * [`server::pipeline::quota`] — per-caller QPS enforcement (§IV, §V-b);
 //! * [`hotconfig`] — live-reloadable configuration (§V-b);
 //! * [`server`] — [`server::IpsInstance`], one deployable compute-cache node
 //!   exposing the write and read APIs.
@@ -73,4 +73,6 @@ pub use cache::{ExportBatch, ExportedEntry, GCache, ImportReport};
 pub use model::{IndexedFeatureStat, InstanceSet, ProfileData, Slice};
 pub use persist::{ProfilePersister, ProfileStore, SliceProjection, SliceRefInfo};
 pub use query::{FeatureEntry, FilterPredicate, ProfileQuery, QueryKind, QueryResult};
-pub use server::{IpsInstance, IpsInstanceOptions, RequestContext, SnapshotImportAck};
+pub use server::{
+    IpsInstance, IpsInstanceOptions, ProfileWrite, RequestContext, SnapshotImportAck,
+};

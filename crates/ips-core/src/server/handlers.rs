@@ -1,10 +1,11 @@
 //! The write/read API bodies (§II-B).
 //!
-//! Every handler runs the request pipeline once up front
-//! ([`super::pipeline::ServerPipeline::admit`]) and then does only compute;
-//! cross-cutting policy lives in the pipeline stages, not here. The legacy
-//! per-caller surface (`query(caller, ..)`) wraps the context-carrying
-//! surface (`query_ctx(&RequestContext, ..)`) with a default context.
+//! Every handler calls [`pipeline::admit`] exactly once up front — an
+//! `AddBatch` frame is one request, admitted once for all its writes — and
+//! then does only compute; cross-cutting policy lives in the pipeline, not
+//! here. The legacy per-caller surface (`query(caller, ..)`) wraps the
+//! context-carrying surface (`query_ctx(&RequestContext, ..)`) with a
+//! default context.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,8 +19,21 @@ use ips_types::{
 use crate::isolation::{apply_buffered, BufferedWrite, WriteRoute};
 use crate::query::{engine, ProfileQuery, QueryResult};
 
-use super::pipeline::{self, PipelineRequest, RequestContext, RequestKind};
+use super::pipeline::{self, RequestContext, RequestKind};
 use super::IpsInstance;
+
+/// One profile's worth of writes inside a batched write frame. All
+/// features share one `(timestamp, slot, action)` coordinate, exactly like
+/// the paper's `add_profiles` interface.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ProfileWrite {
+    pub table: TableId,
+    pub profile: ProfileId,
+    pub at: Timestamp,
+    pub slot: SlotId,
+    pub action: ActionTypeId,
+    pub features: Vec<(FeatureId, CountVector)>,
+}
 
 impl IpsInstance {
     // ---- write API (§II-B) -------------------------------------------------
@@ -77,14 +91,38 @@ impl IpsInstance {
         features: &[(FeatureId, CountVector)],
     ) -> Result<()> {
         self.check_alive()?;
-        let _guards = self.pipeline().admit(
-            self,
-            &PipelineRequest {
-                ctx,
-                kind: RequestKind::Write,
-                units: features.len().max(1),
-            },
-        )?;
+        let _admitted = pipeline::admit(self, ctx, RequestKind::Write, features.len().max(1))?;
+        self.apply_write(table, pid, at, slot, action, features)
+    }
+
+    /// A batched write frame: many profiles' writes admitted as one
+    /// request, charged the sum of its writes' feature counts. A frame the
+    /// pipeline refuses (expired, over quota) applies none of its writes;
+    /// an admitted frame applies them in order with no further admission
+    /// check, so admission never splits a frame. A write that itself fails
+    /// (unknown table, store error) ends the frame there.
+    pub fn add_batch_ctx(&self, ctx: &RequestContext, writes: &[ProfileWrite]) -> Result<()> {
+        self.check_alive()?;
+        let units = writes.iter().map(|w| w.features.len().max(1)).sum();
+        let _admitted = pipeline::admit(self, ctx, RequestKind::Write, units)?;
+        for w in writes {
+            self.apply_write(w.table, w.profile, w.at, w.slot, w.action, &w.features)?;
+        }
+        Ok(())
+    }
+
+    /// The write compute body behind [`IpsInstance::add_profiles_ctx`] and
+    /// [`IpsInstance::add_batch_ctx`], run after admission.
+    #[allow(clippy::too_many_arguments, reason = "the paper's add_profile API")]
+    fn apply_write(
+        &self,
+        table: TableId,
+        pid: ProfileId,
+        at: Timestamp,
+        slot: SlotId,
+        action: ActionTypeId,
+        features: &[(FeatureId, CountVector)],
+    ) -> Result<()> {
         let rt = self.table(table)?;
         let started_us = monotonic_micros();
         let cfg = rt.config.load();
@@ -165,19 +203,13 @@ impl IpsInstance {
         query: &ProfileQuery,
     ) -> Result<QueryResult> {
         self.check_alive()?;
-        let _guards = self.pipeline().admit(
-            self,
-            &PipelineRequest {
-                ctx,
-                kind: RequestKind::Read,
-                units: 1,
-            },
-        )?;
+        let _admitted = pipeline::admit(self, ctx, RequestKind::Read, 1)?;
         pipeline::run_subquery(self, ctx, query)
     }
 
     /// [`IpsInstance::query`] minus the pipeline — the raw compute body
-    /// shared by the single and batched paths (the degraded stage wraps it).
+    /// shared by the single and batched paths (the degraded fallback wraps
+    /// it).
     pub(crate) fn query_inner(self: &Arc<Self>, query: &ProfileQuery) -> Result<QueryResult> {
         let rt = self.table(query.table)?;
         let started_us = monotonic_micros();
@@ -238,14 +270,7 @@ impl IpsInstance {
         queries: &[ProfileQuery],
     ) -> Result<Vec<Result<QueryResult>>> {
         self.check_alive()?;
-        let _guards = self.pipeline().admit(
-            self,
-            &PipelineRequest {
-                ctx,
-                kind: RequestKind::ReadBatch,
-                units: queries.len().max(1),
-            },
-        )?;
+        let _admitted = pipeline::admit(self, ctx, RequestKind::ReadBatch, queries.len().max(1))?;
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -291,15 +316,7 @@ impl IpsInstance {
         U::Output: PartialOrd,
     {
         self.check_alive()?;
-        let ctx = RequestContext::new(caller);
-        let _guards = self.pipeline().admit(
-            self,
-            &PipelineRequest {
-                ctx: &ctx,
-                kind: RequestKind::Read,
-                units: 1,
-            },
-        )?;
+        let _admitted = pipeline::admit(self, &RequestContext::new(caller), RequestKind::Read, 1)?;
         let rt = self.table(table)?;
         let started_us = monotonic_micros();
         let now = self.clock().now();

@@ -9,13 +9,14 @@
 //! The module is a tree, one concern per file:
 //!
 //! * [`mod@self`] — the instance struct, construction, table lifecycle.
-//! * [`runtime`] — per-table runtime state, metrics, the maintenance `tick`.
-//! * [`handlers`] — the write/read API bodies (`add_profiles`, `query`,
-//!   `query_batch`, UDAFs).
-//! * [`snapshot`] — shard-handoff snapshot export/import.
-//! * [`pipeline`] — the composable request pipeline: every cross-cutting
-//!   serving policy (deadline, fair admission, quota, tracing, degraded
-//!   fallback) as one stage in one file.
+//! * `runtime` — per-table runtime state, metrics, the maintenance `tick`.
+//! * `handlers` — the write/read API bodies (`add_profiles`, `add_batch`,
+//!   `query`, `query_batch`, UDAFs).
+//! * `snapshot` — shard-handoff snapshot export/import.
+//! * [`pipeline`] — the request pipeline: [`pipeline::admit`] runs every
+//!   cross-cutting serving policy (deadline, fair admission, quota,
+//!   tracing) once per request, and the degraded fallback wraps each
+//!   sub-query.
 
 pub mod pipeline;
 
@@ -47,7 +48,8 @@ use crate::isolation::WriteTable;
 use crate::persist::{ProfilePersister, ProfileStore};
 use pipeline::quota::QuotaEnforcer;
 
-pub use pipeline::{FairAdmission, RequestContext, RequestKind, ServerPipeline};
+pub use handlers::ProfileWrite;
+pub use pipeline::{FairAdmission, RequestContext, RequestKind};
 pub use runtime::{TableMetrics, TableRuntime};
 pub use snapshot::SnapshotImportAck;
 
@@ -87,7 +89,6 @@ pub struct IpsInstance {
     tables: RwLock<HashMap<TableId, Arc<TableRuntime>>>,
     pub quota: QuotaEnforcer,
     pub admission: FairAdmission,
-    pipeline: ServerPipeline,
     pub(crate) degraded_cfg: DegradedServingConfig,
     /// Consecutive `Storage` failures observed on the read path; resets on
     /// the first successful store round-trip. Past the configured threshold
@@ -115,7 +116,6 @@ impl IpsInstance {
             tables: RwLock::new(HashMap::new()),
             quota: QuotaEnforcer::new(clock, options.default_quota),
             admission: FairAdmission::new(options.admission),
-            pipeline: ServerPipeline::standard(),
             degraded_cfg: options.degraded,
             storage_failures: AtomicU32::new(0),
             shed_deadline: Counter::new(),
@@ -146,12 +146,6 @@ impl IpsInstance {
     #[must_use]
     pub fn clock(&self) -> &SharedClock {
         &self.clock
-    }
-
-    /// The request pipeline this instance serves through.
-    #[must_use]
-    pub fn pipeline(&self) -> &ServerPipeline {
-        &self.pipeline
     }
 
     /// Install (or clear) the tracer that server-side spans record into.

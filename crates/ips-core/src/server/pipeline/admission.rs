@@ -30,9 +30,6 @@ use parking_lot::{Condvar, Mutex};
 use ips_metrics::Counter;
 use ips_types::{AdmissionConfig, ArmedDeadline, CallerId, IpsError, Result};
 
-use super::{deadline, PipelineRequest, RequestKind, ServerStage, StageGuard};
-use crate::server::IpsInstance;
-
 /// How long one wait slice lasts; waiters re-check shed conditions (own
 /// share exhausted, deadline expired) at least this often even if no
 /// release wakes them.
@@ -317,38 +314,6 @@ pub struct FairPermit<'a> {
 impl Drop for FairPermit<'_> {
     fn drop(&mut self) {
         self.ctrl.release(self.caller, self.units, self.fair);
-    }
-}
-
-/// The pipeline stage wiring fair admission into batched reads. Weights
-/// come from the caller's configured quota (`qps_limit`): the tenant a
-/// cluster operator granted the larger contract also gets the larger share
-/// of a contended budget.
-pub(crate) struct AdmissionStage;
-
-impl ServerStage for AdmissionStage {
-    fn name(&self) -> &'static str {
-        "admission"
-    }
-
-    fn admit<'a>(
-        &self,
-        inst: &'a IpsInstance,
-        req: &PipelineRequest<'_>,
-    ) -> Result<Option<StageGuard<'a>>> {
-        if req.kind != RequestKind::ReadBatch {
-            return Ok(None);
-        }
-        let weight = inst.quota.weight_for(req.ctx.caller);
-        let permit = inst
-            .admission
-            .admit(req.ctx.caller, req.units, weight, req.ctx.deadline)
-            .map_err(|e| match e {
-                // Expiry while queued is a deadline shed; record it as one.
-                IpsError::DeadlineExceeded => deadline::record_shed(inst),
-                other => other,
-            })?;
-        Ok(Some(StageGuard::Admission(permit)))
     }
 }
 

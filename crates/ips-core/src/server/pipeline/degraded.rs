@@ -5,8 +5,8 @@
 //! [`super::RequestContext`]) or the instance has seen enough consecutive
 //! store failures to call the KV browned out. This module is the only
 //! place that decision is made; it wraps the raw compute body
-//! ([`IpsInstance::query_inner`]) for every sub-query via
-//! [`super::run_subquery`].
+//! (`IpsInstance::query_inner`) for every sub-query via the pipeline's
+//! `run_subquery`.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

@@ -1,40 +1,32 @@
-//! The server-side request pipeline: one composable interceptor chain for
-//! every cross-cutting serving concern.
+//! The server-side request pipeline: one function, [`admit`], runs every
+//! cross-cutting serving policy for a request, in the order DESIGN.md §13
+//! documents; its body is that order:
 //!
-//! Each policy that used to be an inline call site in the serving paths —
-//! deadline shedding, fair admission, per-caller quota, tracing, degraded
-//! fallback — is now a [`ServerStage`] living in exactly one submodule.
-//! Handlers run the chain once per request via [`ServerPipeline::admit`],
-//! then execute compute; per-sub-query policies (deadline re-check before
-//! each unit, degraded fallback around the engine) are applied through
-//! [`run_subquery`] so batch sub-queries go through the same single code
-//! path.
-//!
-//! Stage ordering contract (see DESIGN.md §13):
-//!
-//! 1. [`deadline`] — shed already-expired work before charging anything.
+//! 1. deadline — shed already-expired work before charging anything;
 //! 2. [`admission`] — per-caller weighted fair admission on the in-flight
-//!    batch sub-query budget; sheds with a retryable `Overloaded` only when
-//!    the caller's own share is exhausted.
-//! 3. [`quota`] — per-caller token-bucket QPS contract (terminal).
-//! 4. [`trace`] — open the request's server-side pipeline span; later
-//!    spans (compute, shed markers) nest under it.
+//!    batch sub-query budget (batched reads only); sheds with a retryable
+//!    `Overloaded` only when the caller's own share is exhausted;
+//! 3. [`quota`] — per-caller token-bucket QPS contract (terminal; snapshot
+//!    chunks are exempt);
+//! 4. the request's `pipeline` span; later spans (compute, shed markers)
+//!    nest under it.
 //!
 //! Deadline runs first because an expired request must not consume quota
 //! tokens or admission slots; admission runs before quota so a replica-level
 //! overload (retryable elsewhere) never burns the caller's per-cluster
-//! budget. Adding a policy means adding one stage module here, not another
-//! pass through the handlers.
+//! budget. Every handler calls [`admit`] exactly once, an `AddBatch` frame
+//! included, then does only compute. The per-sub-query policies (deadline
+//! re-check before each unit, the [`degraded`] fallback around the engine)
+//! run through `run_subquery`, so the single and batched read paths share
+//! them.
 
 pub mod admission;
-pub mod deadline;
 pub mod degraded;
 pub mod quota;
-pub mod trace;
 
 use std::sync::Arc;
 
-use ips_types::{ArmedDeadline, CallerId, DurationMs, Priority, Result};
+use ips_types::{ArmedDeadline, CallerId, DurationMs, IpsError, Priority, Result};
 
 use crate::query::{ProfileQuery, QueryResult};
 use crate::server::IpsInstance;
@@ -99,11 +91,11 @@ impl RequestContext {
     }
 }
 
-/// What kind of work a request is; stages use this to decide whether they
-/// apply (e.g. admission guards only batched reads).
+/// What kind of work a request is; [`admit`] uses it to decide which
+/// policies apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestKind {
-    /// `add_profile(s)`: the write API.
+    /// `add_profile(s)` and `AddBatch`: the write API.
     Write,
     /// A single profile query (including UDAFs).
     Read,
@@ -113,88 +105,91 @@ pub enum RequestKind {
     Snapshot,
 }
 
-/// One request as the pipeline sees it.
-pub struct PipelineRequest<'a> {
-    /// The caller's request context.
-    pub ctx: &'a RequestContext,
-    /// What kind of work this is.
-    pub kind: RequestKind,
-    /// Cost in request units (sub-queries for batches, features for
-    /// writes); never zero.
-    pub units: usize,
+/// What an admitted request holds until it finishes: its fair-admission
+/// permit (batched reads only) and its `pipeline` span. Dropping it, on
+/// any path including a panic, releases the permit and closes the span.
+pub struct Admitted<'a> {
+    _permit: Option<FairPermit<'a>>,
+    _span: ips_trace::Span,
 }
 
-/// A resource a stage reserved for the request; released (in reverse
-/// acquisition order is not required — each guard is independent) when the
-/// request finishes, including on panic.
-pub enum StageGuard<'a> {
-    /// A fair-admission reservation of in-flight sub-query budget.
-    Admission(FairPermit<'a>),
-    /// The request's open pipeline span.
-    Trace(ips_trace::Span),
-}
-
-/// One interceptor in the server chain. A stage inspects the request and
-/// either waves it through (`Ok(None)`), attaches a guard that lives for
-/// the whole request (`Ok(Some(_))`), or rejects it.
-pub trait ServerStage: Send + Sync {
-    /// Stage name (diagnostics, DESIGN.md ordering contract).
-    fn name(&self) -> &'static str;
-
-    /// Run the stage's admission decision for `req`.
-    fn admit<'a>(
-        &self,
-        inst: &'a IpsInstance,
-        req: &PipelineRequest<'_>,
-    ) -> Result<Option<StageGuard<'a>>>;
-}
-
-/// An ordered chain of [`ServerStage`]s.
-pub struct ServerPipeline {
-    stages: Vec<Box<dyn ServerStage>>,
-}
-
-impl ServerPipeline {
-    /// A pipeline running exactly the given stages, in order.
-    #[must_use]
-    pub fn new(stages: Vec<Box<dyn ServerStage>>) -> Self {
-        Self { stages }
+/// Admit one request of `units` cost (sub-queries for batches, features
+/// for writes), or reject it. The stage order is this body.
+pub fn admit<'a>(
+    inst: &'a IpsInstance,
+    ctx: &RequestContext,
+    kind: RequestKind,
+    units: usize,
+) -> Result<Admitted<'a>> {
+    shed_if_expired(inst, ctx)?;
+    let permit = if kind == RequestKind::ReadBatch {
+        // The caller's quota contract is its weight: the tenant granted the
+        // larger contract also gets the larger share of a contended budget.
+        let weight = inst.quota.weight_for(ctx.caller);
+        let permit = inst
+            .admission
+            .admit(ctx.caller, units, weight, ctx.deadline)
+            .map_err(|e| match e {
+                // Expiry while queued is a deadline shed; record it as one.
+                IpsError::DeadlineExceeded => record_shed(inst),
+                other => other,
+            })?;
+        Some(permit)
+    } else {
+        None
+    };
+    if kind != RequestKind::Snapshot {
+        inst.quota.check(ctx.caller, units as u64)?;
     }
+    Ok(Admitted {
+        _permit: permit,
+        _span: pipeline_span(ctx),
+    })
+}
 
-    /// The standard serving chain: deadline → admission → quota → trace
-    /// (see the module docs for why this order).
-    #[must_use]
-    pub fn standard() -> Self {
-        Self::new(vec![
-            Box::new(deadline::DeadlineStage),
-            Box::new(admission::AdmissionStage),
-            Box::new(quota::QuotaStage),
-            Box::new(trace::TraceStage),
-        ])
-    }
-
-    /// Stage names in execution order (diagnostics).
-    #[must_use]
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
-    }
-
-    /// Run every stage in order. The returned guards must be held for the
-    /// duration of the request; dropping them releases reserved capacity
-    /// and closes the pipeline span. If a later stage rejects, guards from
-    /// earlier stages release on the error path automatically.
-    pub fn admit<'a>(
-        &self,
-        inst: &'a IpsInstance,
-        req: &PipelineRequest<'_>,
-    ) -> Result<Vec<StageGuard<'a>>> {
-        let mut guards = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            if let Some(guard) = stage.admit(inst, req)? {
-                guards.push(guard);
-            }
+/// The admitted request's `pipeline` span, carrying the caller, priority,
+/// remaining deadline budget and degraded staleness bound, so every
+/// server-side trace attributes to a tenant and the contract the client
+/// stamped on the wire. The attributes are formatted only when the span
+/// is sampled.
+fn pipeline_span(ctx: &RequestContext) -> ips_trace::Span {
+    let mut span = ips_trace::child("pipeline");
+    if span.is_sampled() {
+        span.set_attr(ips_trace::attrs::CALLER, ctx.caller.to_string());
+        span.set_attr(ips_trace::attrs::PRIORITY, ctx.priority.label());
+        if let Some(deadline) = ctx.deadline {
+            span.set_attr(
+                ips_trace::attrs::DEADLINE_US,
+                deadline.remaining().budget_us().to_string(),
+            );
         }
-        Ok(guards)
+        if let Some(staleness) = ctx.staleness {
+            span.set_attr(
+                ips_trace::attrs::STALENESS_MS,
+                staleness.as_millis().to_string(),
+            );
+        }
+    }
+    span
+}
+
+/// Record a deadline shed (a `shed` span plus the instance counter): the
+/// only place one is decided, so everything else observes it through
+/// [`IpsInstance::shed_deadline`] and the span.
+fn record_shed(inst: &IpsInstance) -> IpsError {
+    let mut span = ips_trace::child("shed");
+    span.set_attr(ips_trace::attrs::SHED, "deadline");
+    inst.shed_deadline.inc();
+    IpsError::DeadlineExceeded
+}
+
+/// Shed the request if its deadline has already passed: computing a result
+/// nobody is waiting for only steals capacity from live work.
+fn shed_if_expired(inst: &IpsInstance, ctx: &RequestContext) -> Result<()> {
+    if ctx.deadline_expired() {
+        Err(record_shed(inst))
+    } else {
+        Ok(())
     }
 }
 
@@ -208,6 +203,6 @@ pub(crate) fn run_subquery(
     ctx: &RequestContext,
     query: &ProfileQuery,
 ) -> Result<QueryResult> {
-    deadline::shed_if_expired(inst, ctx)?;
+    shed_if_expired(inst, ctx)?;
     degraded::with_fallback(inst, ctx, query)
 }

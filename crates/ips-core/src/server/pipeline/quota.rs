@@ -1,4 +1,4 @@
-//! The quota stage: per-caller QPS quotas (§IV intro, §V-b).
+//! Per-caller QPS quotas (§IV intro, §V-b).
 //!
 //! One IPS cluster is shared by many upstream services; a QPS quota is
 //! enforced per caller identity so one tenant's burst (or an offline
@@ -8,10 +8,10 @@
 //! requests surface as [`ips_types::IpsError::QuotaExceeded`], matching the
 //! paper's behaviour of rejecting until usage falls below the limit.
 //!
-//! [`QuotaStage`] is the only serving-path call site, and the bucket charge
-//! is private to this module. A rejection is terminal for the caller —
-//! unlike an admission shed it must not be retried on another replica,
-//! because the contract is per cluster, not per node.
+//! [`super::admit`] is the only serving-path call site, and the bucket
+//! charge is private to the pipeline. A rejection is terminal for the
+//! caller — unlike an admission shed it must not be retried on another
+//! replica, because the contract is per cluster, not per node.
 
 use std::collections::HashMap;
 
@@ -19,9 +19,6 @@ use parking_lot::Mutex;
 
 use ips_metrics::Counter;
 use ips_types::{CallerId, IpsError, QuotaConfig, Result, SharedClock, Timestamp};
-
-use super::{PipelineRequest, RequestKind, ServerStage, StageGuard};
-use crate::server::IpsInstance;
 
 struct Bucket {
     tokens: f64,
@@ -77,9 +74,10 @@ impl QuotaEnforcer {
         self.config_for(caller).qps_limit.max(1)
     }
 
-    /// Admit or reject `cost` request units for `caller`. Private to this
-    /// stage, so the pipeline is the only place a request is charged.
-    fn check(&self, caller: CallerId, cost: u64) -> Result<()> {
+    /// Admit or reject `cost` request units for `caller`. Visible only to
+    /// the pipeline, so [`super::admit`] is the only place a request is
+    /// charged.
+    pub(super) fn check(&self, caller: CallerId, cost: u64) -> Result<()> {
         let config = self.config_for(caller);
         if config.qps_limit == 0 {
             self.rejected.inc();
@@ -110,29 +108,6 @@ impl QuotaEnforcer {
             self.rejected.inc();
             Err(IpsError::QuotaExceeded(caller))
         }
-    }
-}
-
-/// Charges `units` against the caller's bucket. Snapshot chunks are
-/// internal rebalancing traffic and carry no caller contract, so they are
-/// exempt.
-pub(crate) struct QuotaStage;
-
-impl ServerStage for QuotaStage {
-    fn name(&self) -> &'static str {
-        "quota"
-    }
-
-    fn admit<'a>(
-        &self,
-        inst: &'a IpsInstance,
-        req: &PipelineRequest<'_>,
-    ) -> Result<Option<StageGuard<'a>>> {
-        if req.kind == RequestKind::Snapshot {
-            return Ok(None);
-        }
-        inst.quota.check(req.ctx.caller, req.units as u64)?;
-        Ok(None)
     }
 }
 

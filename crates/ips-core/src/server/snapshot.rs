@@ -6,7 +6,7 @@ use ips_types::{ProfileId, Result, TableId};
 
 use crate::cache::{ExportBatch, ExportedEntry, ImportReport};
 
-use super::pipeline::{PipelineRequest, RequestContext, RequestKind};
+use super::pipeline::{self, RequestContext, RequestKind};
 use super::IpsInstance;
 
 /// Import progress for one handoff stream.
@@ -67,7 +67,8 @@ impl SnapshotStreams {
 }
 
 /// The ACK an instance returns for one applied (or replayed) snapshot
-/// chunk; mirrors [`SnapshotProgress`] so the source can resume mid-stream.
+/// chunk; mirrors the stream's import progress so the source can resume
+/// mid-stream.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SnapshotImportAck {
     /// Resume cursor: the first chunk seq the instance has not applied.
@@ -123,7 +124,7 @@ impl IpsInstance {
 
     /// [`IpsInstance::import_snapshot_chunk`] with an explicit request
     /// context: the pipeline sheds a chunk whose deadline already expired
-    /// (internal traffic carries no quota, so only the deadline stage
+    /// (internal traffic carries no quota, so only the deadline check
     /// applies).
     pub fn import_snapshot_chunk_ctx(
         &self,
@@ -136,14 +137,7 @@ impl IpsInstance {
     ) -> Result<SnapshotImportAck> {
         let inst = self;
         inst.check_alive()?;
-        let _guards = inst.pipeline().admit(
-            inst,
-            &PipelineRequest {
-                ctx,
-                kind: RequestKind::Snapshot,
-                units: entries.len().max(1),
-            },
-        )?;
+        let _admitted = pipeline::admit(inst, ctx, RequestKind::Snapshot, entries.len().max(1))?;
         let rt = inst.table(table)?;
         let prog = inst.snapshots.lock().progress(handoff);
         // A duplicate (below the cursor) or a gap (above it): nothing to

@@ -580,14 +580,66 @@ fn failed_write_table_merge_keeps_every_unapplied_write() {
     }
 }
 
+/// The DESIGN.md §13 stage order, observed from outside: an expired
+/// request charges no quota token and opens no `pipeline` span, an
+/// admission-shed batch charges no quota token, and a quota rejection
+/// leaves no admission permit held.
 #[test]
-fn standard_pipeline_stage_order_is_the_documented_contract() {
-    let (i, _ctl) = setup();
-    assert_eq!(
-        i.pipeline().stage_names(),
-        vec!["deadline", "admission", "quota", "trace"],
-        "DESIGN.md §13 ordering contract"
+fn shed_work_charges_no_quota_and_rejected_work_holds_no_permit() {
+    use ips_trace::{SamplerConfig, Tracer};
+    use ips_types::Deadline;
+    let (clock, ctl) = sim_clock(Timestamp::from_millis(
+        DurationMs::from_days(400).as_millis(),
+    ));
+    let options = IpsInstanceOptions {
+        admission: AdmissionConfig {
+            max_inflight_subqueries: 4,
+        },
+        ..Default::default()
+    };
+    let i = IpsInstance::new_in_memory(options, Arc::clone(&clock));
+    let mut cfg = TableConfig::new("test");
+    cfg.isolation.enabled = false;
+    i.create_table(TABLE, cfg).unwrap();
+    add(&i, 1, 10, 3, ctl.now());
+    let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
+    // Four tokens, and a clock that stands still, so nothing refills.
+    let tenant = CallerId::new(9);
+    i.quota.set_quota(
+        tenant,
+        QuotaConfig {
+            qps_limit: 4,
+            burst_factor: 1.0,
+        },
     );
+
+    let tracer = Tracer::new(clock, SamplerConfig::always());
+    let expired = RequestContext::new(tenant).with_deadline(Deadline::from_budget_us(0).arm());
+    {
+        let _root = tracer.root_span("request", 9);
+        let single = i.query_ctx(&expired, &q);
+        assert!(matches!(single, Err(IpsError::DeadlineExceeded)));
+        let batch = i.query_batch_ctx(&expired, std::slice::from_ref(&q));
+        assert!(matches!(batch, Err(IpsError::DeadlineExceeded)));
+    }
+    let spans: Vec<&str> = tracer.drain().iter().map(|r| r.name).collect();
+    assert!(spans.contains(&"shed"), "{spans:?}");
+    assert!(
+        !spans.contains(&"pipeline"),
+        "expired work opened {spans:?}"
+    );
+
+    let err = i.query_batch(tenant, &vec![q.clone(); 5]).unwrap_err();
+    assert!(err.is_overload(), "a batch over the pool sheds: {err}");
+
+    // Neither the expired requests nor the shed batch took a token: all
+    // four are still there, and then spent.
+    assert_eq!(i.query_batch(tenant, &vec![q.clone(); 4]).unwrap().len(), 4);
+    assert_eq!(i.quota.rejected.get(), 0);
+    let err = i.query_batch(tenant, std::slice::from_ref(&q)).unwrap_err();
+    assert!(matches!(err, IpsError::QuotaExceeded(_)), "got {err}");
+    assert_eq!(i.admission.inflight(), 0, "the rejection holds no permit");
+    assert!(i.query_batch(CALLER, &vec![q.clone(); 4]).is_ok());
 }
 
 /// The ACK of a handoff's final chunk can be lost after the chunk applied.

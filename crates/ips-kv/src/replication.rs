@@ -12,10 +12,11 @@
 //! replicas, inline or from a thread it owns, which makes lag controllable
 //! and observable in experiments.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::queue::SegQueue;
+use parking_lot::Mutex;
 
 use ips_metrics::{Counter, Gauge};
 use ips_types::Result;
@@ -42,7 +43,7 @@ pub struct ReplicatedKv {
     master: Arc<KvNode>,
     replicas: Vec<Arc<KvNode>>,
     /// One queue per replica so a slow replica doesn't stall others.
-    queues: Vec<SegQueue<RepOp>>,
+    queues: Vec<Mutex<VecDeque<RepOp>>>,
     pub replicated_ops: Counter,
     /// Queued ops whose generation probe lost to what the replica already
     /// holds (it restarted and bulk-resynced, or replication raced): the op
@@ -63,7 +64,10 @@ impl ReplicatedKv {
         replicas: Vec<Arc<KvNode>>,
         read_mode: ReplicaReadMode,
     ) -> Self {
-        let queues = replicas.iter().map(|_| SegQueue::new()).collect();
+        let queues = replicas
+            .iter()
+            .map(|_| Mutex::new(VecDeque::new()))
+            .collect();
         Self {
             master,
             replicas,
@@ -93,7 +97,7 @@ impl ReplicatedKv {
 
     fn enqueue_set(&self, key: &Bytes, generation: Generation, value: &Bytes) {
         for q in &self.queues {
-            q.push(RepOp::Set {
+            q.lock().push_back(RepOp::Set {
                 key: key.clone(),
                 value: VersionedValue {
                     data: value.clone(),
@@ -123,7 +127,7 @@ impl ReplicatedKv {
         let existed = self.master.delete(key)?;
         if existed {
             for q in &self.queues {
-                q.push(RepOp::Delete {
+                q.lock().push_back(RepOp::Delete {
                     key: Bytes::copy_from_slice(key),
                 });
             }
@@ -185,7 +189,9 @@ impl ReplicatedKv {
                 if replica.is_down() {
                     break;
                 }
-                let Some(op) = queue.pop() else { break };
+                let Some(op) = queue.lock().pop_front() else {
+                    break;
+                };
                 self.queue_depth.sub(1);
                 match op {
                     RepOp::Set { key, value } => {
@@ -234,7 +240,7 @@ impl ReplicatedKv {
     /// Outstanding (unreplicated) operations across all replica queues.
     #[must_use]
     pub fn backlog(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.queues.iter().map(|q| q.lock().len()).sum()
     }
 
     /// Drain every queue fully (test convenience / controlled catch-up).
@@ -250,7 +256,7 @@ impl ReplicatedKv {
                     .iter()
                     .zip(&self.queues)
                     .filter(|(r, _)| !r.is_down())
-                    .map(|(_, q)| q.len())
+                    .map(|(_, q)| q.lock().len())
                     .sum();
                 if live_backlog == 0 {
                     break;
