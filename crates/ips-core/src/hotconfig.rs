@@ -2,19 +2,17 @@
 //!
 //! Machine-learning engineers iterate on compaction/truncation/shrink
 //! parameters constantly; restarting a serving fleet for each change is a
-//! non-starter. `HotConfig<T>` is an epoch-counted, swap-on-write
-//! configuration cell: readers grab a cheap `Arc` snapshot, writers swap in
-//! a validated replacement, and the epoch lets components notice changes.
+//! non-starter. `HotConfig<T>` is a swap-on-write configuration cell:
+//! readers grab a cheap `Arc` snapshot, writers swap in a validated
+//! replacement, and every later snapshot sees it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-/// An epoch-counted hot-swappable configuration cell.
+/// A hot-swappable configuration cell.
 pub struct HotConfig<T> {
     current: RwLock<Arc<T>>,
-    epoch: AtomicU64,
 }
 
 impl<T> HotConfig<T> {
@@ -22,7 +20,6 @@ impl<T> HotConfig<T> {
     pub fn new(initial: T) -> Self {
         Self {
             current: RwLock::new(Arc::new(initial)),
-            epoch: AtomicU64::new(1),
         }
     }
 
@@ -32,26 +29,9 @@ impl<T> HotConfig<T> {
         Arc::clone(&self.current.read())
     }
 
-    /// Swap in a new configuration; bumps the epoch.
+    /// Swap in a new configuration.
     pub fn store(&self, next: T) {
         *self.current.write() = Arc::new(next);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Update via closure over the current value; bumps the epoch.
-    pub fn update(&self, f: impl FnOnce(&T) -> T) {
-        let mut guard = self.current.write();
-        let next = f(&guard);
-        *guard = Arc::new(next);
-        drop(guard);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Monotonic change counter — readers cache a snapshot and refresh when
-    /// the epoch moves.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
     }
 }
 
@@ -66,21 +46,12 @@ mod tests {
     }
 
     #[test]
-    fn store_swaps_and_bumps_epoch() {
+    fn store_swaps_and_keeps_old_snapshots() {
         let c = HotConfig::new(1);
-        let e0 = c.epoch();
         let old = c.load();
         c.store(2);
         assert_eq!(*c.load(), 2);
         assert_eq!(*old, 1, "existing snapshots keep the old value");
-        assert!(c.epoch() > e0);
-    }
-
-    #[test]
-    fn update_uses_previous_value() {
-        let c = HotConfig::new(10);
-        c.update(|v| v + 5);
-        assert_eq!(*c.load(), 15);
     }
 
     #[test]

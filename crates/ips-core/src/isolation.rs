@@ -7,19 +7,21 @@
 //! keeps write bursts (e.g. an offline back-fill
 //! job) from contending with the query path on the main table's entry locks.
 //!
-//! The write table's memory is capped; exceeding the cap triggers an eager
-//! merge. Isolation is a hot switch: it can be toggled live, and turning it
-//! off drains the staging buffer synchronously.
+//! The write table's memory is capped; a write that takes it over the cap
+//! triggers an eager merge. Both the switch and the cap are read from the
+//! live table config on every write, so either can be changed live. Turning
+//! isolation off routes the next write to the main table; writes already
+//! staged land on the next merge.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use ips_metrics::Counter;
 use ips_types::{
-    ActionTypeId, AggregateFunction, CountVector, DurationMs, FeatureId, IsolationConfig,
-    ProfileId, SlotId, Timestamp,
+    ActionTypeId, AggregateFunction, CountVector, DurationMs, FeatureId, ProfileId, SlotId,
+    Timestamp,
 };
 
 /// One buffered write.
@@ -39,10 +41,11 @@ impl BufferedWrite {
     }
 }
 
-/// The staging write table.
+/// The staging write table: staged writes per profile, their byte count and
+/// the table's counters. It holds no settings: the write path passes the
+/// live budget with each write it stages.
+#[derive(Default)]
 pub struct WriteTable {
-    enabled: AtomicBool,
-    config: IsolationConfig,
     /// Per-profile buffered writes. Lightweight: appends only, no slices.
     buffer: Mutex<HashMap<ProfileId, Vec<BufferedWrite>>>,
     approx_bytes: AtomicUsize,
@@ -52,63 +55,30 @@ pub struct WriteTable {
     pub eager_merges: Counter,
 }
 
-/// What `offer` decided to do with a write.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WriteRoute {
-    /// Buffered in the write table; the caller is done.
-    Buffered,
-    /// The write table wants the caller to apply this write directly to the
-    /// main table (isolation off).
-    Direct,
-    /// Buffered, and the memory cap was hit: the caller must run
-    /// [`WriteTable::drain`] now (eager merge).
-    BufferedNeedsMerge,
-}
-
 impl WriteTable {
-    #[must_use]
-    pub fn new(config: IsolationConfig) -> Self {
-        Self {
-            enabled: AtomicBool::new(config.enabled),
-            config,
-            buffer: Mutex::new(HashMap::new()),
-            approx_bytes: AtomicUsize::new(0),
-            buffered: Counter::new(),
-            merged: Counter::new(),
-            eager_merges: Counter::new(),
-        }
-    }
-
-    /// The hot switch (§III-F: "users can choose to turn on/off the
-    /// isolation feature dynamically").
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::SeqCst);
-    }
-
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
-    }
-
-    /// Route one write: buffer it when isolation is on, otherwise tell the
-    /// caller to apply it directly.
-    pub fn offer(&self, pid: ProfileId, write: BufferedWrite) -> WriteRoute {
-        if !self.is_enabled() {
-            return WriteRoute::Direct;
-        }
-        let bytes = write.approx_bytes();
-        {
-            let mut buf = self.buffer.lock();
-            buf.entry(pid).or_default().push(write);
-        }
-        self.buffered.inc();
-        let total = self.approx_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if total > self.config.write_table_budget_bytes {
+    /// Stage one request's writes to `pid`, under one lock. Returns `true`
+    /// when the staged bytes now exceed `budget`: the caller must merge
+    /// eagerly.
+    pub(crate) fn stage(
+        &self,
+        pid: ProfileId,
+        writes: impl IntoIterator<Item = BufferedWrite>,
+        budget: usize,
+    ) -> bool {
+        let count = {
+            let mut buffer = self.buffer.lock();
+            let staged = buffer.entry(pid).or_default();
+            let before = staged.len();
+            staged.extend(writes);
+            staged.len() - before
+        };
+        let bytes = count * std::mem::size_of::<BufferedWrite>();
+        self.buffered.add(count as u64);
+        let over = self.approx_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes > budget;
+        if over {
             self.eager_merges.inc();
-            WriteRoute::BufferedNeedsMerge
-        } else {
-            WriteRoute::Buffered
         }
+        over
     }
 
     /// Take the whole buffer for merging into the main table, in profile-id
@@ -140,14 +110,6 @@ impl WriteTable {
             *slot = writes;
         }
         self.approx_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Buffered writes visible for a single profile — used to keep the
-    /// *read-your-writes* window small: queries may merge these in before
-    /// the periodic merge lands them in the main table.
-    #[must_use]
-    pub fn pending_for(&self, pid: ProfileId) -> Vec<BufferedWrite> {
-        self.buffer.lock().get(&pid).cloned().unwrap_or_default()
     }
 
     /// Buffered write count.
@@ -185,7 +147,14 @@ pub fn apply_buffered(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::query::{FilterPredicate, ProfileQuery};
+    use crate::server::{IpsInstance, IpsInstanceOptions};
+    use ips_types::clock::sim_clock;
+    use ips_types::Clock as _;
+    use ips_types::{CallerId, TableConfig, TableId, TimeRange};
 
     fn write_at(at: u64) -> BufferedWrite {
         BufferedWrite {
@@ -197,27 +166,19 @@ mod tests {
         }
     }
 
-    fn pid(n: u64) -> ProfileId {
-        ProfileId::new(n)
-    }
-
-    #[test]
-    fn disabled_routes_direct() {
-        let wt = WriteTable::new(IsolationConfig {
-            enabled: false,
-            ..Default::default()
-        });
-        assert_eq!(wt.offer(pid(1), write_at(1)), WriteRoute::Direct);
-        assert_eq!(wt.pending_writes(), 0);
+    /// Stage one write under a budget it never reaches.
+    fn stage(wt: &WriteTable, pid: u64, at: u64) -> bool {
+        wt.stage(ProfileId::new(pid), vec![write_at(at)], usize::MAX)
     }
 
     #[test]
     fn enabled_buffers_and_drains() {
-        let wt = WriteTable::new(IsolationConfig::default());
-        assert_eq!(wt.offer(pid(1), write_at(1)), WriteRoute::Buffered);
-        assert_eq!(wt.offer(pid(1), write_at(2)), WriteRoute::Buffered);
-        assert_eq!(wt.offer(pid(2), write_at(3)), WriteRoute::Buffered);
+        let wt = WriteTable::default();
+        assert!(!stage(&wt, 1, 1));
+        assert!(!stage(&wt, 1, 2));
+        assert!(!stage(&wt, 2, 3));
         assert_eq!(wt.pending_writes(), 3);
+        assert_eq!(wt.buffered.get(), 3);
         let drained = wt.drain();
         assert_eq!(drained.iter().map(|(_, v)| v.len()).sum::<usize>(), 3);
         assert_eq!(wt.pending_writes(), 0);
@@ -226,9 +187,9 @@ mod tests {
 
     #[test]
     fn drain_is_in_profile_id_order() {
-        let wt = WriteTable::new(IsolationConfig::default());
+        let wt = WriteTable::default();
         for n in [7u64, 3, 9, 1, 5] {
-            wt.offer(pid(n), write_at(n));
+            stage(&wt, n, n);
         }
         let order: Vec<u64> = wt.drain().iter().map(|(p, _)| p.raw()).collect();
         assert_eq!(order, vec![1, 3, 5, 7, 9]);
@@ -236,19 +197,15 @@ mod tests {
 
     #[test]
     fn requeue_puts_unapplied_writes_ahead_of_newer_ones() {
-        let wt = WriteTable::new(IsolationConfig::default());
-        wt.offer(pid(1), write_at(1));
-        wt.offer(pid(2), write_at(2));
+        let wt = WriteTable::default();
+        stage(&wt, 1, 1);
+        stage(&wt, 2, 2);
         let drained = wt.drain();
-        wt.offer(pid(1), write_at(3));
+        stage(&wt, 1, 3);
         wt.requeue(drained);
         assert_eq!(wt.pending_writes(), 3);
         assert!(wt.approx_bytes() >= 3 * std::mem::size_of::<BufferedWrite>());
-        let ats: Vec<u64> = wt
-            .pending_for(pid(1))
-            .iter()
-            .map(|w| w.at.as_millis())
-            .collect();
+        let ats: Vec<u64> = wt.drain()[0].1.iter().map(|w| w.at.as_millis()).collect();
         assert_eq!(ats, vec![1, 3], "the requeued write is older");
     }
 
@@ -256,9 +213,12 @@ mod tests {
     fn buffered_bytes_count_each_write_once() {
         // 8 (at) + 4 (slot) + 4 (action) + 8 (feature) + 72 (inline counts).
         assert_eq!(write_at(1).approx_bytes(), 96);
-        let wt = WriteTable::new(IsolationConfig::default());
-        wt.offer(pid(1), write_at(1));
-        wt.offer(pid(2), write_at(2));
+        let wt = WriteTable::default();
+        wt.stage(
+            ProfileId::new(1),
+            vec![write_at(1), write_at(2)],
+            usize::MAX,
+        );
         assert_eq!(wt.approx_bytes(), 2 * 96);
         wt.requeue(wt.drain());
         assert_eq!(wt.approx_bytes(), 2 * 96);
@@ -266,40 +226,97 @@ mod tests {
 
     #[test]
     fn memory_cap_triggers_eager_merge() {
-        let wt = WriteTable::new(IsolationConfig {
-            enabled: true,
-            write_table_budget_bytes: 200,
-        });
-        let mut saw_merge_request = false;
-        for i in 0..10 {
-            if wt.offer(pid(1), write_at(i)) == WriteRoute::BufferedNeedsMerge {
-                saw_merge_request = true;
-                break;
-            }
-        }
-        assert!(saw_merge_request, "cap must trigger eager merge");
-        assert!(wt.eager_merges.get() >= 1);
+        let wt = WriteTable::default();
+        let over: Vec<bool> = (0..3)
+            .map(|at| wt.stage(ProfileId::new(1), vec![write_at(at)], 200))
+            .collect();
+        assert_eq!(
+            over,
+            vec![false, false, true],
+            "the third write crosses 200 B"
+        );
+        assert_eq!(wt.eager_merges.get(), 1);
+        assert_eq!(wt.pending_writes(), 3, "an over-budget write is staged too");
+    }
+
+    const TABLE: TableId = TableId(1);
+
+    /// An instance with one table whose isolation is `enabled`, and a query
+    /// for every feature profile 1 holds.
+    fn instance(enabled: bool) -> (Arc<IpsInstance>, ips_types::SimClock, ProfileQuery) {
+        let (clock, ctl) = sim_clock(Timestamp::from_millis(
+            DurationMs::from_days(400).as_millis(),
+        ));
+        let i = IpsInstance::new_in_memory(IpsInstanceOptions::default(), clock);
+        let mut cfg = TableConfig::new("test");
+        cfg.isolation.enabled = enabled;
+        i.create_table(TABLE, cfg).unwrap();
+        let q = ProfileQuery::filter(
+            TABLE,
+            ProfileId::new(1),
+            SlotId::new(1),
+            TimeRange::last_days(1),
+            FilterPredicate::All,
+        );
+        (i, ctl, q)
+    }
+
+    fn add(i: &Arc<IpsInstance>, fid: u64, at: Timestamp) {
+        i.add_profile(
+            CallerId::new(1),
+            TABLE,
+            ProfileId::new(1),
+            at,
+            SlotId::new(1),
+            ActionTypeId::new(1),
+            FeatureId::new(fid),
+            CountVector::single(1),
+        )
+        .unwrap();
+    }
+
+    /// Turn isolation on or off through the live table config.
+    fn set_enabled(i: &IpsInstance, enabled: bool) {
+        i.update_table_config(TABLE, |c| {
+            let mut c = c.clone();
+            c.isolation.enabled = enabled;
+            c
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn disabled_routes_direct() {
+        let (i, ctl, q) = instance(false);
+        add(&i, 10, ctl.now());
+        let rt = i.table(TABLE).unwrap();
+        assert_eq!(rt.write_table.pending_writes(), 0, "nothing staged");
+        assert_eq!(rt.write_table.buffered.get(), 0);
+        assert_eq!(i.query(CallerId::new(1), &q).unwrap().len(), 1);
     }
 
     #[test]
     fn hot_switch_toggles_routing() {
-        let wt = WriteTable::new(IsolationConfig::default());
-        assert!(wt.is_enabled());
-        wt.set_enabled(false);
-        assert_eq!(wt.offer(pid(1), write_at(1)), WriteRoute::Direct);
-        wt.set_enabled(true);
-        assert_eq!(wt.offer(pid(1), write_at(2)), WriteRoute::Buffered);
-    }
+        let (i, ctl, q) = instance(true);
+        let rt = i.table(TABLE).unwrap();
+        add(&i, 10, ctl.now());
+        assert_eq!(rt.write_table.pending_writes(), 1, "on: staged");
+        assert!(i.query(CallerId::new(1), &q).unwrap().is_empty());
 
-    #[test]
-    fn pending_for_exposes_read_your_writes() {
-        let wt = WriteTable::new(IsolationConfig::default());
-        wt.offer(pid(1), write_at(5));
-        wt.offer(pid(2), write_at(6));
-        let pending = wt.pending_for(pid(1));
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].at, Timestamp::from_millis(5));
-        assert!(wt.pending_for(pid(99)).is_empty());
+        set_enabled(&i, false);
+        add(&i, 20, ctl.now());
+        assert_eq!(
+            i.query(CallerId::new(1), &q).unwrap().len(),
+            1,
+            "off: direct"
+        );
+        assert_eq!(rt.write_table.pending_writes(), 1, "the staged write waits");
+
+        set_enabled(&i, true);
+        add(&i, 30, ctl.now());
+        assert_eq!(rt.write_table.pending_writes(), 2, "on again: staged");
+        assert_eq!(rt.merge_write_table().unwrap(), 2);
+        assert_eq!(i.query(CallerId::new(1), &q).unwrap().len(), 3);
     }
 
     #[test]

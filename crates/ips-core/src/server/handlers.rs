@@ -16,7 +16,7 @@ use ips_types::{
     Timestamp,
 };
 
-use crate::isolation::{apply_buffered, BufferedWrite, WriteRoute};
+use crate::isolation::BufferedWrite;
 use crate::query::{engine, ProfileQuery, QueryResult};
 
 use super::pipeline::{self, RequestContext, RequestKind};
@@ -112,7 +112,10 @@ impl IpsInstance {
     }
 
     /// The write compute body behind [`IpsInstance::add_profiles_ctx`] and
-    /// [`IpsInstance::add_batch_ctx`], run after admission.
+    /// [`IpsInstance::add_batch_ctx`], run after admission. A write wider
+    /// than the table's `attributes` is refused whole. Otherwise it is
+    /// staged (isolation on) or applied: `Ok` means one or the other
+    /// happened, `Err` that neither did.
     #[allow(clippy::too_many_arguments, reason = "the paper's add_profile API")]
     fn apply_write(
         &self,
@@ -126,54 +129,33 @@ impl IpsInstance {
         let rt = self.table(table)?;
         let started_us = monotonic_micros();
         let cfg = rt.config.load();
-        if cfg.attributes > 0 {
-            for (_, counts) in features {
-                if counts.len() > ips_types::MAX_ATTRIBUTES {
-                    return Err(IpsError::InvalidRequest("too many attributes".into()));
-                }
-            }
+        if let Some((feature, counts)) = features.iter().find(|(_, c)| c.len() > cfg.attributes) {
+            return Err(IpsError::InvalidRequest(format!(
+                "feature {feature} carries {} attributes, table {table} has {}",
+                counts.len(),
+                cfg.attributes
+            )));
         }
-        let head_granularity = cfg
-            .compaction
-            .time_dimension
-            .bands
-            .first()
-            .map(|b| b.granularity)
-            .unwrap_or(ips_types::DurationMs::from_secs(1));
-
-        let mut needs_merge = false;
-        let mut direct: Vec<BufferedWrite> = Vec::new();
-        for (feature, counts) in features {
-            let write = BufferedWrite {
-                at,
-                slot,
-                action,
-                feature: *feature,
-                counts: counts.clone(),
-            };
-            match rt.write_table.offer(pid, write) {
-                WriteRoute::Buffered => {}
-                WriteRoute::BufferedNeedsMerge => needs_merge = true,
-                WriteRoute::Direct => {
-                    // Collect and apply in one cache access below.
-                    direct.push(BufferedWrite {
-                        at,
-                        slot,
-                        action,
-                        feature: *feature,
-                        counts: counts.clone(),
-                    });
-                }
-            }
+        if features.is_empty() {
+            return Ok(());
         }
-        if !direct.is_empty() {
-            rt.cache.write(pid, |profile| {
-                apply_buffered(profile, &direct, cfg.aggregate, head_granularity);
-            })?;
-            rt.maybe_schedule_compaction(pid)?;
-        }
-        if needs_merge {
-            rt.merge_write_table()?;
+        let writes = features.iter().map(|(feature, counts)| BufferedWrite {
+            at,
+            slot,
+            action,
+            feature: *feature,
+            counts: counts.clone(),
+        });
+        if !cfg.isolation.enabled {
+            rt.apply(&cfg, pid, &writes.collect::<Vec<_>>())?;
+        } else if rt
+            .write_table
+            .stage(pid, writes, cfg.isolation.write_table_budget_bytes)
+        {
+            // Over the cap: merge eagerly. The write is staged whatever the
+            // merge does, so it has succeeded; a failed merge requeues what
+            // it could not apply and the next merge or tick reports it.
+            let _ = rt.merge_write_table();
         }
         rt.metrics.writes.add(features.len() as u64);
         rt.metrics

@@ -167,35 +167,25 @@ impl IpsInstance {
         if tables.contains_key(&id) {
             return Err(IpsError::InvalidRequest(format!("table {id} exists")));
         }
-        let persister = Arc::new(ProfilePersister::new(
-            Arc::clone(&self.store),
-            id,
-            config.persistence,
-        ));
-        let cache = Arc::new(GCache::new(
-            persister,
-            config.cache.clone(),
-            Arc::clone(&self.clock),
-        )?);
-        let hot = HotConfig::new(config.clone());
+        let persister = ProfilePersister::new(Arc::clone(&self.store), id, config.persistence);
+        let clock = Arc::clone(&self.clock);
+        let cache = GCache::new(Arc::new(persister), config.cache.clone(), clock)?;
         // The scheduler's handler compacts through the cache so entries stay
         // consistent with the main read/write paths.
-        let cache_for_handler = Arc::clone(&cache);
-        let clock_for_handler = Arc::clone(&self.clock);
         let runtime = Arc::new_cyclic(|weak: &std::sync::Weak<TableRuntime>| {
             let weak = weak.clone();
             let scheduler = CompactionScheduler::new(move |task: CompactionTask| {
                 let Some(rt) = weak.upgrade() else { return };
                 let cfg = rt.config.load();
-                let now = clock_for_handler.now();
-                cache_for_handler.mutate_if_cached(task.profile, |profile| {
+                let now = rt.clock.now();
+                rt.cache.mutate_if_cached(task.profile, |profile| {
                     compact_profile(profile, &cfg.compaction, cfg.aggregate, now, !task.full);
                 });
             });
             TableRuntime {
-                config: hot,
-                cache,
-                write_table: WriteTable::new(config.isolation.clone()),
+                config: HotConfig::new(config),
+                cache: Arc::new(cache),
+                write_table: WriteTable::default(),
                 scheduler,
                 metrics: TableMetrics::default(),
                 clock: Arc::clone(&self.clock),
@@ -209,10 +199,8 @@ impl IpsInstance {
     /// the serving set. Persisted profiles remain in the KV substrate (a
     /// re-created table with the same id finds them).
     pub fn drop_table(&self, id: TableId) -> Result<()> {
-        let rt = {
-            let mut tables = self.tables.write();
-            tables.remove(&id).ok_or(IpsError::UnknownTable(id))?
-        };
+        let rt = self.tables.write().remove(&id);
+        let rt = rt.ok_or(IpsError::UnknownTable(id))?;
         rt.merge_write_table()?;
         rt.cache.flush_all()?;
         Ok(())
@@ -248,16 +236,27 @@ impl IpsInstance {
         self.shutting_down.store(true, Ordering::SeqCst);
     }
 
-    /// Live-update one table's configuration (§V-b hot reload).
+    /// Live-update one table's configuration (§V-b hot reload). An edit to
+    /// `cache` or `persistence` is refused: [`IpsInstance::create_table`]
+    /// built the table's cache and persister from them.
     pub fn update_table_config(
         &self,
         table: TableId,
         f: impl FnOnce(&TableConfig) -> TableConfig,
     ) -> Result<()> {
         let rt = self.table(table)?;
-        let next = f(&rt.config.load());
+        let current = rt.config.load();
+        let next = f(&current);
         next.validate().map_err(IpsError::InvalidConfig)?;
-        rt.write_table.set_enabled(next.isolation.enabled);
+        let fixed = [
+            ("cache", next.cache != current.cache),
+            ("persistence", next.persistence != current.persistence),
+        ];
+        if let Some((field, _)) = fixed.iter().find(|(_, edited)| *edited) {
+            return Err(IpsError::InvalidConfig(format!(
+                "`{field}` is fixed when the table is created"
+            )));
+        }
         rt.config.store(next);
         Ok(())
     }

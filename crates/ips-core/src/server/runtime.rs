@@ -3,13 +3,13 @@
 use std::sync::Arc;
 
 use ips_metrics::{Counter, Histogram};
-use ips_types::{ProfileId, Result, SharedClock, TableConfig};
+use ips_types::{DurationMs, ProfileId, Result, SharedClock, TableConfig};
 
 use crate::cache::GCache;
 use crate::compact::compactor::needs_compaction;
 use crate::compact::scheduler::{CompactionScheduler, CompactionTask};
 use crate::hotconfig::HotConfig;
-use crate::isolation::{apply_buffered, WriteTable};
+use crate::isolation::{apply_buffered, BufferedWrite, WriteTable};
 
 use super::{DynStore, IpsInstance};
 
@@ -37,6 +37,32 @@ pub struct TableRuntime {
 }
 
 impl TableRuntime {
+    /// Apply one profile's writes to the main table — the path of a direct
+    /// write and of the merge — and decide compaction in the same cache
+    /// access. On `Err` nothing was applied.
+    pub(crate) fn apply(
+        &self,
+        cfg: &TableConfig,
+        pid: ProfileId,
+        writes: &[BufferedWrite],
+    ) -> Result<()> {
+        let head_granularity = cfg
+            .compaction
+            .time_dimension
+            .bands
+            .first()
+            .map_or(DurationMs::from_secs(1), |b| b.granularity);
+        let (compaction, _) = self.cache.write(pid, |profile| {
+            apply_buffered(profile, writes, cfg.aggregate, head_granularity);
+            needs_compaction(profile, &cfg.compaction, self.clock.now())
+        })?;
+        if let Some(full) = compaction {
+            self.scheduler
+                .schedule(CompactionTask { profile: pid, full });
+        }
+        Ok(())
+    }
+
     /// Fold the staging write table into the main table (the periodic merge
     /// from §III-F). Returns writes merged. When applying one profile's
     /// writes fails, those writes and every profile's not yet applied go
@@ -44,48 +70,21 @@ impl TableRuntime {
     /// merge lands them.
     pub fn merge_write_table(&self) -> Result<usize> {
         let cfg = self.config.load();
-        let head_granularity = cfg
-            .compaction
-            .time_dimension
-            .bands
-            .first()
-            .map(|b| b.granularity)
-            .unwrap_or(ips_types::DurationMs::from_secs(1));
         let mut drained = self.write_table.drain().into_iter();
         let mut merged = 0;
         let outcome = loop {
             let Some((pid, writes)) = drained.next() else {
                 break Ok(merged);
             };
-            let applied = self.cache.write(pid, |profile| {
-                apply_buffered(profile, &writes, cfg.aggregate, head_granularity);
-            });
-            if let Err(e) = applied {
+            if let Err(e) = self.apply(&cfg, pid, &writes) {
                 self.write_table
                     .requeue(std::iter::once((pid, writes)).chain(drained));
                 break Err(e);
             }
             merged += writes.len();
-            if let Err(e) = self.maybe_schedule_compaction(pid) {
-                self.write_table.requeue(drained);
-                break Err(e);
-            }
         };
         self.write_table.merged.add(merged as u64);
         outcome
-    }
-
-    pub(crate) fn maybe_schedule_compaction(&self, pid: ProfileId) -> Result<()> {
-        let cfg = self.config.load();
-        let now = self.clock.now();
-        let decision = self.cache.read(pid, |profile| {
-            needs_compaction(profile, &cfg.compaction, now)
-        })?;
-        if let Some((Some(full), _)) = decision {
-            self.scheduler
-                .schedule(CompactionTask { profile: pid, full });
-        }
-        Ok(())
     }
 }
 

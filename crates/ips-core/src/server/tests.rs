@@ -11,8 +11,8 @@ use ips_types::clock::sim_clock;
 use ips_types::Clock as _;
 use ips_types::{
     ActionTypeId, AdmissionConfig, CallerId, CountVector, DegradedServingConfig, DurationMs,
-    FeatureId, IpsError, IsolationConfig, ProfileId, QuotaConfig, SlotId, TableConfig, TableId,
-    TimeRange, Timestamp,
+    FeatureId, IpsError, IsolationConfig, PersistenceMode, ProfileId, QuotaConfig, SlotId,
+    TableConfig, TableId, TimeRange, Timestamp,
 };
 
 const TABLE: TableId = TableId(1);
@@ -577,6 +577,130 @@ fn failed_write_table_merge_keeps_every_unapplied_write() {
             .map(|e| (e.feature.raw(), e.counts.get_or_zero(0)))
             .collect();
         assert_eq!(counts, vec![(10, 3), (20, 5)], "profile {pid}");
+    }
+}
+
+#[test]
+fn direct_write_to_a_resident_profile_is_one_cache_hit() {
+    let (i, ctl) = setup(); // isolation off
+    add(&i, 1, 10, 1, ctl.now());
+    let rt = i.table(TABLE).unwrap();
+    let before = rt.cache.stats();
+    for fid in 0..5 {
+        add(&i, 1, fid, 1, ctl.now());
+    }
+    let after = rt.cache.stats();
+    assert_eq!(after.hits - before.hits, 5, "one cache access per write");
+    assert_eq!(after.misses, before.misses);
+}
+
+#[test]
+fn merging_a_resident_profile_is_one_cache_hit() {
+    let (i, ctl, _node) = setup_on_node(TableConfig::new("test")); // isolation on
+    let rt = i.table(TABLE).unwrap();
+    add(&i, 1, 10, 1, ctl.now());
+    add(&i, 2, 10, 1, ctl.now());
+    rt.merge_write_table().unwrap();
+    for pid in [1, 2] {
+        add(&i, pid, 11, 1, ctl.now());
+        add(&i, pid, 12, 1, ctl.now());
+    }
+    let before = rt.cache.stats();
+    assert_eq!(rt.merge_write_table().unwrap(), 4);
+    let after = rt.cache.stats();
+    assert_eq!(after.hits - before.hits, 2, "one cache access per profile");
+    assert_eq!(after.misses, before.misses);
+}
+
+#[test]
+fn a_staged_write_is_ok_when_its_eager_merge_fails() {
+    let mut cfg = TableConfig::new("test");
+    cfg.isolation.write_table_budget_bytes = 1_000; // ten 96 B writes fit
+    let (i, ctl, node) = setup_on_node(cfg);
+    let rt = i.table(TABLE).unwrap();
+    add(&i, 1, 10, 1, ctl.now());
+    rt.merge_write_table().unwrap();
+    rt.cache.flush_all().unwrap();
+    assert!(rt.cache.evict(ProfileId::new(1)).unwrap());
+
+    node.set_error_rate(1.0);
+    for _ in 0..11 {
+        add(&i, 1, 10, 1, ctl.now()); // the 11th crosses the cap
+    }
+    assert_eq!(rt.write_table.eager_merges.get(), 1);
+    assert_eq!(
+        rt.write_table.pending_writes(),
+        11,
+        "the failed merge requeued"
+    );
+    assert!(i.tick().is_err(), "the next merge reports the failure");
+
+    node.set_error_rate(0.0);
+    assert_eq!(rt.merge_write_table().unwrap(), 11);
+    let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
+    let r = i.query(CALLER, &q).unwrap();
+    assert_eq!(r.entries[0].counts.get_or_zero(0), 12, "each write once");
+}
+
+#[test]
+fn hot_edits_of_create_time_fields_are_refused() {
+    let (i, _ctl) = setup();
+    let before = i.table(TABLE).unwrap().config.load();
+    let refused = |edit: fn(&mut TableConfig)| {
+        let err = i
+            .update_table_config(TABLE, |c| {
+                let mut c = c.clone();
+                edit(&mut c);
+                c
+            })
+            .unwrap_err();
+        let IpsError::InvalidConfig(msg) = err else {
+            panic!("want InvalidConfig, got {err}");
+        };
+        msg
+    };
+    assert!(refused(|c| c.cache.dirty_shards = 1).contains("cache"));
+    assert!(refused(|c| c.persistence = PersistenceMode::Bulk).contains("persistence"));
+    assert_eq!(
+        *i.table(TABLE).unwrap().config.load(),
+        *before,
+        "nothing stored"
+    );
+}
+
+#[test]
+fn a_write_wider_than_the_table_is_refused_whole() {
+    let (i, ctl) = setup();
+    let mut cfg = TableConfig::new("narrow");
+    cfg.attributes = 1;
+    let narrow = TableId::new(2);
+    i.create_table(narrow, cfg).unwrap();
+    let rt = i.table(narrow).unwrap();
+    for isolation in [false, true] {
+        i.update_table_config(narrow, |c| {
+            let mut c = c.clone();
+            c.isolation.enabled = isolation;
+            c
+        })
+        .unwrap();
+        let features = [
+            (FeatureId::new(1), CountVector::single(1)),
+            (FeatureId::new(2), CountVector::from_slice(&[1, 2, 3, 4, 5])),
+        ];
+        let err = i
+            .add_profiles(
+                CALLER,
+                narrow,
+                ProfileId::new(1),
+                ctl.now(),
+                SLOT,
+                LIKE,
+                &features,
+            )
+            .unwrap_err();
+        assert!(matches!(err, IpsError::InvalidRequest(_)), "got {err}");
+        assert_eq!(rt.write_table.pending_writes(), 0, "nothing staged");
+        assert_eq!(rt.cache.len(), 0, "nothing applied");
     }
 }
 

@@ -4,9 +4,13 @@
 //! map that governs compaction granularity (Listings 2–3 in the paper), the
 //! truncate and shrink policies (§III-D, Listing 4), the pre-configured
 //! aggregate (reduce) function applied during slice merges and queries, cache
-//! sizing, read-write isolation and per-caller quotas. All feature-dependent
-//! configuration is hot-reloadable in production (§V-b); the engine therefore
-//! reads these through an epoch-swapped handle (see `ips-core::config`).
+//! sizing, read-write isolation and per-caller quotas. A table's config is
+//! hot-reloadable (§V-b): the engine reads it through a swap-on-write handle
+//! (`ips-core::hotconfig`) on every request, so a live edit applies to the
+//! next one. Two [`TableConfig`] fields are fixed when the table is created,
+//! because the table's cache and persister are built from them:
+//! [`TableConfig::cache`] and [`TableConfig::persistence`]. A live edit of
+//! either is refused.
 
 use crate::counts::CountVector;
 use crate::ids::SlotId;

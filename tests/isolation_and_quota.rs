@@ -94,29 +94,11 @@ fn write_table_cap_forces_eager_merge() {
             c
         })
         .unwrap();
-    // Note: hot switch keeps the WriteTable's construction-time budget; the
-    // cap applies to tables created with it. Re-create a table with the cap.
-    let capped = TableId::new(2);
-    let mut cfg = TableConfig::new("capped");
-    cfg.isolation.enabled = true;
-    cfg.isolation.write_table_budget_bytes = 2_000;
-    instance.create_table(capped, cfg).unwrap();
-
+    // The live budget applies from the next write.
     for fid in 0..200u64 {
-        instance
-            .add_profile(
-                CALLER,
-                capped,
-                ProfileId::new(1),
-                ctl.now(),
-                SLOT,
-                LIKE,
-                FeatureId::new(fid),
-                CountVector::single(1),
-            )
-            .unwrap();
+        write(&instance, 1, fid, ctl.now());
     }
-    let rt = instance.table(capped).unwrap();
+    let rt = instance.table(TABLE).unwrap();
     assert!(
         rt.write_table.eager_merges.get() > 0,
         "cap must have triggered eager merges"
@@ -124,7 +106,7 @@ fn write_table_cap_forces_eager_merge() {
     // All data visible despite the cap churn (eager merges drain inline).
     rt.merge_write_table().unwrap();
     let q = ProfileQuery::filter(
-        capped,
+        TABLE,
         ProfileId::new(1),
         SLOT,
         TimeRange::last_days(1),
