@@ -1,9 +1,10 @@
 //! Micro-bench: the multi-way merge and aggregation core.
 //!
-//! Isolates `merged_features` — the slice-selection + k-way merge that every
+//! Isolates `merged_features` — the slice selection and fold that every
 //! read API runs before its final sort/filter — across aggregate functions
-//! and decay settings, and a top-K query over a wide window. Rows carry
-//! three attributes, the width of the benchmark's tables.
+//! and decay settings, a top-K query over a wide window, and every slot of
+//! a profile shaped like the benchmark's hottest (`ips_bench::hot_profile`).
+//! Rows carry three attributes, the width of the benchmark's tables.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -88,6 +89,30 @@ fn bench_merge(c: &mut Criterion) {
             b.iter(|| merge_all(black_box(p), AggregateFunction::Sum, decay))
         });
     }
+
+    // Every slot of `serve_hot`'s hottest profile over its 30-day window.
+    let (hot, now) = ips_bench::hot_profile();
+    let lo = Timestamp::from_millis(now.as_millis() - DurationMs::from_days(30).as_millis());
+    group.bench_with_input(BenchmarkId::new("hot_profile", "30d"), &hot, |b, p| {
+        b.iter(|| {
+            (0..8)
+                .map(|slot| {
+                    let (features, _) = merged_features(
+                        black_box(p),
+                        SlotId::new(slot),
+                        None,
+                        lo,
+                        now,
+                        AggregateFunction::Sum,
+                        DecayFunction::None,
+                        1.0,
+                        now,
+                    );
+                    features.map(black_box).count()
+                })
+                .sum::<usize>()
+        })
+    });
 
     // A top-K over a wide window: 256 slices of 64 features, each sharing
     // half its ids with the next slice, merged and ranked down to ten.

@@ -2,7 +2,8 @@
 //!
 //! The core serving operation (§II-B): resolve window → merge slices →
 //! bounded top-K. Sweeps slice count and feature density, plus the
-//! three time-range kinds.
+//! three time-range kinds, and every slot of a profile shaped like the
+//! benchmark's hottest (`ips_bench::hot_profile`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -120,6 +121,29 @@ fn bench_topk(c: &mut Criterion) {
             })
         });
     }
+
+    // Top-10 of every slot of `serve_hot`'s hottest profile over 30 days.
+    let (hot, now) = ips_bench::hot_profile();
+    group.bench_with_input(BenchmarkId::new("hot_profile", "30d"), &hot, |b, p| {
+        b.iter(|| {
+            for slot in 0..8 {
+                let query = ProfileQuery::top_k(
+                    TableId::new(1),
+                    ProfileId::new(1),
+                    SlotId::new(slot),
+                    TimeRange::last_days(30),
+                    10,
+                );
+                black_box(engine::execute(
+                    black_box(p),
+                    &query,
+                    AggregateFunction::Sum,
+                    &shrink,
+                    now,
+                ));
+            }
+        })
+    });
     group.finish();
 }
 

@@ -218,6 +218,64 @@ pub fn human_bytes(bytes: f64) -> String {
     }
 }
 
+/// A profile shaped like `serve_hot`'s hottest profile at the end of the
+/// benchmark's 30-day window, and the instant it is queried at: 188 slices
+/// (76 one-second, 60 one-minute, 25 one-hour and 27 one-day) holding
+/// about 9.3k rows over 8 slots and 4 action types, 6.9k of them in the
+/// daily slices. Features are Zipf-drawn items mapped to slot and action
+/// the way the benchmark's workload maps them; rows carry three attributes.
+#[must_use]
+pub fn hot_profile() -> (ips_core::model::ProfileData, Timestamp) {
+    use ips_ingest::ZipfSampler;
+    use ips_types::{ActionTypeId, AggregateFunction, CountVector, FeatureId, SlotId};
+    use rand::SeedableRng;
+
+    let (second, minute, hour, day) = (
+        DurationMs::from_secs(1),
+        DurationMs::from_mins(1),
+        DurationMs::from_hours(1),
+        DurationMs::from_days(1),
+    );
+    let now = Timestamp::from_millis(40 * day.as_millis());
+    let items = ZipfSampler::new(1_000_000, 1.1);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+    let mut profile = ips_core::model::ProfileData::new();
+    // Oldest tier first, each tier ending a gap before the next one starts:
+    // `(granularity, slices, gap before now, rows per slice)`.
+    for (width, slices, gap, rows) in [
+        (day, 27, 2 * day.as_millis(), 256),
+        (hour, 25, 2 * hour.as_millis(), 15),
+        (minute, 60, 2 * minute.as_millis(), 15),
+        (second, 76, 0, 15),
+    ] {
+        let end = now.as_millis() - gap;
+        for s in (1..=slices).rev() {
+            let at = Timestamp::from_millis(end - s * width.as_millis());
+            let head_rows = |p: &ips_core::model::ProfileData| {
+                p.slices()
+                    .first()
+                    .filter(|head| head.start() == at)
+                    .map_or(0, |head| {
+                        head.stats().map(|(_, _, stat)| stat.len()).sum::<usize>()
+                    })
+            };
+            while head_rows(&profile) < rows {
+                let item = items.sample(&mut rng);
+                profile.add(
+                    at,
+                    SlotId::new((item % 8) as u32),
+                    ActionTypeId::new((item / 7 % 4) as u32),
+                    FeatureId::new(item),
+                    &CountVector::from_slice(&[1, (item % 3) as i64, 1]),
+                    AggregateFunction::Sum,
+                    width,
+                );
+            }
+        }
+    }
+    (profile, now)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +323,29 @@ mod tests {
             priced.total_us() > priced.network_us,
             "measured time is included"
         );
+    }
+
+    #[test]
+    fn hot_profile_has_the_measured_shape() {
+        let (p, _) = hot_profile();
+        let rows = |s: &ips_core::model::Slice| -> usize {
+            s.stats().map(|(_, _, stat)| stat.len()).sum()
+        };
+        let mut tiers = std::collections::BTreeMap::new();
+        for s in p.slices() {
+            let tier = tiers
+                .entry(s.end().as_millis() - s.start().as_millis())
+                .or_insert((0, 0));
+            tier.0 += 1;
+            tier.1 += rows(s);
+        }
+        let counts: Vec<_> = tiers.values().map(|(slices, _)| *slices).collect();
+        assert_eq!(counts, [76, 60, 25, 27], "{tiers:?}");
+        let daily = tiers[&DurationMs::from_days(1).as_millis()].1;
+        let total: usize = p.slices().iter().map(rows).sum();
+        assert!((6_800..7_000).contains(&daily), "{daily} daily rows");
+        assert!((9_200..9_400).contains(&total), "{total} rows");
+        p.check_invariants().unwrap();
     }
 
     #[test]

@@ -12,16 +12,21 @@
 //!   budget is reserved for the features observed *earliest* in the profile,
 //!   so long-term interests survive elimination.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
 
 use ips_types::{FeatureId, ShrinkConfig, SlotId, Timestamp};
 
 use crate::model::ProfileData;
+use crate::query::merge::{runs, FidTable};
+use crate::query::top_k_by;
 
+/// One feature of a slot across the profile.
+#[derive(Clone, Copy, Default)]
 struct FeatureAgg {
     score: f64,
     first_seen: Timestamp,
     fresh: bool,
+    keep: bool,
 }
 
 /// Shrink every slot of `profile` to its configured budget. Slices younger
@@ -32,93 +37,98 @@ pub fn shrink_profile(profile: &mut ProfileData, config: &ShrinkConfig, now: Tim
         return 0;
     }
     let fresh_cutoff = now.saturating_sub(config.fresh_horizon);
+    let keep = keep_sets(profile, config, fresh_cutoff);
 
-    // Pass 1: profile-wide aggregation per slot.
-    let mut per_slot: HashMap<SlotId, HashMap<FeatureId, FeatureAgg>> = HashMap::new();
-    for slice in profile.slices() {
-        let slice_fresh = slice.end() > fresh_cutoff;
-        for (slot, _, stats) in slice.stats() {
-            let slot_map = per_slot.entry(slot).or_default();
-            for (fid, counts) in stats.iter() {
-                let score = config.score(&counts);
-                let entry = slot_map.entry(fid).or_insert(FeatureAgg {
-                    score: 0.0,
-                    first_seen: slice.start(),
-                    fresh: false,
-                });
-                entry.score += score;
-                entry.first_seen = entry.first_seen.min(slice.start());
-                entry.fresh |= slice_fresh;
-            }
-        }
-    }
-
-    // Pass 2: decide the keep set per slot.
-    let mut keep: HashMap<SlotId, HashSet<FeatureId>> = HashMap::new();
-    for (slot, features) in &per_slot {
-        let budget = config.retain_for(*slot);
-        // Cap the preallocation: budgets can be "effectively unlimited".
-        let mut kept: HashSet<FeatureId> =
-            HashSet::with_capacity(budget.min(features.len()).saturating_add(8));
-
-        // Freshness protection first — never eliminate recent features.
-        for (fid, agg) in features {
-            if agg.fresh {
-                kept.insert(*fid);
-            }
-        }
-        if features.len() <= budget {
-            keep.insert(*slot, features.keys().copied().collect());
-            continue;
-        }
-
-        // Long-term reservation: oldest-first by first_seen.
-        let long_term_budget = ((budget as f64) * config.long_term_fraction).round() as usize;
-        if long_term_budget > 0 {
-            let mut by_age: Vec<(&FeatureId, &FeatureAgg)> = features.iter().collect();
-            by_age.sort_by(|a, b| {
-                a.1.first_seen
-                    .cmp(&b.1.first_seen)
-                    .then_with(|| a.0.cmp(b.0))
-            });
-            for (fid, _) in by_age.into_iter().take(long_term_budget) {
-                kept.insert(*fid);
-            }
-        }
-
-        // Fill the remainder by multi-dimensional score.
-        let mut by_score: Vec<(&FeatureId, &FeatureAgg)> = features.iter().collect();
-        by_score.sort_by(|a, b| {
-            b.1.score
-                .partial_cmp(&a.1.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| b.0.cmp(a.0))
-        });
-        for (fid, _) in by_score {
-            if kept.len() >= budget {
-                break;
-            }
-            kept.insert(*fid);
-        }
-        keep.insert(*slot, kept);
-    }
-
-    // Pass 3: eliminate, one pass over each slice's columns. Only slices
-    // older than the fresh horizon are edited.
+    // Eliminate, one pass over each slice's columns. Only slices older than
+    // the fresh horizon are edited.
     let mut removed = 0usize;
     for slice in profile.slices_mut().iter_mut() {
         if slice.end() > fresh_cutoff {
             continue;
         }
-        removed += slice.retain(|slot, fid, _| keep.get(&slot).is_none_or(|k| k.contains(&fid)));
+        let slot_keep = |slot| keep.iter().find(|(s, _)| *s == slot);
+        removed += slice.retain(|slot, fid, _| {
+            slot_keep(slot).is_none_or(|(_, t)| t.get(fid).is_some_and(|f| f.keep))
+        });
     }
     // Drop slices emptied entirely by shrink.
     profile.slices_mut().retain(|s| !s.is_empty());
     removed
 }
 
+/// Every slot's features in `profile`, each marked with whether it is kept.
+fn keep_sets(
+    profile: &ProfileData,
+    config: &ShrinkConfig,
+    fresh_cutoff: Timestamp,
+) -> Vec<(SlotId, FidTable<FeatureAgg>)> {
+    let slices = profile.slices();
+    let mut slots: Vec<SlotId> = slices
+        .iter()
+        .flat_map(|s| s.iter_slots().map(|(slot, _)| slot))
+        .collect();
+    slots.sort_unstable();
+    slots.dedup();
+    let mut keep = Vec::with_capacity(slots.len());
+    for slot in slots {
+        // Profile-wide aggregation: score, first seen and freshness.
+        let runs = runs(slices, slot, None);
+        let mut table = FidTable::with_rows(runs.iter().map(|(_, _, stat)| stat.len()).sum());
+        for (slice, _, stat) in runs {
+            let (start, fresh) = (slice.start(), slice.end() > fresh_cutoff);
+            for (fid, counts) in stat.iter() {
+                let (i, _) = table.insert(fid, FeatureAgg::default);
+                let f = &mut table.entries[i].1;
+                f.score += config.score(&counts);
+                // Slices come newest first: the last start seen is the earliest.
+                f.first_seen = start;
+                f.fresh |= fresh;
+            }
+        }
+        // Within budget a slot keeps every feature. Over it, freshness
+        // protection comes first: never eliminate recent features.
+        let budget = config.retain_for(slot);
+        let features = &mut table.entries;
+        let all = features.len() <= budget;
+        features
+            .iter_mut()
+            .for_each(|(_, f)| f.keep = all || f.fresh);
+        if !all {
+            shrink_to(features, budget, config.long_term_fraction);
+        }
+        keep.push((slot, table));
+    }
+    keep
+}
+
+/// Keep the long-term reservation, then the best-scoring features until
+/// `budget` are kept.
+fn shrink_to(features: &mut [(FeatureId, FeatureAgg)], budget: usize, long_term_fraction: f64) {
+    // Long-term reservation: the oldest by first_seen.
+    let long_term = ((budget as f64) * long_term_fraction).round() as usize;
+    let age = |&i: &usize| (features[i].1.first_seen, features[i].0);
+    for i in top_k_by(0..features.len(), long_term, |a, b| age(b).cmp(&age(a))) {
+        features[i].1.keep = true;
+    }
+    // Fill the remainder by multi-dimensional score, ties to the higher id.
+    let rest = budget.saturating_sub(features.iter().filter(|(_, f)| f.keep).count());
+    let candidates = (0..features.len()).filter(|&i| !features[i].1.keep);
+    let by_score = |&a: &usize, &b: &usize| {
+        let (a, b) = (&features[a], &features[b]);
+        let by_score = a.1.score.partial_cmp(&b.1.score).unwrap_or(Ordering::Equal);
+        by_score.then_with(|| a.0.cmp(&b.0))
+    };
+    for i in top_k_by(candidates, rest, by_score) {
+        features[i].1.keep = true;
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashMap, HashSet};
+
+    use proptest::prelude::*;
+
     use super::*;
     use ips_types::{ActionTypeId, AggregateFunction, CountVector, DurationMs};
 
@@ -315,5 +325,115 @@ mod tests {
         let cfg = base_config(1);
         shrink_profile(&mut p, &cfg, ts(10_000_000));
         assert_eq!(surviving_fids(&p), HashSet::from([1]));
+    }
+
+    /// The hash-map keep sets the fid tables replaced.
+    fn reference_keep_sets(
+        profile: &ProfileData,
+        config: &ShrinkConfig,
+        fresh_cutoff: Timestamp,
+    ) -> HashMap<SlotId, HashSet<FeatureId>> {
+        struct FeatureAgg {
+            score: f64,
+            first_seen: Timestamp,
+            fresh: bool,
+        }
+        let mut per_slot: HashMap<SlotId, HashMap<FeatureId, FeatureAgg>> = HashMap::new();
+        for slice in profile.slices() {
+            let slice_fresh = slice.end() > fresh_cutoff;
+            for (slot, _, stats) in slice.stats() {
+                let slot_map = per_slot.entry(slot).or_default();
+                for (fid, counts) in stats.iter() {
+                    let entry = slot_map.entry(fid).or_insert(FeatureAgg {
+                        score: 0.0,
+                        first_seen: slice.start(),
+                        fresh: false,
+                    });
+                    entry.score += config.score(&counts);
+                    entry.first_seen = entry.first_seen.min(slice.start());
+                    entry.fresh |= slice_fresh;
+                }
+            }
+        }
+        let mut keep = HashMap::new();
+        for (slot, features) in &per_slot {
+            let budget = config.retain_for(*slot);
+            let mut kept: HashSet<FeatureId> = features
+                .iter()
+                .filter(|(_, agg)| agg.fresh)
+                .map(|(fid, _)| *fid)
+                .collect();
+            if features.len() <= budget {
+                keep.insert(*slot, features.keys().copied().collect());
+                continue;
+            }
+            let long_term_budget = ((budget as f64) * config.long_term_fraction).round() as usize;
+            let mut by_age: Vec<(&FeatureId, &FeatureAgg)> = features.iter().collect();
+            by_age.sort_by(|a, b| (a.1.first_seen, a.0).cmp(&(b.1.first_seen, b.0)));
+            kept.extend(by_age.iter().take(long_term_budget).map(|(fid, _)| **fid));
+            let mut by_score = by_age;
+            by_score.sort_by(|a, b| {
+                b.1.score
+                    .partial_cmp(&a.1.score)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| b.0.cmp(a.0))
+            });
+            for (fid, _) in by_score {
+                if kept.len() >= budget {
+                    break;
+                }
+                kept.insert(*fid);
+            }
+            keep.insert(*slot, kept);
+        }
+        keep
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Writes over ~60 one-second slices, three slots and two actions,
+        /// scored with small counts and a negative weight so scores tie,
+        /// under budgets above and below each slot's feature count.
+        #[test]
+        fn keep_sets_match_the_hash_map_reference(
+            writes in proptest::collection::vec(
+                (0u64..60_000, 0u32..3, 0u32..2, 0u64..50, proptest::collection::vec(-3i64..4, 1..4)),
+                1..300,
+            ),
+            retain in 0usize..40,
+            slot_retain in 0usize..20,
+            fresh_secs in 0u64..60,
+            long_term in 0u8..3,
+        ) {
+            let mut p = ProfileData::new();
+            for (at, slot, action, fid, counts) in &writes {
+                p.add(
+                    ts(*at),
+                    SlotId::new(*slot),
+                    ActionTypeId::new(*action),
+                    FeatureId::new(*fid),
+                    &CountVector::from_slice(counts),
+                    AggregateFunction::Sum,
+                    DurationMs::from_secs(1),
+                );
+            }
+            let config = ShrinkConfig {
+                default_retain: retain,
+                per_slot_retain: vec![(SlotId::new(1), slot_retain)],
+                weights: vec![1.0, -2.0],
+                fresh_horizon: DurationMs::from_secs(fresh_secs),
+                long_term_fraction: f64::from(long_term) * 0.25,
+            };
+            let cutoff = ts(60_000).saturating_sub(config.fresh_horizon);
+            let got: HashMap<SlotId, HashSet<FeatureId>> = keep_sets(&p, &config, cutoff)
+                .into_iter()
+                .map(|(slot, table)| {
+                    let kept = table.entries.iter().filter(|(_, f)| f.keep).map(|(fid, _)| *fid);
+                    (slot, kept.collect())
+                })
+                .collect();
+            prop_assert_eq!(got, reference_keep_sets(&p, &config, cutoff));
+        }
     }
 }

@@ -1,22 +1,17 @@
 //! Query execution over one profile.
 //!
 //! `execute` implements the two-step plan from §II-B: locate the slices in
-//! the resolved window, then multi-way merge all feature counts under the
-//! requested slot (optionally one action type), applying the table's
-//! aggregate function and the query's decay function, and finally sort /
-//! filter / top-K the merged features as they stream out of the merge.
+//! the resolved window, then fold all feature counts under the requested
+//! slot (optionally one action type) with the table's aggregate function
+//! and the query's decay function (`merge`), and finally top-K or
+//! filter the folded features.
 
-use std::cmp::Ordering;
-
-use ips_types::config::{decay_factor, DecayFunction};
-use ips_types::{
-    scale_counts, AggregateFunction, CountVector, ShrinkConfig, SlotId, SortKey, SortOrder,
-    Timestamp, MAX_ATTRIBUTES,
-};
+use ips_types::config::DecayFunction;
+use ips_types::{AggregateFunction, ShrinkConfig, SlotId, SortKey, SortOrder, Timestamp};
 
 use crate::model::ProfileData;
 
-use super::merge::{MergedRow, WindowMerge};
+use super::merge::WindowFold;
 use super::request::{FeatureEntry, ProfileQuery, QueryKind, QueryResult};
 use super::topk::top_k_by;
 
@@ -27,8 +22,7 @@ use super::topk::top_k_by;
 /// `now - slice_end` are scaled by the decay curve at that age, which is what
 /// makes `get_profile_decay` favour recent slices (§II-B).
 ///
-/// Returns `(merged features, slices_visited)`. The features are produced
-/// lazily, one per distinct id, with no allocation per feature.
+/// Returns `(merged features, slices_visited)`.
 #[allow(clippy::too_many_arguments, reason = "one query's window and decay")]
 pub fn merged_features(
     profile: &ProfileData,
@@ -40,78 +34,30 @@ pub fn merged_features(
     decay: DecayFunction,
     decay_base: f64,
     now: Timestamp,
-) -> (impl Iterator<Item = FeatureEntry> + '_, usize) {
-    let mut merge = WindowMerge::new(profile, slot, action, lo, hi);
-    let window = merge.window();
-    // One factor per slice of the window, computed only for the slices that
-    // hold rows of the slot; none without decay.
-    let mut factors: Vec<f64> = Vec::new();
-    if decay != DecayFunction::None {
-        factors.resize(window.len(), 1.0);
-        for i in merge.run_slices() {
-            let age = now.distance(window[i].end().min(now));
-            factors[i] = decay_factor(decay, decay_base, age);
-        }
-    }
-    let features = std::iter::from_fn(move || {
-        // The first row is the newest: it seeds the counts and `last_seen`,
-        // and later rows fold in as the older side.
-        let mut buf = [0; MAX_ATTRIBUTES];
-        let first = merge.next()?;
-        let mut entry = FeatureEntry {
-            feature: first.feature,
-            counts: CountVector::from_slice(weighted(first, &factors, &mut buf)),
-            last_seen: window[first.slice].end(),
-        };
-        while let Some(row) = merge.next_of(entry.feature) {
-            agg.apply(&mut entry.counts, weighted(row, &factors, &mut buf), false);
-        }
-        Some(entry)
-    });
-    (features, window.len())
+) -> (impl Iterator<Item = FeatureEntry>, usize) {
+    let window = &profile.slices()[profile.slices_in_window(lo, hi)];
+    let fold = WindowFold::new(window, slot, action, agg, decay, decay_base, now);
+    let order = fold.table.by_fid(0..fold.len());
+    (order.into_iter().map(move |i| fold.entry(i)), window.len())
 }
 
-/// `row`'s counts scaled in `buf` by its slice's decay factor, or the row
-/// itself when there is no factor or it is 1, which keeps the counts exact.
-fn weighted<'r>(
-    row: MergedRow<'r>,
-    factors: &[f64],
-    buf: &'r mut [i64; MAX_ATTRIBUTES],
-) -> &'r [i64] {
-    let counts = row.counts.as_slice();
-    match factors.get(row.slice) {
-        Some(&f) if (f - 1.0).abs() > f64::EPSILON => {
-            let buf = &mut buf[..counts.len()];
-            buf.copy_from_slice(counts);
-            scale_counts(buf, f);
-            buf
-        }
-        _ => counts,
-    }
-}
-
-/// The comparison used for sorting/top-K: "greater is better" under the
-/// requested key and order, with feature id as the deterministic tie-break.
-fn make_cmp(
-    sort: SortKey,
-    order: SortOrder,
-    weights: &ShrinkConfig,
-) -> impl Fn(&FeatureEntry, &FeatureEntry) -> Ordering + '_ {
-    move |a, b| {
-        let primary = match sort {
-            SortKey::Attribute(idx) => a.counts.get_or_zero(idx).cmp(&b.counts.get_or_zero(idx)),
-            SortKey::WeightedScore => weights
-                .score(a.counts.as_slice())
-                .partial_cmp(&weights.score(b.counts.as_slice()))
-                .unwrap_or(Ordering::Equal),
-            SortKey::Timestamp => a.last_seen.cmp(&b.last_seen),
-            SortKey::FeatureId => a.feature.cmp(&b.feature),
-        };
-        let primary = match order {
-            SortOrder::Descending => primary,
-            SortOrder::Ascending => primary.reverse(),
-        };
-        primary.then_with(|| a.feature.cmp(&b.feature))
+/// Feature `i`'s rank under `sort` as one integer, greater first. Flipping
+/// the sign bit orders an `i64` as a `u64`; a float's bits order the same
+/// way once a negative float has every bit flipped. A score of -0 ranks as
+/// 0, and so does NaN, which has no order of its own.
+fn rank(fold: &WindowFold, i: usize, sort: SortKey, weights: &ShrinkConfig) -> u64 {
+    const SIGN: u64 = 1 << 63;
+    let score = match sort {
+        SortKey::Attribute(idx) => return fold.counts(i).get(idx).map_or(0, |&v| v) as u64 ^ SIGN,
+        SortKey::Timestamp => return fold.seen(i).1.as_millis(),
+        SortKey::FeatureId => return fold.seen(i).0.raw(),
+        SortKey::WeightedScore => weights.score(fold.counts(i)),
+    };
+    let bits = (if score.is_nan() { 0.0 } else { score + 0.0 }).to_bits();
+    if bits & SIGN == 0 {
+        bits ^ SIGN
+    } else {
+        !bits
     }
 }
 
@@ -128,35 +74,44 @@ pub fn execute(
     weights: &ShrinkConfig,
     now: Timestamp,
 ) -> QueryResult {
-    let window = query.range.resolve(now, profile.last_action_hint());
-    if window.is_empty() {
+    let range = query.range.resolve(now, profile.last_action_hint());
+    if range.is_empty() {
         return QueryResult::default();
     }
-    let (features, slices_visited) = merged_features(
-        profile,
+    let window = &profile.slices()[profile.slices_in_window(range.start, range.end)];
+    let fold = WindowFold::new(
+        window,
         query.slot,
         query.action,
-        window.start,
-        window.end,
         agg,
         query.decay,
         query.decay_factor,
         now,
     );
-
     let entries = match &query.kind {
         QueryKind::TopK { k, sort, order } | QueryKind::Decay { k, sort, order } => {
-            top_k_by(features, *k, make_cmp(*sort, *order, weights))
+            let flip = if *order == SortOrder::Ascending {
+                !0
+            } else {
+                0
+            };
+            let ranked = (0..fold.len()).map(|i| {
+                let key = rank(&fold, i, *sort, weights) ^ flip;
+                (key, fold.seen(i).0, i)
+            });
+            let top = top_k_by(ranked, *k, Ord::cmp);
+            top.into_iter().map(|(_, _, i)| fold.entry(i)).collect()
         }
-        // The merge yields feature-id order, the filter's output order.
-        QueryKind::Filter { predicate } => features
-            .filter(|e| predicate.accepts(e.feature, &e.counts))
-            .collect(),
+        QueryKind::Filter { predicate } => {
+            let passes = |e: FeatureEntry| predicate.accepts(e.feature, &e.counts);
+            let kept = (0..fold.len()).filter(|&i| passes(fold.entry(i)));
+            let kept = fold.table.by_fid(kept);
+            kept.into_iter().map(|i| fold.entry(i)).collect()
+        }
     };
-
     QueryResult {
         entries,
-        slices_visited,
+        slices_visited: window.len(),
         ..Default::default()
     }
 }
@@ -165,7 +120,9 @@ pub fn execute(
 mod tests {
     use super::*;
     use crate::query::request::FilterPredicate;
-    use ips_types::{ActionTypeId, DurationMs, FeatureId, ProfileId, TableId, TimeRange};
+    use ips_types::{
+        ActionTypeId, CountVector, DurationMs, FeatureId, ProfileId, TableId, TimeRange,
+    };
 
     const SLOT: SlotId = SlotId(1);
     const LIKE: ActionTypeId = ActionTypeId(1);

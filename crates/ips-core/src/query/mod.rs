@@ -1,10 +1,10 @@
 //! The inline feature-computation engine (§II-B read APIs).
 //!
 //! Query processing follows the paper's two steps: first locate the slices
-//! overlapping the resolved time range, then perform a multi-way merge and
-//! aggregation over all features under the requested slot (optionally
-//! narrowed to one action type), apply the decay function if any, and finish
-//! with a filter or a top-K selection on the requested sort key.
+//! overlapping the resolved time range, then merge and aggregate all features
+//! under the requested slot (optionally narrowed to one action type) in one
+//! fold over the window's runs into a feature-id table, decaying per slice,
+//! and finish with a filter or a top-K selection on precomputed sort keys.
 
 pub mod engine;
 pub(crate) mod merge;

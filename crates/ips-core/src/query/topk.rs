@@ -1,12 +1,10 @@
-//! Bounded top-K selection.
+//! Top-K selection.
 //!
 //! Queries routinely ask for the top handful of features out of hundreds of
-//! merged candidates, streamed from the merge. A buffer of at most `2k`
-//! candidates is cut back to the best `k` in linear time whenever it fills,
-//! so memory stays O(k) and the work is O(n) on average before one final
-//! sort of `k` items. After a cut, a candidate that does not beat the k-th
-//! best kept so far costs one comparison and is never buffered. Callers supply a total order (ties break on feature
-//! id), so results are deterministic.
+//! folded candidates, each ranked by a precomputed key. A linear-time
+//! selection moves the best `k` to the front, and only those `k` are
+//! sorted. Callers supply a total order (ties break on feature id), so
+//! results are deterministic.
 
 use std::cmp::Ordering;
 
@@ -17,29 +15,13 @@ pub fn top_k_by<T>(
     k: usize,
     cmp: impl Fn(&T, &T) -> Ordering,
 ) -> Vec<T> {
-    if k == 0 {
-        return Vec::new();
-    }
     let best_first = |a: &T, b: &T| cmp(b, a);
-    let limit = k.saturating_mul(2);
-    // Cap the preallocation: k may be "give me everything" (usize::MAX-ish).
-    let mut kept = Vec::with_capacity(limit.min(4_096));
-    let mut cut = false;
-    for item in items {
-        if kept.len() == limit {
-            kept.select_nth_unstable_by(k - 1, best_first);
-            kept.truncate(k);
-            cut = true;
-        }
-        // After a cut, `kept[k - 1]` is the k-th best item seen: one that
-        // does not beat it can never make the top k.
-        if cut && best_first(&item, &kept[k - 1]) != Ordering::Less {
-            continue;
-        }
-        kept.push(item);
+    let mut kept: Vec<T> = items.collect();
+    if k < kept.len() {
+        kept.select_nth_unstable_by(k, best_first);
+        kept.truncate(k);
     }
     kept.sort_unstable_by(best_first);
-    kept.truncate(k);
     kept
 }
 

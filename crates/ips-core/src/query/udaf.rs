@@ -18,7 +18,7 @@ use std::cmp::Ordering;
 use ips_types::{ActionTypeId, DurationMs, FeatureId, SlotId, Timestamp};
 
 use crate::model::{CountRow, ProfileData};
-use crate::query::merge::WindowMerge;
+use crate::query::merge::{runs, FidTable};
 use crate::query::topk::top_k_by;
 
 /// One contribution delivered to a UDAF: a feature's counts inside one
@@ -55,8 +55,9 @@ pub trait UserDefinedAggregate {
 }
 
 /// Execute a UDAF over `profile`'s `slot` within `[lo, hi)`, yielding every
-/// feature's final value in feature-id order. Each feature's contributions
-/// are folded as they leave the merge, so one state is alive at a time.
+/// feature's final value in feature-id order. Contributions fold in as the
+/// window's runs are walked (newest slice first), into one state per
+/// feature.
 pub fn execute_udaf<'a, U: UserDefinedAggregate>(
     profile: &'a ProfileData,
     slot: SlotId,
@@ -66,24 +67,28 @@ pub fn execute_udaf<'a, U: UserDefinedAggregate>(
     now: Timestamp,
     udaf: &'a U,
 ) -> impl Iterator<Item = (FeatureId, U::Output)> + 'a {
-    let mut merge = WindowMerge::new(profile, slot, action, lo, hi);
-    let window = merge.window();
-    std::iter::from_fn(move || {
-        let first = merge.next()?;
-        let mut state = udaf.init();
-        for row in std::iter::successors(Some(first), |_| merge.next_of(first.feature)) {
-            let slice_end = window[row.slice].end();
+    let window = &profile.slices()[profile.slices_in_window(lo, hi)];
+    let runs = runs(window, slot, action);
+    let mut table = FidTable::with_rows(runs.iter().map(|(_, _, stat)| stat.len()).sum());
+    for (slice, action, stat) in runs {
+        let (slice_end, age) = (slice.end(), now.distance(slice.end().min(now)));
+        for (feature, counts) in stat.iter() {
+            let (i, _) = table.insert(feature, || udaf.init());
             let contribution = Contribution {
-                feature: row.feature,
-                action: row.action,
-                counts: row.counts,
-                age: now.distance(slice_end.min(now)),
+                feature,
+                action,
+                counts,
+                age,
                 slice_end,
             };
-            udaf.fold(&mut state, &contribution);
+            udaf.fold(&mut table.entries[i].1, &contribution);
         }
-        Some((first.feature, udaf.finish(state)))
-    })
+    }
+    let mut folded = table.entries;
+    folded.sort_unstable_by_key(|(feature, _)| *feature);
+    folded
+        .into_iter()
+        .map(|(feature, state)| (feature, udaf.finish(state)))
 }
 
 /// Execute a UDAF and return the top `k` features by its output, descending,
