@@ -7,6 +7,12 @@
 //! their caches converge on the same data, and on a cache miss they load
 //! whatever their local replica has, which may be slightly stale. That is
 //! exactly the weak consistency the paper accepts.
+//!
+//! A non-persisting region's write-back is free: its [`RegionStore`] says
+//! it does not persist, so a flush, an eviction or a handoff export marks
+//! the profile clean without encoding, compressing or writing anything.
+//! Reads go to the region's side of the KV, a multi-get included, so a
+//! split profile's slices cost one operation in either region.
 
 use std::sync::Arc;
 
@@ -33,11 +39,6 @@ impl RegionStore {
     pub fn new(kv: Arc<ReplicatedKv>, replica_idx: Option<usize>) -> Self {
         Self { kv, replica_idx }
     }
-
-    #[must_use]
-    pub fn is_persisting(&self) -> bool {
-        self.replica_idx.is_none()
-    }
 }
 
 impl ProfileStore for RegionStore {
@@ -45,6 +46,13 @@ impl ProfileStore for RegionStore {
         match self.replica_idx {
             None => self.kv.get_master(key),
             Some(idx) => self.kv.get_replica(idx, key),
+        }
+    }
+
+    fn get_many(&self, keys: &[Bytes]) -> Result<Vec<Option<Bytes>>> {
+        match self.replica_idx {
+            None => self.kv.get_many_master(keys),
+            Some(idx) => self.kv.get_many_replica(idx, keys),
         }
     }
 
@@ -73,6 +81,10 @@ impl ProfileStore for RegionStore {
             None => self.kv.delete(key),
             Some(_) => Ok(false),
         }
+    }
+
+    fn is_persisting(&self) -> bool {
+        self.replica_idx.is_none()
     }
 }
 
@@ -399,32 +411,111 @@ mod tests {
         );
     }
 
+    /// `slices` one-second slices of ten features each.
+    fn profile(slices: u64) -> ips_core::model::ProfileData {
+        use ips_types::{ActionTypeId, AggregateFunction, CountVector, FeatureId, SlotId};
+        let mut p = ips_core::model::ProfileData::new();
+        for s in 0..slices {
+            for f in 0..10 {
+                p.add(
+                    Timestamp::from_millis(1_000 + s * 10_000),
+                    SlotId::new(1),
+                    ActionTypeId::new(1),
+                    FeatureId::new(f),
+                    &CountVector::single(1),
+                    AggregateFunction::Sum,
+                    DurationMs::from_secs(1),
+                );
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn non_persisting_region_write_back_is_free() {
+        use ips_core::query::ProfileQuery;
+        use ips_types::Clock as _;
+        use ips_types::{ActionTypeId, CallerId, CountVector, FeatureId, ProfileId, SlotId};
+        use ips_types::{TableId, TimeRange};
+
+        let (d, ctl) = build();
+        let (caller, table, pid) = (CallerId::new(1), TableId::new(1), ProfileId::new(9));
+        let home = d.regions[0].endpoints[0].instance();
+        let remote = d.regions[1].endpoints[0].instance();
+        // The client's write-to-all fan-out, by hand.
+        for inst in [home, remote] {
+            for fid in 0..5 {
+                inst.add_profile(
+                    caller,
+                    table,
+                    pid,
+                    ctl.now(),
+                    SlotId::new(1),
+                    ActionTypeId::new(1),
+                    FeatureId::new(fid),
+                    CountVector::single(1),
+                )
+                .unwrap();
+            }
+        }
+        let (home_rt, remote_rt) = (home.table(table).unwrap(), remote.table(table).unwrap());
+        let written =
+            |rt: &ips_core::server::TableRuntime| rt.cache.persister().metrics.bytes_written.get();
+
+        assert_eq!(remote.flush_all().unwrap(), 1);
+        assert_eq!(written(&remote_rt), 0, "nothing encoded or written");
+        assert_eq!(remote_rt.cache.stats().dirty_backlog, 0);
+        assert_eq!(remote.flush_all().unwrap(), 0, "the entry is clean");
+        assert_eq!(d.kv.backlog(), 0, "nothing reached the KV");
+
+        assert_eq!(home.flush_all().unwrap(), 1);
+        assert!(written(&home_rt) > 0, "the persisting region still writes");
+        d.pump_replication(1024);
+
+        // Evicted, the remote profile reloads what replication brought.
+        let loads = remote_rt.cache.persister().metrics.loads.get();
+        assert!(remote_rt.cache.evict(pid).unwrap());
+        assert_eq!(written(&remote_rt), 0);
+        let q = ProfileQuery::top_k(table, pid, SlotId::new(1), TimeRange::last_days(1), 10);
+        assert_eq!(remote.query(caller, &q).unwrap().len(), 5);
+        assert_eq!(remote_rt.cache.persister().metrics.loads.get(), loads + 1);
+    }
+
+    #[test]
+    fn split_profile_loads_in_two_ops_through_either_region() {
+        use ips_core::persist::{LoadOutcome, ProfilePersister};
+        use ips_types::{PersistenceMode, ProfileId, TableId};
+
+        let (d, _ctl) = build();
+        // Every save splits: the head holds the newest slice and five refs.
+        let mode = PersistenceMode::Split { threshold_bytes: 1 };
+        let (table, pid) = (TableId::new(1), ProfileId::new(7));
+        ProfilePersister::new(Arc::clone(&d.regions[0].store), table, mode)
+            .save(pid, &mut profile(6), 0)
+            .unwrap();
+        d.pump_replication(1024);
+        let replica = d.regions[1].replica.as_ref().unwrap();
+        for (region, node) in d.regions.iter().zip([d.kv.master(), replica]) {
+            let persister = ProfilePersister::new(Arc::clone(&region.store), table, mode);
+            let ops = node.stats().ops;
+            match persister.load(pid).unwrap() {
+                LoadOutcome::Loaded { profile, .. } => assert_eq!(profile.slice_count(), 6),
+                LoadOutcome::Missing => panic!("profile missing in {}", region.name),
+            }
+            assert_eq!(
+                node.stats().ops,
+                ops + 2,
+                "{}: one head read and one multi-get",
+                region.name
+            );
+        }
+    }
+
     #[test]
     fn replica_region_loads_the_newer_layout_of_a_shrunk_profile() {
-        use ips_core::model::ProfileData;
         use ips_core::persist::{encode_profile, LoadOutcome, ProfilePersister};
-        use ips_types::{
-            ActionTypeId, AggregateFunction, CountVector, FeatureId, PersistenceMode, ProfileId,
-            SlotId,
-        };
+        use ips_types::{PersistenceMode, ProfileId};
 
-        let profile = |slices: u64| {
-            let mut p = ProfileData::new();
-            for s in 0..slices {
-                for f in 0..10 {
-                    p.add(
-                        Timestamp::from_millis(1_000 + s * 10_000),
-                        SlotId::new(1),
-                        ActionTypeId::new(1),
-                        FeatureId::new(f),
-                        &CountVector::single(1),
-                        AggregateFunction::Sum,
-                        DurationMs::from_secs(1),
-                    );
-                }
-            }
-            p
-        };
         let (d, _ctl) = build();
         let mode = PersistenceMode::Split {
             threshold_bytes: encode_profile(&profile(6)).len(),

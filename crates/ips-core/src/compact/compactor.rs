@@ -7,7 +7,7 @@
 //! truncation's job: slices beyond the configured maximum age or count are
 //! removed outright (Fig 11).
 
-use ips_types::{AggregateFunction, CompactionConfig, Timestamp};
+use ips_types::{AggregateFunction, CompactionConfig, TimeDimensionConfig, Timestamp};
 
 use crate::model::{ProfileData, Slice};
 
@@ -136,9 +136,37 @@ fn compact_pass(
     merges
 }
 
-/// Should this profile be compacted now? Policy from §III-D: respect the
-/// min-interval throttle; prefer partial passes unless the slice list is
-/// long.
+/// The most slices younger than the horizon a profile may hold before a
+/// full pass is due: the bands' [`TimeDimensionConfig::slice_bound`] plus a
+/// slack of one slice per band, which spaces passes on a profile that sits
+/// at its bound and absorbs the one slice per band that can straddle an
+/// epoch when granularities do not divide each other.
+#[must_use]
+pub fn slice_limit(bands: &TimeDimensionConfig) -> usize {
+    bands.slice_bound() + bands.bands.len()
+}
+
+/// Slices of `profile` whose end is younger than the bands' horizon: the
+/// ones compaction can merge (older ones only truncation removes).
+#[must_use]
+pub fn slices_in_horizon(
+    profile: &ProfileData,
+    bands: &TimeDimensionConfig,
+    now: Timestamp,
+) -> usize {
+    let horizon = bands.horizon();
+    // Newest first, so the ages of the ends ascend.
+    profile
+        .slices()
+        .partition_point(|s| now.distance(s.end().min(now)) < horizon)
+}
+
+/// Should this profile be compacted now, and with a full pass? Policy from
+/// §III-D, scheduled by slice debt: a profile holding more slices inside
+/// the horizon than [`slice_limit`] gets a full pass whatever the throttle
+/// says. Under that limit the `min_interval` throttle spaces passes, and a
+/// pass is partial unless the slice list is longer than
+/// `full_compact_slice_threshold`.
 #[must_use]
 pub fn needs_compaction(
     profile: &ProfileData,
@@ -147,6 +175,10 @@ pub fn needs_compaction(
 ) -> Option<bool> {
     if profile.slice_count() < 2 {
         return None;
+    }
+    let bands = &config.time_dimension;
+    if slices_in_horizon(profile, bands, now) > slice_limit(bands) {
+        return Some(true);
     }
     let since_last = now.distance(profile.last_compacted.min(now));
     if since_last < config.min_interval && profile.last_compacted != Timestamp::ZERO {
@@ -159,10 +191,7 @@ pub fn needs_compaction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ips_types::{
-        ActionTypeId, CountVector, DurationMs, FeatureId, SlotId, TimeDimensionConfig,
-        TruncateConfig,
-    };
+    use ips_types::{ActionTypeId, CountVector, DurationMs, FeatureId, SlotId, TruncateConfig};
 
     const SLOT: SlotId = SlotId(1);
     const LIKE: ActionTypeId = ActionTypeId(1);
@@ -366,6 +395,49 @@ mod tests {
         p.last_compacted = ts(20_000);
         assert_eq!(needs_compaction(&p, &cfg, ts(21_000)), None);
         assert!(needs_compaction(&p, &cfg, ts(20_000 + 300_000)).is_some());
+    }
+
+    #[test]
+    fn slice_debt_overrides_the_throttle() {
+        let cfg = CompactionConfig {
+            time_dimension: TimeDimensionConfig::demo(),
+            truncate: TruncateConfig::default(),
+            min_interval: DurationMs::from_mins(5),
+            ..Default::default()
+        };
+        // 17 + one per band.
+        let limit = slice_limit(&cfg.time_dimension);
+        assert_eq!(limit, 19);
+        let mut p = ProfileData::new();
+        p.last_compacted = ts(1);
+        for i in 0..limit as u64 {
+            add(&mut p, 2_000 + i * 1_000, 1, 1);
+        }
+        let now = ts(2_000 + limit as u64 * 1_000);
+        assert_eq!(
+            needs_compaction(&p, &cfg, now),
+            None,
+            "at the limit, inside min_interval: throttled"
+        );
+        add(&mut p, now.as_millis(), 1, 1);
+        assert_eq!(
+            needs_compaction(&p, &cfg, now),
+            Some(true),
+            "past the limit: a full pass whatever min_interval says"
+        );
+        compact_profile(&mut p, &cfg, AggregateFunction::Sum, now, false);
+        assert!(p.slice_count() <= cfg.time_dimension.slice_bound());
+        assert_eq!(needs_compaction(&p, &cfg, now), None, "paid off: throttled");
+
+        // Slices past the horizon are truncation's; they owe no pass.
+        let mut old = ProfileData::new();
+        for i in 0..2 * limit as u64 {
+            add(&mut old, 2_000 + i * 1_000, 1, 1);
+        }
+        let later = ts(2 * 3_600_000);
+        old.last_compacted = ts(later.as_millis() - 1_000);
+        assert_eq!(slices_in_horizon(&old, &cfg.time_dimension, later), 0);
+        assert_eq!(needs_compaction(&old, &cfg, later), None);
     }
 
     #[test]

@@ -32,6 +32,12 @@ pub trait ProfileStore: Send + Sync {
     fn recovery_stats(&self) -> RecoveryStats {
         RecoveryStats::default()
     }
+    /// Whether writes through this store persist. A store that drops them
+    /// (a region that reads a local replica, §III-G) returns `false`, and
+    /// [`super::ProfilePersister::save`] then does no write-back work.
+    fn is_persisting(&self) -> bool {
+        true
+    }
 }
 
 impl ProfileStore for KvNode {
@@ -60,6 +66,9 @@ impl ProfileStore for KvNode {
 impl ProfileStore for ReplicatedKv {
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         self.get_master(key)
+    }
+    fn get_many(&self, keys: &[Bytes]) -> Result<Vec<Option<Bytes>>> {
+        self.get_many_master(keys)
     }
     fn xget(&self, key: &[u8]) -> Result<(Option<Bytes>, Generation)> {
         self.xget_master(key)
@@ -94,6 +103,9 @@ impl<T: ProfileStore + ?Sized> ProfileStore for std::sync::Arc<T> {
     }
     fn recovery_stats(&self) -> RecoveryStats {
         (**self).recovery_stats()
+    }
+    fn is_persisting(&self) -> bool {
+        (**self).is_persisting()
     }
 }
 
@@ -141,13 +153,19 @@ mod tests {
     }
 
     #[test]
-    fn get_many_default_loop_works_for_replicated() {
+    fn get_many_is_one_master_op_for_replicated() {
         let master = Arc::new(KvNode::new("m", KvNodeConfig::default()).unwrap());
-        let group = ReplicatedKv::new(master, Vec::new(), ips_kv::ReplicaReadMode::AllowStale);
+        let group = ReplicatedKv::new(
+            Arc::clone(&master),
+            Vec::new(),
+            ips_kv::ReplicaReadMode::AllowStale,
+        );
         let store: &dyn ProfileStore = &group;
         store.xset(b("k1"), b("v1"), 0).unwrap();
+        let ops_before = master.stats().ops;
         let got = store.get_many(&[b("k1"), b("k2")]).unwrap();
         assert_eq!(got, vec![Some(b("v1")), None]);
+        assert_eq!(master.stats().ops, ops_before + 1);
     }
 
     #[test]

@@ -183,12 +183,23 @@ impl<S: ProfileStore> ProfilePersister<S> {
     /// of this profile returned (a bare generation converts; 0 if never
     /// persisted). Returns the head to hold next. Takes `&mut` so per-slice
     /// dirty flags can be cleared once the head references the data.
+    ///
+    /// Over a store that does not persist (§III-G: only one region does)
+    /// a save only marks the slices clean and returns `held`: the region's
+    /// copy converges through replication, so nothing is encoded or
+    /// written.
     pub fn save(
         &self,
         pid: ProfileId,
         profile: &mut ProfileData,
         held: impl Into<Held>,
     ) -> Result<Held> {
+        if !self.store.is_persisting() {
+            for slice in profile.slices_mut() {
+                slice.mark_clean();
+            }
+            return Ok(held.into());
+        }
         self.metrics.saves.inc();
         let full = encode_profile(profile);
         let split = match self.mode {

@@ -4,6 +4,9 @@
 //!   non-overlapping, and never lose counts;
 //! * compaction and truncation preserve (respectively bound) aggregate
 //!   totals under any time-dimension configuration;
+//! * compaction scheduled by slice debt keeps every profile within its
+//!   bands' slice limit plus the slices opened since the last maintenance
+//!   pass;
 //! * the profile wire codec round-trips arbitrary profiles canonically —
 //!   equal content gives equal bytes, encoding inside a live trace span
 //!   gives the same bytes as outside one, and corrupt frames are rejected
@@ -19,7 +22,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ips_core::compact::compactor::compact_profile;
+use ips_core::compact::compactor::{
+    compact_profile, needs_compaction, slice_limit, slices_in_horizon,
+};
 use ips_core::model::ProfileData;
 use ips_core::persist::schema::{decode_slice, encode_slice};
 use ips_core::persist::{decode_profile, encode_profile, ProfilePersister, SliceProjection};
@@ -140,6 +145,64 @@ proptest! {
         compact_profile(&mut p, &config, AggregateFunction::Sum, now, partial);
         prop_assert!(p.check_invariants().is_ok());
         prop_assert_eq!(grand_total(&p), before, "compaction must not lose counts");
+    }
+
+    #[test]
+    fn debt_scheduled_compaction_keeps_the_slice_bound(
+        // (virtual ms to advance, age of the write in permille of the
+        // span writes land in, feature) per write.
+        steps in proptest::collection::vec((0u64..1_000, 0u64..1_000, 0u64..50), 100..600),
+        demo in any::<bool>(),
+        run_every in 1usize..64,
+    ) {
+        let (bands, span) = if demo {
+            (TimeDimensionConfig::demo(), DurationMs::from_hours(2))
+        } else {
+            (TimeDimensionConfig::production_default(), DurationMs::from_days(2))
+        };
+        let head = bands.bands[0].granularity;
+        let config = CompactionConfig {
+            time_dimension: bands,
+            ..Default::default()
+        };
+        let limit = slice_limit(&config.time_dimension);
+        let mut now = Timestamp::from_millis(DurationMs::from_days(400).as_millis());
+        let mut p = ProfileData::new();
+        // The scheduler's queue entry for this profile: `Some(full)`.
+        let mut queued: Option<bool> = None;
+        let mut opened = 0;
+        for (i, (advance, age, fid)) in steps.into_iter().enumerate() {
+            now = Timestamp::from_millis(now.as_millis() + advance);
+            let at = now.saturating_sub(DurationMs::from_millis(span.as_millis() * age / 1_000));
+            let before = p.slice_count();
+            p.add(
+                at,
+                SlotId::new(1),
+                ActionTypeId::new(1),
+                FeatureId::new(fid),
+                &CountVector::single(1),
+                AggregateFunction::Sum,
+                head,
+            );
+            opened += p.slice_count() - before;
+            // As `TableRuntime::apply` decides, and the queue dedups.
+            if let Some(full) = needs_compaction(&p, &config, now) {
+                queued = Some(queued.unwrap_or(false) || full);
+            }
+            let held = slices_in_horizon(&p, &config.time_dimension, now);
+            prop_assert!(
+                held <= limit + opened,
+                "write {}: {} slices in the horizon, limit {} + {} opened",
+                i, held, limit, opened
+            );
+            // A maintenance pass runs what is queued.
+            if (i + 1) % run_every == 0 {
+                if let Some(full) = queued.take() {
+                    compact_profile(&mut p, &config, AggregateFunction::Sum, now, !full);
+                }
+                opened = 0;
+            }
+        }
     }
 
     #[test]

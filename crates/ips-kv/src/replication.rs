@@ -146,10 +146,33 @@ impl ReplicatedKv {
         self.master.xget(key)
     }
 
+    /// Read many keys from the master in one operation, in input order.
+    pub fn get_many_master(&self, keys: &[Bytes]) -> Result<Vec<Option<Bytes>>> {
+        self.master.get_many(keys)
+    }
+
     /// Read from replica `idx` (a region's local slave cluster). Per the
     /// configured mode, a missing key may fall through to the master.
     pub fn get_replica(&self, idx: usize, key: &[u8]) -> Result<Option<Bytes>> {
         Ok(self.xget_replica(idx, key)?.0)
+    }
+
+    /// Read many keys from replica `idx` in one operation, in input order.
+    /// Under [`ReplicaReadMode::MasterOnMiss`] each key the replica lacks
+    /// falls through to the master on its own.
+    pub fn get_many_replica(&self, idx: usize, keys: &[Bytes]) -> Result<Vec<Option<Bytes>>> {
+        let Some(replica) = self.replicas.get(idx) else {
+            return self.master.get_many(keys);
+        };
+        let mut values = replica.get_many(keys)?;
+        if self.read_mode == ReplicaReadMode::MasterOnMiss {
+            for (value, key) in values.iter_mut().zip(keys) {
+                if value.is_none() {
+                    *value = self.master.get(key)?;
+                }
+            }
+        }
+        Ok(values)
     }
 
     /// Versioned read from replica `idx`, falling through like
@@ -307,6 +330,39 @@ mod tests {
         g.set(b("k"), b("v1")).unwrap();
         // Replica hasn't caught up but the read falls through to master.
         assert_eq!(g.get_replica(0, b"k").unwrap(), Some(b("v1")));
+    }
+
+    #[test]
+    fn replica_multi_get_is_one_op_and_falls_through_per_missing_key() {
+        for mode in [ReplicaReadMode::AllowStale, ReplicaReadMode::MasterOnMiss] {
+            let g = group(1, mode);
+            g.set(b("a"), b("1")).unwrap();
+            g.pump_all();
+            g.set(b("b"), b("2")).unwrap();
+            let keys = [b("a"), b("b"), b("c")];
+            let (replica_ops, master_ops) = (g.replicas()[0].stats().ops, g.master().stats().ops);
+            let got = g.get_many_replica(0, &keys).unwrap();
+            assert_eq!(g.replicas()[0].stats().ops, replica_ops + 1);
+            if mode == ReplicaReadMode::MasterOnMiss {
+                assert_eq!(got, vec![Some(b("1")), Some(b("2")), None]);
+                assert_eq!(
+                    g.master().stats().ops,
+                    master_ops + 2,
+                    "b and c fall through"
+                );
+            } else {
+                assert_eq!(got, vec![Some(b("1")), None, None]);
+                assert_eq!(g.master().stats().ops, master_ops);
+            }
+        }
+        let g = group(0, ReplicaReadMode::AllowStale);
+        g.set(b("a"), b("1")).unwrap();
+        let ops = g.master().stats().ops;
+        assert_eq!(
+            g.get_many_master(&[b("a"), b("z")]).unwrap(),
+            vec![Some(b("1")), None]
+        );
+        assert_eq!(g.master().stats().ops, ops + 1);
     }
 
     #[test]

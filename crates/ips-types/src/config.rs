@@ -234,6 +234,22 @@ impl TimeDimensionConfig {
     pub fn horizon(&self) -> DurationMs {
         self.bands.last().map_or(DurationMs::ZERO, |b| b.to_age)
     }
+
+    /// The most slices younger than the horizon that a fully compacted
+    /// profile holds: Σ over bands of ⌈span / granularity⌉ + 1, one slice
+    /// per granularity epoch a band's age range touches. It holds when each
+    /// granularity divides the next, as in both listings; 188 for
+    /// [`Self::production_default`], 17 for [`Self::demo`].
+    #[must_use]
+    pub fn slice_bound(&self) -> usize {
+        self.bands
+            .iter()
+            .map(|b| {
+                let span = b.to_age.as_millis() - b.from_age.as_millis();
+                span.div_ceil(b.granularity.as_millis().max(1)) as usize + 1
+            })
+            .sum()
+    }
 }
 
 /// Truncation policy (§III-D b): drop old, low-value data outright.
@@ -312,7 +328,10 @@ pub struct CompactionConfig {
     pub partial_max_merges: usize,
     /// Slice-list length beyond which a full compaction is scheduled.
     pub full_compact_slice_threshold: usize,
-    /// Re-compact a profile at most once per interval to cap CPU spend.
+    /// Re-compact a profile at most once per interval to cap CPU spend,
+    /// while it holds no more slices than the time dimension's slice bound
+    /// plus slack. Past that a full pass is due at once, whatever the
+    /// interval says (`needs_compaction` in `ips-core`).
     pub min_interval: DurationMs,
 }
 
@@ -717,6 +736,14 @@ mod tests {
             Some(DurationMs::from_days(30))
         );
         assert_eq!(cfg.granularity_for_age(DurationMs::from_days(400)), None);
+    }
+
+    #[test]
+    fn slice_bound_counts_each_bands_epochs() {
+        // 60 + 59 + 23 + 29 + ⌈335 / 30⌉, plus one per band.
+        assert_eq!(TimeDimensionConfig::production_default().slice_bound(), 188);
+        // 10 + 5, plus one per band.
+        assert_eq!(TimeDimensionConfig::demo().slice_bound(), 17);
     }
 
     #[test]
